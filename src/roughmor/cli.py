@@ -23,16 +23,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 import scipy.linalg
 
-from .errors import (ArgumentError, CapabilityError, ConvergenceError,
-                     EmptyBasisError, IntegrationOverflowError,
-                     NumericalError, PreconditionError, RoughmorError,
-                     StepFailureError)
+from .errors import (ArgumentError, CapabilityError, EmptyBasisError,
+                     PreconditionError, RoughmorError)
 from ._fixtures import (decoupled_observability_system, mild_stable_system,
                         scalar_noise_system, unstable_system)
 from ._util import atomic_write_text, fmt
@@ -53,53 +51,65 @@ from .solver import (pointwise_relative_error, relative_L2_error,
 from .system import (BilinearRoughSystem, is_mean_square_stable,
                      positivity_scale, resolvent_positivity_probe)
 
-_DEFAULTS = {
-    "model": "heat1d",
-    "model_file": None,
-    "n": 100,
-    "hurst": 0.4,
-    "horizon": 0.5,
-    "step_exp": 10,
-    "seed": 2023,
-    "tol_p": DEFAULT_TOL_P,
-    "tol_q": DEFAULT_TOL_Q,
-    "ranks": None,
-    "out": "roughmor-run",
-    "path_file": None,
-    "beta": None,
-    "gamma": None,
-    "init": None,
-    "fixture": "stable",
-    "states": False,
-}
 
-_INT_KEYS = {"n", "step_exp", "seed"}
-_FLOAT_KEYS = {"hurst", "horizon", "tol_p", "tol_q"}
-_BOOL_KEYS = {"states"}
+def _parse_ranks(text):
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+
+
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+
+
+def _key(default, parse=str, help=None, **flag):
+    """One config key: its default, the parser of its text (config file and
+    flag alike), and the help and extra argparse settings of its --flag.
+    A key without help gets no flag."""
+    return field(default=default,
+                 metadata={"parse": parse, "help": help, "flag": flag})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run parameters (defaults, then config file, then flags)."""
+    """Resolved run parameters (defaults, then config file, then flags).
 
-    mode: str
-    model: str
-    model_file: Optional[str]
-    n: int
-    hurst: float
-    horizon: float
-    step_exponent: int
-    seed: int
-    tol_P: float
-    tol_Q: float
-    target_ranks: Optional[tuple]
-    output_dir: str
-    path_file: Optional[str]
-    beta: Optional[str]
-    gamma: Optional[str]
-    init: Optional[str]
-    fixture: str
-    dump_states: bool
+    The fields are the config keys: the key table below is the only place
+    that names them.
+    """
+
+    # set by the subcommand; a config file may repeat it but not change it
+    mode: Optional[str] = _key(None)
+    model: str = _key("heat1d", help="builtin heat model 'heat1d' or "
+                                     "matrices from a 'file'")
+    model_file: Optional[str] = _key(
+        None, help="matrix file ('n d p' header, then A, N_1..N_d, K, C, x0 "
+                   "row-major)")
+    n: int = _key(100, int, "interior grid size (heat1d)")
+    hurst: float = _key(0.4, float, "Hurst index of the fBm driver")
+    horizon: float = _key(0.5, float, "time horizon T")
+    step_exp: int = _key(10, int, "step exponent m, step = 2^-m")
+    seed: int = _key(2023, int, "driver seed")
+    tol_p: float = _key(DEFAULT_TOL_P, float,
+                        "relative truncation threshold, reach stage")
+    tol_q: float = _key(DEFAULT_TOL_Q, float,
+                        "relative truncation threshold, obs stage")
+    ranks: Optional[tuple] = _key(
+        None, _parse_ranks, "comma-separated target ranks (sweep), e.g. 5,7,9")
+    out: str = _key("roughmor-run", help="output directory")
+    path_file: Optional[str] = _key(None,
+                                    help="reuse a stored driver path CSV")
+    beta: Optional[str] = _key(
+        None, help="heat1d transport coefficients, one per channel, "
+                   "';'-separated (with --gamma), e.g. constant:0.4")
+    gamma: Optional[str] = _key(
+        None, help="heat1d reaction coefficients, one per channel, "
+                   "';'-separated (with --beta), e.g. sin-scaled:4")
+    init: Optional[str] = _key(
+        None, help="heat1d initial profile, e.g. gaussian-bump:1,0.5,2")
+    fixture: str = _key("stable", help="probe fixture 'stable' or "
+                                       "'unstable' (probes)")
+    states: bool = _key(False, lambda text: _BOOLS[text.lower()],
+                        "also dump the state trajectory",
+                        action="store_const", const="true")
 
     def __post_init__(self):
         if self.model not in ("heat1d", "file"):
@@ -114,11 +124,11 @@ class RunConfig:
                 f"Hurst index must lie in (0, 1), got {self.hurst}")
         if not (self.horizon > 0.0):
             raise ArgumentError(f"need horizon > 0, got {self.horizon}")
-        if self.step_exponent < 0 or 2.0 ** (-self.step_exponent) > self.horizon:
+        if self.step_exp < 0 or 2.0 ** (-self.step_exp) > self.horizon:
             raise ArgumentError(
-                f"step 2^-{self.step_exponent} exceeds the horizon "
+                f"step 2^-{self.step_exp} exceeds the horizon "
                 f"{self.horizon}")
-        for name, tol in (("tol-p", self.tol_P), ("tol-q", self.tol_Q)):
+        for name, tol in (("tol-p", self.tol_p), ("tol-q", self.tol_q)):
             if not (0.0 < tol < 1.0):
                 raise ArgumentError(
                     f"{name} must lie in (0, 1), got {tol}")
@@ -139,17 +149,22 @@ class RunConfig:
                 return ",".join(str(v) for v in value)
             return str(value)
 
-        items = {
-            "beta": self.beta, "fixture": self.fixture, "gamma": self.gamma,
-            "horizon": self.horizon, "hurst": self.hurst, "init": self.init,
-            "mode": self.mode, "model": self.model,
-            "model_file": self.model_file, "n": self.n,
-            "out": self.output_dir, "path_file": self.path_file,
-            "ranks": self.target_ranks, "seed": self.seed,
-            "states": self.dump_states, "step_exp": self.step_exponent,
-            "tol_p": self.tol_P, "tol_q": self.tol_Q,
-        }
-        return [f"{key}={render(items[key])}" for key in sorted(items)]
+        return [f"{key}={render(getattr(self, key))}" for key in sorted(_KEYS)]
+
+
+_KEYS = {key.name: key for key in fields(RunConfig)}
+
+
+def _parse(key, text):
+    """Value of config key ``key`` from its text; empty text means the
+    default."""
+    if text == "":
+        return _KEYS[key].default
+    try:
+        return _KEYS[key].metadata["parse"](text)
+    except (KeyError, ValueError) as exc:
+        raise ArgumentError(
+            f"could not parse config value {key}={text!r}") from exc
 
 
 def _parse_config_file(path):
@@ -165,68 +180,27 @@ def _parse_config_file(path):
                         f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _DEFAULTS:
+                if key not in _KEYS:
                     raise ArgumentError(
                         f"{path}:{lineno}: unknown config key {key!r}")
-                entries[key] = value.strip()
+                entries[key] = _parse(key, value.strip())
     except OSError as exc:
         raise ArgumentError(f"cannot read config file {path}: {exc}") from exc
     return entries
 
 
-def _coerce(key, value):
-    if value is None or not isinstance(value, str):
-        return value
-    if value == "":
-        return None
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        if key in _BOOL_KEYS:
-            if value.lower() in ("true", "1", "yes"):
-                return True
-            if value.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(value)
-        if key == "ranks":
-            return tuple(int(tok) for tok in value.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ArgumentError(
-            f"could not parse config value {key}={value!r}") from exc
-    return value
-
-
 def resolve_config(args) -> RunConfig:
-    resolved = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        for key, value in _parse_config_file(args.config).items():
-            resolved[key] = _coerce(key, value)
-    for key in _DEFAULTS:
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = _coerce(key, cli_value)
-    return RunConfig(
-        mode=args.command,
-        model=resolved["model"],
-        model_file=resolved["model_file"],
-        n=resolved["n"],
-        hurst=resolved["hurst"],
-        horizon=resolved["horizon"],
-        step_exponent=resolved["step_exp"],
-        seed=resolved["seed"],
-        tol_P=resolved["tol_p"],
-        tol_Q=resolved["tol_q"],
-        target_ranks=resolved["ranks"],
-        output_dir=resolved["out"],
-        path_file=resolved["path_file"],
-        beta=resolved["beta"],
-        gamma=resolved["gamma"],
-        init=resolved["init"],
-        fixture=resolved["fixture"],
-        dump_states=bool(resolved["states"]),
-    )
+    resolved = _parse_config_file(args.config) if args.config else {}
+    for key in _KEYS:
+        text = getattr(args, key, None)
+        if text is not None:
+            resolved[key] = _parse(key, text)
+    # a run's config.txt echoes its mode, so replaying it must accept one
+    if resolved.setdefault("mode", args.command) != args.command:
+        raise ArgumentError(
+            f"config file sets mode={resolved['mode']}, but the subcommand "
+            f"is {args.command!r}")
+    return RunConfig(**resolved)
 
 
 def read_system_file(path) -> BilinearRoughSystem:
@@ -297,20 +271,17 @@ def write_system_file(model_sys: BilinearRoughSystem, path) -> None:
 def build_model(cfg: RunConfig) -> BilinearRoughSystem:
     if cfg.model == "file":
         return read_system_file(cfg.model_file)
-    if cfg.beta is None and cfg.gamma is None and cfg.init is None:
-        return build_heat1d(default_heat1d_config(cfg.n))
     if (cfg.beta is None) != (cfg.gamma is None):
         raise ArgumentError(
             "beta and gamma overrides must be given together (one "
             "coefficient per channel, ';'-separated)")
+    default = default_heat1d_config(cfg.n)
+    beta, gamma = default.beta, default.gamma
     if cfg.beta is not None:
         beta = [builtin_coefficient(s) for s in cfg.beta.split(";")]
         gamma = [builtin_coefficient(s) for s in cfg.gamma.split(";")]
-    else:
-        default = default_heat1d_config(cfg.n)
-        beta, gamma = list(default.beta), list(default.gamma)
     init = builtin_coefficient(cfg.init) if cfg.init is not None \
-        else default_heat1d_config(cfg.n).initial_profile
+        else default.initial_profile
     return build_heat1d(Heat1dConfig(
         n=cfg.n, beta=beta, gamma=gamma, initial_profile=init,
         K=np.eye(len(beta))))
@@ -329,18 +300,14 @@ def resolve_driver(cfg: RunConfig, d: int) -> DriverPath:
                 f"stored path spans {span} but the horizon is {cfg.horizon}")
         return path
     # step exponent m means step 2^-m, so the count is horizon / 2^-m
-    steps = cfg.horizon * 2.0 ** cfg.step_exponent
+    steps = cfg.horizon * 2.0 ** cfg.step_exp
     if abs(steps - round(steps)) > 1e-9:
         raise ArgumentError(
             f"horizon {cfg.horizon} is not a multiple of the step "
-            f"2^-{cfg.step_exponent}")
+            f"2^-{cfg.step_exp}")
     return sample_fbm_path(cfg.hurst, d, cfg.horizon, int(round(steps)),
                            cfg.seed)
 
-
-def _ensure_outdir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return cfg.output_dir
 
 def _echo_config(cfg: RunConfig, outdir) -> str:
     atomic_write_text(os.path.join(outdir, "config.txt"),
@@ -351,6 +318,33 @@ def _echo_config(cfg: RunConfig, outdir) -> str:
 def _write_summary(outdir, payload) -> None:
     atomic_write_text(os.path.join(outdir, "summary.json"),
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _summary(cfg: RunConfig, status, **payload) -> dict:
+    return {"status": status, "command": cfg.mode, **payload,
+            "config": cfg.echo_lines()}
+
+
+class _Run:
+    """Bookkeeping shared by the runners: the output directory with the
+    config echoed into it, the artifacts written so far, the start of the
+    printed timings, and the closing summary.json that lists the artifacts."""
+
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        os.makedirs(cfg.out, exist_ok=True)
+        self.artifacts = [_echo_config(cfg, cfg.out)]
+        self.t0 = time.perf_counter()
+
+    def path(self, name) -> str:
+        """Where to write artifact ``name``; records it in the list."""
+        self.artifacts.append(name)
+        return os.path.join(self.cfg.out, name)
+
+    def finish(self, status="ok", **payload) -> None:
+        self.artifacts.append("summary.json")
+        _write_summary(self.cfg.out, _summary(
+            self.cfg, status, artifacts=self.artifacts, **payload))
 
 
 def _stability_gate(model_sys: BilinearRoughSystem) -> None:
@@ -365,21 +359,18 @@ def _stability_gate(model_sys: BilinearRoughSystem) -> None:
 
 
 def run_exact_reduction(cfg: RunConfig) -> int:
-    outdir = _ensure_outdir(cfg)
-    artifacts = [_echo_config(cfg, outdir)]
-    t0 = time.perf_counter()
+    run = _Run(cfg)
     model_sys = build_model(cfg)
     _stability_gate(model_sys)
     t1 = time.perf_counter()
-    model, meta = two_stage_reduce(model_sys, tol_P=cfg.tol_P,
-                                   tol_Q=cfg.tol_Q)
+    model, meta = two_stage_reduce(model_sys, tol_P=cfg.tol_p,
+                                   tol_Q=cfg.tol_q)
     t2 = time.perf_counter()
     if meta.notice:
         print(f"notice: {meta.notice}")
 
     path = resolve_driver(cfg, model_sys.d)
-    write_path_csv(path, os.path.join(outdir, "driver_path.csv"))
-    artifacts.append("driver_path.csv")
+    write_path_csv(path, run.path("driver_path.csv"))
 
     full = rough_rk_simulate(model_sys, path)
     reduced = rough_rk_simulate(model, path)
@@ -388,80 +379,61 @@ def run_exact_reduction(cfg: RunConfig) -> int:
     rel = relative_L2_error(full.outputs, reduced.outputs, full.times)
     pw = pointwise_relative_error(full.outputs, reduced.outputs, full.times)
 
-    write_spectrum_csv(meta.p_spectrum,
-                       os.path.join(outdir, "gramian_spectrum_p.csv"))
-    artifacts.append("gramian_spectrum_p.csv")
+    write_spectrum_csv(meta.p_spectrum, run.path("gramian_spectrum_p.csv"))
     if meta.q_spectrum is not None:
-        write_spectrum_csv(meta.q_spectrum,
-                           os.path.join(outdir, "gramian_spectrum_q.csv"))
-        artifacts.append("gramian_spectrum_q.csv")
-    write_stage_metadata_csv(meta, os.path.join(outdir, "stage_metadata.csv"))
-    artifacts.append("stage_metadata.csv")
-    write_trajectory_csv(full, os.path.join(outdir, "output_full.csv"))
-    artifacts.append("output_full.csv")
-    write_trajectory_csv(reduced, os.path.join(outdir, "output_reduced.csv"))
-    artifacts.append("output_reduced.csv")
-    write_error_csv(pw.times, pw.values,
-                    os.path.join(outdir, "pointwise_error.csv"))
-    artifacts.append("pointwise_error.csv")
-    if cfg.dump_states:
-        write_states_csv(full, os.path.join(outdir, "states_full.csv"))
-        artifacts.append("states_full.csv")
+        write_spectrum_csv(meta.q_spectrum, run.path("gramian_spectrum_q.csv"))
+    write_stage_metadata_csv(meta, run.path("stage_metadata.csv"))
+    write_trajectory_csv(full, run.path("output_full.csv"))
+    write_trajectory_csv(reduced, run.path("output_reduced.csv"))
+    write_error_csv(pw.times, pw.values, run.path("pointwise_error.csv"))
+    if cfg.states:
+        write_states_csv(full, run.path("states_full.csv"))
 
-    artifacts.append("summary.json")
-    _write_summary(outdir, {
-        "status": "ok",
-        "command": "reduce",
-        "orders": list(meta.orders),
-        "relative_l2_error": float(rel),
-        "error_is_absolute": rel.is_absolute,
-        "gramian": {
+    run.finish(
+        orders=list(meta.orders),
+        relative_l2_error=float(rel),
+        error_is_absolute=rel.is_absolute,
+        gramian={
             "p_iterations": meta.p_iterations,
             "p_residual": meta.p_residual,
             "q_iterations": meta.q_iterations,
             "q_residual": meta.q_residual,
         },
-        "solver": {
+        solver={
             "max_newton_iterations_full": full.max_newton_iterations,
             "max_newton_iterations_reduced": reduced.max_newton_iterations,
             "max_linear_residual_full": full.max_linear_residual,
             "max_linear_residual_reduced": reduced.max_linear_residual,
         },
-        "notice": meta.notice,
-        "artifacts": artifacts,
-        "config": cfg.echo_lines(),
-    })
+        notice=meta.notice)
 
     orders_txt = " -> ".join(str(r) for r in meta.orders)
     print(f"orders: {orders_txt}")
     print(f"relative L2 error (full vs reduced): {float(rel):.6e}"
           + (" [absolute: reference output is zero]" if rel.is_absolute
              else ""))
-    print(f"timings: build+gate {t1 - t0:.2f} s, reduction {t2 - t1:.2f} s, "
-          f"simulation {t3 - t2:.2f} s")
-    print(f"artifacts in {outdir}")
+    print(f"timings: build+gate {t1 - run.t0:.2f} s, "
+          f"reduction {t2 - t1:.2f} s, simulation {t3 - t2:.2f} s")
+    print(f"artifacts in {cfg.out}")
     return 0
 
 
 def run_sweep(cfg: RunConfig) -> int:
-    outdir = _ensure_outdir(cfg)
-    artifacts = [_echo_config(cfg, outdir)]
-    t0 = time.perf_counter()
+    run = _Run(cfg)
     model_sys = build_model(cfg)
     if model_sys.drift_nonlinearity is not None:
         raise PreconditionError("the rank sweep requires f = 0")
     _stability_gate(model_sys)
-    model, meta = two_stage_reduce(model_sys, tol_P=cfg.tol_P,
-                                   tol_Q=cfg.tol_Q)
-    ranks = cfg.target_ranks
+    model, meta = two_stage_reduce(model_sys, tol_P=cfg.tol_p,
+                                   tol_Q=cfg.tol_q)
+    ranks = cfg.ranks
     if not ranks:
         ranks = tuple(range(5, model.r + 1, 2))
     entries = greedy_rank_sweep(model, ranks)
     t1 = time.perf_counter()
 
     path = resolve_driver(cfg, model_sys.d)
-    write_path_csv(path, os.path.join(outdir, "driver_path.csv"))
-    artifacts.append("driver_path.csv")
+    write_path_csv(path, run.path("driver_path.csv"))
     full = rough_rk_simulate(model_sys, path)
 
     rows = []
@@ -474,35 +446,24 @@ def run_sweep(cfg: RunConfig) -> int:
     lines = ["r,rel_L2_error"]
     for requested, _actual, err in rows:
         lines.append(f"{requested},{fmt(err)}")
-    atomic_write_text(os.path.join(outdir, "sweep_errors.csv"),
-                      "\n".join(lines) + "\n")
-    artifacts.append("sweep_errors.csv")
+    atomic_write_text(run.path("sweep_errors.csv"), "\n".join(lines) + "\n")
 
-    artifacts.append("summary.json")
-    _write_summary(outdir, {
-        "status": "ok",
-        "command": "sweep",
-        "orders": list(meta.orders),
-        "table": [{"r": requested, "actual_r": actual, "rel_L2_error": err}
-                  for requested, actual, err in rows],
-        "artifacts": artifacts,
-        "config": cfg.echo_lines(),
-    })
+    run.finish(orders=list(meta.orders),
+               table=[{"r": requested, "actual_r": actual, "rel_L2_error": err}
+                      for requested, actual, err in rows])
 
     print(f"exact orders: {' -> '.join(str(r) for r in meta.orders)}")
     for requested, actual, err in rows:
         clamp = "" if requested == actual else f" (clamped to {actual})"
         print(f"  r = {requested:3d}{clamp}: rel L2 error = {err:.6e}")
-    print(f"timings: reduction+sweep {t1 - t0:.2f} s, "
+    print(f"timings: reduction+sweep {t1 - run.t0:.2f} s, "
           f"simulations {t2 - t1:.2f} s")
-    print(f"artifacts in {outdir}")
+    print(f"artifacts in {cfg.out}")
     return 0
 
 
 def run_probes(cfg: RunConfig) -> int:
-    outdir = _ensure_outdir(cfg)
-    artifacts = [_echo_config(cfg, outdir)]
-    t0 = time.perf_counter()
+    run = _Run(cfg)
     checks = []
 
     mild = mild_stable_system(3, 1, seed=99)
@@ -548,66 +509,45 @@ def run_probes(cfg: RunConfig) -> int:
     for name, value, bound, passed in checks:
         lines.append(f"{name},{fmt(value)},{fmt(bound)},"
                      f"{'pass' if passed else 'fail'}")
-    atomic_write_text(os.path.join(outdir, "probes_report.csv"),
-                      "\n".join(lines) + "\n")
-    artifacts.append("probes_report.csv")
+    atomic_write_text(run.path("probes_report.csv"), "\n".join(lines) + "\n")
 
     all_passed = all(passed for _, _, _, passed in checks)
-    artifacts.append("summary.json")
-    _write_summary(outdir, {
-        "status": "ok" if all_passed else "probe_failure",
-        "command": "probes",
-        "fixture": cfg.fixture,
-        "checks": [{"name": name, "value": value, "bound": bound,
-                    "passed": passed}
-                   for name, value, bound, passed in checks],
-        "artifacts": artifacts,
-        "config": cfg.echo_lines(),
-    })
+    run.finish("ok" if all_passed else "probe_failure",
+               fixture=cfg.fixture,
+               checks=[{"name": name, "value": value, "bound": bound,
+                        "passed": passed}
+                       for name, value, bound, passed in checks])
 
     for name, value, bound, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}: value {value:.6e}, "
               f"bound {bound:.6e}")
-    print(f"probe suite finished in {t1 - t0:.2f} s; artifacts in {outdir}")
+    print(f"probe suite finished in {t1 - run.t0:.2f} s; artifacts in "
+          f"{cfg.out}")
     return 0 if all_passed else 3
 
 
 def run_simulate(cfg: RunConfig) -> int:
-    outdir = _ensure_outdir(cfg)
-    artifacts = [_echo_config(cfg, outdir)]
-    t0 = time.perf_counter()
+    run = _Run(cfg)
     model_sys = build_model(cfg)
     path = resolve_driver(cfg, model_sys.d)
-    write_path_csv(path, os.path.join(outdir, "driver_path.csv"))
-    artifacts.append("driver_path.csv")
+    write_path_csv(path, run.path("driver_path.csv"))
     result = rough_rk_simulate(model_sys, path)
     t1 = time.perf_counter()
-    write_trajectory_csv(result, os.path.join(outdir, "output_full.csv"))
-    artifacts.append("output_full.csv")
-    if cfg.dump_states:
-        write_states_csv(result, os.path.join(outdir, "states_full.csv"))
-        artifacts.append("states_full.csv")
-    artifacts.append("summary.json")
-    _write_summary(outdir, {
-        "status": "ok",
-        "command": "simulate",
-        "steps": path.M,
-        "solver": {
-            "max_newton_iterations": result.max_newton_iterations,
-            "max_linear_residual": result.max_linear_residual,
-        },
-        "artifacts": artifacts,
-        "config": cfg.echo_lines(),
-    })
-    print(f"simulated {path.M} steps in {t1 - t0:.2f} s; "
-          f"artifacts in {outdir}")
+    write_trajectory_csv(result, run.path("output_full.csv"))
+    if cfg.states:
+        write_states_csv(result, run.path("states_full.csv"))
+    run.finish(steps=path.M,
+               solver={
+                   "max_newton_iterations": result.max_newton_iterations,
+                   "max_linear_residual": result.max_linear_residual,
+               })
+    print(f"simulated {path.M} steps in {t1 - run.t0:.2f} s; "
+          f"artifacts in {cfg.out}")
     return 0
 
 
 def run_gramian(cfg: RunConfig) -> int:
-    outdir = _ensure_outdir(cfg)
-    artifacts = [_echo_config(cfg, outdir)]
-    t0 = time.perf_counter()
+    run = _Run(cfg)
     model_sys = build_model(cfg)
     _stability_gate(model_sys)
     P = solve_algebraic_gramian(model_sys, "reach",
@@ -616,11 +556,9 @@ def run_gramian(cfg: RunConfig) -> int:
                                 tol=PIPELINE_GRAMIAN_TOL, polish=True)
     t1 = time.perf_counter()
     write_spectrum_csv(gramian_spectrum(P.matrix),
-                       os.path.join(outdir, "gramian_spectrum_p.csv"))
-    artifacts.append("gramian_spectrum_p.csv")
+                       run.path("gramian_spectrum_p.csv"))
     write_spectrum_csv(gramian_spectrum(Q.matrix),
-                       os.path.join(outdir, "gramian_spectrum_q.csv"))
-    artifacts.append("gramian_spectrum_q.csv")
+                       run.path("gramian_spectrum_q.csv"))
 
     def numerical_rank(G, tol):
         try:
@@ -628,24 +566,18 @@ def run_gramian(cfg: RunConfig) -> int:
         except EmptyBasisError:
             return 0
 
-    artifacts.append("summary.json")
-    _write_summary(outdir, {
-        "status": "ok",
-        "command": "gramian",
-        "reach": {"residual": P.residual, "iterations": P.iterations,
-                  "numerical_rank": numerical_rank(P.matrix, cfg.tol_P)},
-        "obs": {"residual": Q.residual, "iterations": Q.iterations,
-                "numerical_rank": numerical_rank(Q.matrix, cfg.tol_Q)},
-        "artifacts": artifacts,
-        "config": cfg.echo_lines(),
-    })
+    rank_p = numerical_rank(P.matrix, cfg.tol_p)
+    rank_q = numerical_rank(Q.matrix, cfg.tol_q)
+    run.finish(
+        reach={"residual": P.residual, "iterations": P.iterations,
+               "numerical_rank": rank_p},
+        obs={"residual": Q.residual, "iterations": Q.iterations,
+             "numerical_rank": rank_q})
     print(f"reach: residual {P.residual:.3e} after {P.iterations} sweeps, "
-          f"numerical rank {numerical_rank(P.matrix, cfg.tol_P)} "
-          f"at tol {cfg.tol_P:g}")
+          f"numerical rank {rank_p} at tol {cfg.tol_p:g}")
     print(f"obs:   residual {Q.residual:.3e} after {Q.iterations} sweeps, "
-          f"numerical rank {numerical_rank(Q.matrix, cfg.tol_Q)} "
-          f"at tol {cfg.tol_Q:g}")
-    print(f"timings: solves {t1 - t0:.2f} s; artifacts in {outdir}")
+          f"numerical rank {rank_q} at tol {cfg.tol_q:g}")
+    print(f"timings: solves {t1 - run.t0:.2f} s; artifacts in {cfg.out}")
     return 0
 
 
@@ -670,31 +602,11 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help="flat key=value configuration file")
-    common.add_argument("--model", choices=["heat1d", "file"],
-                        help="builtin heat model or matrices from a file")
-    common.add_argument("--model-file", dest="model_file",
-                        help="matrix file ('n d p' header, then A, N_1..N_d, "
-                             "K, C, x0 row-major)")
-    common.add_argument("--n", type=int, help="interior grid size (heat1d)")
-    common.add_argument("--hurst", type=float,
-                        help="Hurst index of the fBm driver")
-    common.add_argument("--horizon", type=float, help="time horizon T")
-    common.add_argument("--step-exp", dest="step_exp", type=int,
-                        help="step exponent m, step = 2^-m")
-    common.add_argument("--seed", type=int, help="driver seed")
-    common.add_argument("--tol-p", dest="tol_p", type=float,
-                        help="relative truncation threshold, reach stage")
-    common.add_argument("--tol-q", dest="tol_q", type=float,
-                        help="relative truncation threshold, obs stage")
-    common.add_argument("--ranks", help="comma-separated target ranks "
-                                        "(sweep), e.g. 5,7,9")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--path-file", dest="path_file",
-                        help="reuse a stored driver path CSV")
-    common.add_argument("--states", action="store_const", const=True,
-                        default=None, help="also dump the state trajectory")
-    common.add_argument("--fixture", choices=["stable", "unstable"],
-                        help="probe fixture selection (probes)")
+    for key in fields(RunConfig):
+        if key.metadata["help"] is not None:
+            common.add_argument("--" + key.name.replace("_", "-"),
+                                dest=key.name, help=key.metadata["help"],
+                                **key.metadata["flag"])
 
     parser = _Parser(
         prog="roughmor",
@@ -717,15 +629,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _mark_incomplete(cfg: Optional[RunConfig], exc: Exception) -> None:
-    if cfg is None or not os.path.isdir(cfg.output_dir):
+    if cfg is None or not os.path.isdir(cfg.out):
         return
+    # ConvergenceError carries residual and iterations, the step failures
+    # carry the failing step
+    details = {name: getattr(exc, name)
+               for name in ("residual", "iterations", "step")
+               if getattr(exc, name, None) is not None}
     try:
-        _write_summary(cfg.output_dir, {
-            "status": "failed",
-            "command": cfg.mode,
-            "error": str(exc),
-            "config": cfg.echo_lines(),
-        })
+        _write_summary(cfg.out, _summary(
+            cfg, "failed", error=str(exc), error_type=type(exc).__name__,
+            **details))
     except OSError:
         pass
 
@@ -741,9 +655,7 @@ def main(argv=None) -> int:
         _mark_incomplete(cfg, exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, NumericalError, IntegrationOverflowError,
-            StepFailureError, EmptyBasisError, RoughmorError,
-            np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except (RoughmorError, np.linalg.LinAlgError) as exc:
         _mark_incomplete(cfg, exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

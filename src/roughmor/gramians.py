@@ -32,7 +32,7 @@ from ._lyap import SchurLyapunov
 from ._util import atomic_write_text, fmt
 from .system import (BilinearRoughSystem, apply_lyapunov,
                      apply_lyapunov_adjoint, is_mean_square_stable,
-                     lyapunov_matrix_representation)
+                     lyapunov_matrix_representation, noise_part)
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 500
@@ -102,15 +102,6 @@ def _side_data(sys: BilinearRoughSystem, side: str):
     raise ArgumentError(f"side must be 'reach' or 'obs', got {side!r}")
 
 
-def _pi(X, N, K):
-    out = np.zeros_like(X)
-    for i in range(len(N)):
-        for j in range(len(N)):
-            if K[i, j] != 0:
-                out += K[i, j] * (N[i] @ X @ N[j].T)
-    return out
-
-
 def integrate_gramian_ode(
         sys: BilinearRoughSystem, side: str, T: float, steps: int,
         return_trajectory: bool = False) -> GramianResult:
@@ -128,7 +119,7 @@ def integrate_gramian_ode(
     dt = T / steps
 
     def L(X):
-        return A @ X + X @ A.T + _pi(X, N, sys.K)
+        return A @ X + X @ A.T + noise_part(X, N, sys.K)
 
     Z = (Z0 + Z0.T) / 2
     integral = np.zeros_like(Z)
@@ -209,7 +200,7 @@ def solve_algebraic_gramian(
     stall = 0
     iterations = max_iter
     for m in range(max_iter):
-        P_next = cache.solve_neg(rhs + _pi(P, N, sys.K))
+        P_next = cache.solve_neg(rhs + noise_part(P, N, sys.K))
         if check_monotone:
             gap = np.linalg.eigvalsh(P_next - P)[0]
             if gap < -1e-10 * max(np.linalg.norm(P_next), 1e-300):
@@ -217,7 +208,8 @@ def solve_algebraic_gramian(
                     f"fixed-point iterate lost Loewner monotonicity at sweep "
                     f"{m + 1} (min eigenvalue of the increment {gap:.3e})")
         P = P_next
-        res = float(np.linalg.norm(rhs + A @ P + P @ A.T + _pi(P, N, sys.K)) / nr)
+        res = float(np.linalg.norm(
+            rhs + A @ P + P @ A.T + noise_part(P, N, sys.K)) / nr)
         if res < best * STALL_FACTOR:
             best = res
             best_P = P
@@ -257,7 +249,8 @@ def solve_algebraic_gramian_dense(
     P = vecP.reshape(sys.n, sys.n, order="F")
     P = (P + P.T) / 2
     nr = np.linalg.norm(rhs)
-    res = float(np.linalg.norm(rhs + A @ P + P @ A.T + _pi(P, N, sys.K)) / nr)
+    res = float(np.linalg.norm(
+        rhs + A @ P + P @ A.T + noise_part(P, N, sys.K)) / nr)
     kind = (GramianKind.REACH_INFINITE if side == "reach"
             else GramianKind.OBS_INFINITE)
     return GramianResult(matrix=P, kind=kind, residual=res, iterations=1,

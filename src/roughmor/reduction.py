@@ -151,6 +151,17 @@ def _reduced_nonlinearity(nl: DriftNonlinearity, V) -> DriftNonlinearity:
         grad_g=lambda xr: V.T @ nl.grad_g(V @ xr))
 
 
+def _galerkin(sys: BilinearRoughSystem, V) -> BilinearRoughSystem:
+    nl = sys.drift_nonlinearity
+    return BilinearRoughSystem(
+        A=V.T @ sys.A @ V,
+        N=tuple(V.T @ Ni @ V for Ni in sys.N),
+        K=sys.K,
+        C=sys.C @ V,
+        x0=V.T @ sys.x0,
+        drift_nonlinearity=_reduced_nonlinearity(nl, V) if nl else None)
+
+
 def project_system(sys: BilinearRoughSystem, basis: ProjectionBasis,
                    stage: Stage = Stage.P_STAGE) -> ReducedModel:
     """Galerkin projection of the system onto the basis columns.
@@ -162,15 +173,7 @@ def project_system(sys: BilinearRoughSystem, basis: ProjectionBasis,
     if V.shape[0] != sys.n:
         raise ArgumentError(
             f"basis has {V.shape[0]} rows but the system has order {sys.n}")
-    nl = sys.drift_nonlinearity
-    reduced = BilinearRoughSystem(
-        A=V.T @ sys.A @ V,
-        N=tuple(V.T @ Ni @ V for Ni in sys.N),
-        K=sys.K,
-        C=sys.C @ V,
-        x0=V.T @ sys.x0,
-        drift_nonlinearity=_reduced_nonlinearity(nl, V) if nl else None)
-    return ReducedModel(system=reduced, basis=basis, stage=stage,
+    return ReducedModel(system=_galerkin(sys, V), basis=basis, stage=stage,
                         parent_order=sys.n)
 
 
@@ -363,12 +366,7 @@ def greedy_rank_sweep(exact: ReducedModel, ranks,
             rel_p = wp[0] / wp[-1]
             rel_q = wq[0] / wq[-1]
             V_keep = Vp[:, 1:] if rel_p <= rel_q else Vq[:, 1:]
-            cur = BilinearRoughSystem(
-                A=V_keep.T @ cur.A @ V_keep,
-                N=tuple(V_keep.T @ Ni @ V_keep for Ni in cur.N),
-                K=cur.K,
-                C=cur.C @ V_keep,
-                x0=V_keep.T @ cur.x0)
+            cur = _galerkin(cur, V_keep)
             V_total = V_total @ V_keep
         entries.append(SweepEntry(requested_rank=target, actual_rank=cur.n,
                                   system=cur, V=V_total))

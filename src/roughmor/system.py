@@ -155,18 +155,13 @@ class StabilityReport:
     rho: Optional[float] = None
 
 
-def _noise_part(sys, X, adjoint):
+def noise_part(X, N, K):
+    """Pi(X) = sum_ij k_ij N_i X N_j^T; the adjoint Pi* passes the N_i^T."""
     out = np.zeros_like(X)
-    K = sys.K
-    for i in range(sys.d):
-        for j in range(sys.d):
-            kij = K[i, j]
-            if kij == 0.0:
-                continue
-            if adjoint:
-                out += kij * (sys.N[i].T @ X @ sys.N[j])
-            else:
-                out += kij * (sys.N[i] @ X @ sys.N[j].T)
+    for i in range(len(N)):
+        for j in range(len(N)):
+            if K[i, j] != 0.0:
+                out += K[i, j] * (N[i] @ X @ N[j].T)
     return out
 
 
@@ -181,13 +176,14 @@ def _check_operand(sys, X):
 def apply_lyapunov(sys: BilinearRoughSystem, X) -> np.ndarray:
     """L(X) = A X + X A^T + sum_ij k_ij N_i X N_j^T (input symmetrized)."""
     X = _check_operand(sys, X)
-    return sys.A @ X + X @ sys.A.T + _noise_part(sys, X, adjoint=False)
+    return sys.A @ X + X @ sys.A.T + noise_part(X, sys.N, sys.K)
 
 
 def apply_lyapunov_adjoint(sys: BilinearRoughSystem, X) -> np.ndarray:
     """L*(X) = A^T X + X A + sum_ij k_ij N_i^T X N_j (input symmetrized)."""
     X = _check_operand(sys, X)
-    return sys.A.T @ X + X @ sys.A + _noise_part(sys, X, adjoint=True)
+    return sys.A.T @ X + X @ sys.A + noise_part(
+        X, tuple(Ni.T for Ni in sys.N), sys.K)
 
 
 def lyapunov_matrix_representation(
@@ -257,7 +253,7 @@ def is_mean_square_stable(
     X = np.eye(sys.n) / math.sqrt(sys.n)
     rho = 0.0
     for _ in range(max_iter):
-        Y = lyap.solve_neg(_noise_part(sys, X, adjoint=False))
+        Y = lyap.solve_neg(noise_part(X, sys.N, sys.K))
         lam = float(np.linalg.norm(Y))
         if lam == 0.0:
             rho = 0.0

@@ -92,6 +92,8 @@ class TestReduce:
         summary = read_summary(out)
         assert summary["status"] == "failed"
         assert "stab" in summary["error"]
+        assert summary["error_type"] == "PreconditionError"
+        assert not {"residual", "iterations", "step"} & set(summary)
 
 
 class TestSweep:
@@ -132,7 +134,12 @@ class TestGramian:
         rc = main(["gramian", "--model", "file", "--model-file", str(mfile),
                    "--out", str(out)])
         assert rc == 2
-        assert read_summary(out)["status"] == "failed"
+        summary = read_summary(out)
+        assert summary["status"] == "failed"
+        assert summary["error_type"] == "ConvergenceError"
+        assert summary["residual"] > 1e-10
+        assert summary["iterations"] > 0
+        assert "step" not in summary
 
 
 class TestSimulateAndPathReuse:
@@ -181,6 +188,35 @@ class TestConfigResolution:
         assert "seed=7" in echoed
         assert "hurst=0.35" in echoed
         assert "step_exp=6" in echoed
+
+    def test_replay_echoed_config(self, small_model_file, tmp_path):
+        first = tmp_path / "a"
+        rc = main(["simulate", "--model", "file", "--model-file",
+                   small_model_file, "--step-exp", "6", "--seed", "11",
+                   "--states", "--out", str(first)])
+        assert rc == 0
+        second = tmp_path / "b"
+        rc = main(["simulate", "--config", str(first / "config.txt"),
+                   "--out", str(second)])
+        assert rc == 0
+        csvs = sorted(path.name for path in first.glob("*.csv"))
+        assert csvs == sorted(path.name for path in second.glob("*.csv"))
+        assert "states_full.csv" in csvs
+        for name in csvs:
+            assert ((first / name).read_bytes()
+                    == (second / name).read_bytes()), name
+        old = (first / "config.txt").read_text().splitlines()
+        new = (second / "config.txt").read_text().splitlines()
+        assert "mode=simulate" in old
+        assert [(a, b) for a, b in zip(old, new) if a != b] == [
+            (f"out={first}", f"out={second}")]
+        assert len(old) == len(new)
+        # the echoed mode must match the subcommand that replays it
+        third = tmp_path / "c"
+        rc = main(["reduce", "--config", str(first / "config.txt"),
+                   "--out", str(third)])
+        assert rc == 1
+        assert not third.exists()
 
     def test_unknown_config_key(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
