@@ -9,8 +9,8 @@ to round-off. The pieces:
 
 - ``system``: the model container, the Lyapunov operator of the second
   moment flow, and mean-square stability checks.
-- ``gramians``: algebraic Gramians by a Schur-cached fixed point, finite
-  horizon Gramians by integrating the moment ODE, and a Monte Carlo
+- ``gramians``: algebraic Gramians by Lyapunov-preconditioned GMRES,
+  finite horizon Gramians by integrating the moment ODE, and a Monte Carlo
   cross-check.
 - ``reduction``: spectral truncation, the two-stage exact pipeline, the
   lossy rank sweep, and kernel/subspace diagnostics.

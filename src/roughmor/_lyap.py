@@ -1,9 +1,9 @@
 """Cached Bartels-Stewart solves for A X + X A^T = -Q.
 
-The fixed-point Gramian iteration and the iterative stability check both call
-the same Lyapunov resolvent hundreds of times with a fixed A; factoring the
-real Schur form once and reusing it turns each solve into two triangular
-multiplies and one dtrsyl call.
+The GMRES Gramian solve and the iterative stability check both call the same
+Lyapunov resolvent many times with a fixed A; factoring the real Schur form
+once and reusing it turns each solve into two triangular multiplies and one
+dtrsyl call.
 """
 
 from __future__ import annotations

@@ -237,10 +237,7 @@ class TwoStageMetadata:
 def two_stage_reduce(
         sys: BilinearRoughSystem,
         tol_P: float = DEFAULT_TOL_P,
-        tol_Q: float = DEFAULT_TOL_Q,
-        gramian_tol: float = PIPELINE_GRAMIAN_TOL,
-        gramian_max_iter: int = 500,
-        force: bool = False):
+        tol_Q: float = DEFAULT_TOL_Q):
     """Reachability truncation followed by observability truncation.
 
     Stage 1 truncates the reachability Gramian of ``sys``; stage 2 computes
@@ -250,13 +247,11 @@ def two_stage_reduce(
     ReducedModel (composite basis, projected from ``sys``) and a
     TwoStageMetadata.
 
-    The Gramian solves run with ``polish=True``: they iterate to the stall
-    floor of the fixed-point solver so the truncation decision never depends
-    on where ``gramian_tol`` falls above that floor.
+    Both Gramian solves must meet PIPELINE_GRAMIAN_TOL. GMRES runs them to
+    its round-off floor whatever that tolerance is, so the truncation
+    decision does not depend on where the tolerance falls above the floor.
     """
-    P = solve_algebraic_gramian(sys, "reach", tol=gramian_tol,
-                                max_iter=gramian_max_iter, force=force,
-                                polish=True)
+    P = solve_algebraic_gramian(sys, "reach", tol=PIPELINE_GRAMIAN_TOL)
     basis_P = truncate_psd_spectrum(P.matrix, tol_P)
     stage1 = project_system(sys, basis_P, stage=Stage.P_STAGE)
 
@@ -270,9 +265,8 @@ def two_stage_reduce(
             p_spectrum=basis_P.full_spectrum)
         return stage1, meta
 
-    Q = solve_algebraic_gramian(stage1.system, "obs", tol=gramian_tol,
-                                max_iter=gramian_max_iter, force=force,
-                                polish=True)
+    Q = solve_algebraic_gramian(stage1.system, "obs",
+                                tol=PIPELINE_GRAMIAN_TOL)
     stage2 = reduce_by_observability(stage1.system, Q, tol_Q)
 
     V = basis_P.V @ stage2.basis.V
@@ -316,9 +310,7 @@ class SweepEntry:
     V: np.ndarray
 
 
-def greedy_rank_sweep(exact: ReducedModel, ranks,
-                      gramian_tol: float = PIPELINE_GRAMIAN_TOL,
-                      gramian_max_iter: int = 500):
+def greedy_rank_sweep(exact: ReducedModel, ranks):
     """Lossy models below the exact order by greedy alternating truncation.
 
     Starting from the exact reduced model, each step solves both Gramians of
@@ -355,12 +347,9 @@ def greedy_rank_sweep(exact: ReducedModel, ranks,
 
     for target in targets:
         while cur.n > target:
-            P = solve_algebraic_gramian(cur, "reach", tol=gramian_tol,
-                                        max_iter=gramian_max_iter,
-                                        polish=True)
-            Q = solve_algebraic_gramian(cur, "obs", tol=gramian_tol,
-                                        max_iter=gramian_max_iter,
-                                        polish=True)
+            P = solve_algebraic_gramian(cur, "reach",
+                                        tol=PIPELINE_GRAMIAN_TOL)
+            Q = solve_algebraic_gramian(cur, "obs", tol=PIPELINE_GRAMIAN_TOL)
             wp, Vp = eigh((P.matrix + P.matrix.T) / 2)
             wq, Vq = eigh((Q.matrix + Q.matrix.T) / 2)
             rel_p = wp[0] / wp[-1]

@@ -30,13 +30,13 @@ from roughmor.cli import main
 @pytest.fixture(scope="module")
 def heat_P(heat100):
     return solve_algebraic_gramian(heat100, "reach",
-                                   tol=PIPELINE_GRAMIAN_TOL, polish=True)
+                                   tol=PIPELINE_GRAMIAN_TOL)
 
 
 @pytest.fixture(scope="module")
 def heat_Q(heat100):
     return solve_algebraic_gramian(heat100, "obs",
-                                   tol=PIPELINE_GRAMIAN_TOL, polish=True)
+                                   tol=PIPELINE_GRAMIAN_TOL)
 
 
 def cubic_drift_system():

@@ -92,7 +92,7 @@ class TestReduce:
         summary = read_summary(out)
         assert summary["status"] == "failed"
         assert "stab" in summary["error"]
-        assert summary["error_type"] == "PreconditionError"
+        assert summary["error_type"] == "StabilityError"
         assert not {"residual", "iterations", "step"} & set(summary)
 
 
@@ -121,23 +121,18 @@ class TestGramian:
         assert (out / "gramian_spectrum_q.csv").exists()
         assert "numerical rank" in capsys.readouterr().out
 
-    def test_marginal_system_exits_2(self, tmp_path):
-        # contraction factor 0.995 per sweep: the solve cannot reach the
-        # pipeline tolerance within its iteration budget
-        nu = np.sqrt(1.99)
-        sys_ = BilinearRoughSystem(A=-np.eye(2), N=(nu * np.eye(2),),
-                                   K=np.eye(1), C=np.eye(2)[:1],
-                                   x0=np.ones(2))
-        mfile = tmp_path / "slow.txt"
-        write_system_file(sys_, mfile)
+    def test_marginal_system_exits_2(self, tmp_path, monkeypatch):
+        # a pipeline tolerance below the solver's round-off floor cannot be
+        # met: the solve raises ConvergenceError
+        tol = 1e-30
+        monkeypatch.setattr("roughmor.cli.PIPELINE_GRAMIAN_TOL", tol)
         out = tmp_path / "run"
-        rc = main(["gramian", "--model", "file", "--model-file", str(mfile),
-                   "--out", str(out)])
+        rc = main(["gramian", "--n", "10", "--out", str(out)])
         assert rc == 2
         summary = read_summary(out)
         assert summary["status"] == "failed"
         assert summary["error_type"] == "ConvergenceError"
-        assert summary["residual"] > 1e-10
+        assert summary["residual"] > tol
         assert summary["iterations"] > 0
         assert "step" not in summary
 

@@ -87,8 +87,13 @@ class TestAlgebraicGramian:
                                    atol=1e-13)
 
     def test_matches_dense_solve(self):
-        for seed in range(5):
-            sys_ = mild_stable_system(4 + seed, 1 + seed % 2, seed=seed)
+        systems = [mild_stable_system(4 + seed, 1 + seed % 2, seed=seed)
+                   for seed in range(5)]
+        # correlated channels exercise the cross terms k_12 N_1 X N_2^T
+        base = mild_stable_system(5, 2, seed=11, decay=2.0)
+        systems.append(system_from(base.A, base.N, [[1.0, 0.6], [0.6, 0.8]],
+                                   base.C, base.x0))
+        for sys_ in systems:
             fp = solve_algebraic_gramian(sys_, "reach", tol=1e-13)
             dense = solve_algebraic_gramian_dense(sys_, "reach")
             scale = max(np.abs(dense.matrix).max(), 1e-30)
@@ -105,12 +110,25 @@ class TestAlgebraicGramian:
             solve_algebraic_gramian(unstable_system(), "reach")
 
     def test_marginal_system_raises_convergence_error(self):
-        # 2a + nu^2 = -0.01 contracts by 0.995 per sweep, far from 1e-10
-        # in 100 sweeps
-        sys_ = scalar_noise_system(a=-1.0, nu=math.sqrt(1.99))
+        # two GMRES iterations span too little of a 5-state, 2-channel
+        # operator to reach 1e-10
+        sys_ = mild_stable_system(5, 2, seed=0)
         with pytest.raises(ConvergenceError) as err:
-            solve_algebraic_gramian(sys_, "reach", tol=1e-10, max_iter=100)
+            solve_algebraic_gramian(sys_, "reach", tol=1e-10, max_iter=2)
         assert err.value.residual > 1e-10
+
+    def test_marginal_system_closed_form(self):
+        # 2a + nu^2 = -0.01, close to the stability edge, gives
+        # P = x0 x0^T / 0.01; the operator is a multiple of the identity
+        nu = math.sqrt(1.99)
+        res = solve_algebraic_gramian(scalar_noise_system(a=-1.0, nu=nu),
+                                      "reach", tol=1e-10)
+        assert abs(res.matrix[0, 0] - 100.0) <= 1e-10 * 100.0
+        sys_ = system_from(-np.eye(2), [nu * np.eye(2)], np.eye(1),
+                           np.eye(2)[:1], np.ones(2))
+        res = solve_algebraic_gramian(sys_, "reach", tol=1e-10)
+        np.testing.assert_allclose(res.matrix, np.ones((2, 2)) / 0.01,
+                                   rtol=1e-10)
 
     def test_rejects_unknown_side(self):
         with pytest.raises(ArgumentError):

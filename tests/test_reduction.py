@@ -111,7 +111,7 @@ class TestTwoStage:
     def test_heat_order_at_loose_tolerance(self, heat100):
         # the smooth spectrum has no gap: a 1e-12 relative cut keeps 26
         # directions, not 35; the machine-precision cut is the default
-        P = solve_algebraic_gramian(heat100, "reach", tol=1e-10, polish=True)
+        P = solve_algebraic_gramian(heat100, "reach", tol=1e-10)
         assert truncate_psd_spectrum(P.matrix, 1e-12).r == 26
 
     def test_metadata_records(self, heat_pipeline):
@@ -223,7 +223,7 @@ class TestSubspaceContainment:
     def test_heat_containment_magnitude(self, heat100, heat_full_sim):
         # full reachability space: what the machine-precision cut discards is
         # excited at the 1e-7 scale on the pinned path (regression guard)
-        P = solve_algebraic_gramian(heat100, "reach", tol=1e-10, polish=True)
+        P = solve_algebraic_gramian(heat100, "reach", tol=1e-10)
         basis = truncate_psd_spectrum(P.matrix, 1e-16)
         res = subspace_containment_residual(basis, heat_full_sim)
         assert res <= 1e-5
