@@ -8,14 +8,15 @@ driver the output of the reduced model then coincides with the full one up
 to round-off. The pieces:
 
 - ``system``: the model container, the Lyapunov operator of the second
-  moment flow, and mean-square stability checks.
+  moment flow, and a matrix-free mean-square stability check.
 - ``gramians``: algebraic Gramians by Lyapunov-preconditioned GMRES,
   finite horizon Gramians by integrating the moment ODE, and a Monte Carlo
   cross-check.
 - ``reduction``: spectral truncation, the two-stage exact pipeline, the
   lossy rank sweep, and kernel/subspace diagnostics.
-- ``solver``: a two-stage diagonally implicit Runge-Kutta scheme driven by
-  path increments, plus error norms and a smooth-path comparison probe.
+- ``solver``: Crouzeix's two-stage diagonally implicit Runge-Kutta scheme
+  driven by path increments, plus error norms and a smooth-path comparison
+  probe.
 - ``drivers``: fractional Brownian samplers and path utilities.
 - ``heat``: a controlled heat equation on (0, 1) as the reference model.
 - ``cli``: the ``roughmor`` command wrapping all of the above.
@@ -26,11 +27,10 @@ from .errors import (ArgumentError, CapabilityError, ConvergenceError,
                      IntegrationOverflowError, NumericalError,
                      PreconditionError, RoughmorError, StabilityError,
                      StepFailureError)
-from .system import (BilinearRoughSystem, DriftNonlinearity, StabilityMethod,
-                     StabilityReport, apply_lyapunov, apply_lyapunov_adjoint,
-                     drift_f, is_mean_square_stable,
-                     lyapunov_matrix_representation, positivity_scale,
-                     resolvent_positivity_probe)
+from .system import (BilinearRoughSystem, DriftNonlinearity, StabilityReport,
+                     apply_lyapunov, apply_lyapunov_adjoint, drift_f,
+                     is_mean_square_stable, lyapunov_matrix_representation,
+                     positivity_scale, resolvent_positivity_probe)
 from .drivers import (DriverKind, DriverPath, augment_with_time, coarsen_path,
                       increments, piecewise_linear_derivative, read_path_csv,
                       sample_brownian_path, sample_fbm_path,
@@ -62,8 +62,8 @@ __all__ = [
     "ArgumentError", "CapabilityError", "ConvergenceError", "EmptyBasisError",
     "GuardedScalar", "IntegrationOverflowError", "NumericalError",
     "PreconditionError", "RoughmorError", "StabilityError", "StepFailureError",
-    "BilinearRoughSystem", "DriftNonlinearity", "StabilityMethod",
-    "StabilityReport", "apply_lyapunov", "apply_lyapunov_adjoint", "drift_f",
+    "BilinearRoughSystem", "DriftNonlinearity", "StabilityReport",
+    "apply_lyapunov", "apply_lyapunov_adjoint", "drift_f",
     "is_mean_square_stable", "lyapunov_matrix_representation",
     "positivity_scale", "resolvent_positivity_probe",
     "DriverKind", "DriverPath", "augment_with_time", "coarsen_path",

@@ -1,9 +1,10 @@
 """Cached Bartels-Stewart solves for A X + X A^T = -Q.
 
-The GMRES Gramian solve and the iterative stability check both call the same
-Lyapunov resolvent many times with a fixed A; factoring the real Schur form
-once and reusing it turns each solve into two triangular multiplies and one
-dtrsyl call.
+The GMRES Gramian solve and the power iteration of the stability check both
+call the same Lyapunov resolvent many times with a fixed A; factoring the
+real Schur form once and reusing it turns each solve into two changes of
+basis by the orthogonal factor and one dtrsyl call. The check also reads
+Re(lambda(A)) off the diagonal of the Schur factor.
 """
 
 from __future__ import annotations

@@ -11,6 +11,16 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
+def csv_text(header, rows) -> str:
+    """CSV text: the header names, then one line per row. Float cells go
+    through ``fmt``, every other cell through ``str``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(fmt(c) if isinstance(c, float) else str(c)
+                              for c in row))
+    return "\n".join(lines) + "\n"
+
+
 def atomic_write_text(path, text: str) -> None:
     """Write ``text`` to ``path`` via a temp file in the same directory.
 

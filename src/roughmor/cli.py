@@ -33,7 +33,7 @@ from .errors import (ArgumentError, CapabilityError, EmptyBasisError,
                      PreconditionError, RoughmorError)
 from ._fixtures import (decoupled_observability_system, mild_stable_system,
                         scalar_noise_system, unstable_system)
-from ._util import atomic_write_text, fmt
+from ._util import atomic_write_text, csv_text, fmt
 from .drivers import (DriverPath, read_path_csv, sample_fbm_path,
                       smooth_path_from_function, write_path_csv)
 from .gramians import (gramian_spectrum, integrate_gramian_ode,
@@ -430,10 +430,9 @@ def run_sweep(cfg: RunConfig) -> int:
         rows.append((entry.requested_rank, entry.actual_rank, float(err)))
     t2 = time.perf_counter()
 
-    lines = ["r,rel_L2_error"]
-    for requested, _actual, err in rows:
-        lines.append(f"{requested},{fmt(err)}")
-    atomic_write_text(run.path("sweep_errors.csv"), "\n".join(lines) + "\n")
+    atomic_write_text(run.path("sweep_errors.csv"), csv_text(
+        ["r", "rel_L2_error"],
+        [(requested, err) for requested, _actual, err in rows]))
 
     run.finish(orders=list(meta.orders),
                table=[{"r": requested, "actual_r": actual, "rel_L2_error": err}
@@ -456,7 +455,7 @@ def run_probes(cfg: RunConfig) -> int:
     mild = mild_stable_system(3, 1, seed=99)
     stability_target = unstable_system() if cfg.fixture == "unstable" \
         else mild
-    report = is_mean_square_stable(stability_target, method="iterative")
+    report = is_mean_square_stable(stability_target)
     rho = report.rho if report.rho is not None else math.inf
     checks.append(("mean_square_stability", rho, 1.0,
                    report.is_mean_square_stable))
@@ -492,11 +491,10 @@ def run_probes(cfg: RunConfig) -> int:
     checks.append(("mc_gramian_cross_check", frac, 0.95, frac >= 0.95))
     t1 = time.perf_counter()
 
-    lines = ["name,value,bound,status"]
-    for name, value, bound, passed in checks:
-        lines.append(f"{name},{fmt(value)},{fmt(bound)},"
-                     f"{'pass' if passed else 'fail'}")
-    atomic_write_text(run.path("probes_report.csv"), "\n".join(lines) + "\n")
+    atomic_write_text(run.path("probes_report.csv"), csv_text(
+        ["name", "value", "bound", "status"],
+        [(name, value, bound, "pass" if passed else "fail")
+         for name, value, bound, passed in checks]))
 
     all_passed = all(passed for _, _, _, passed in checks)
     run.finish("ok" if all_passed else "probe_failure",

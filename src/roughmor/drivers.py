@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cholesky, toeplitz
 
 from .errors import ArgumentError, NumericalError
-from ._util import atomic_write_text, fmt
+from ._util import atomic_write_text, csv_text
 
 
 class DriverKind(str, enum.Enum):
@@ -209,13 +209,10 @@ def piecewise_linear_derivative(path: DriverPath):
 
 
 def write_path_csv(path: DriverPath, file) -> None:
-    """Dump a path as ``t, W1, ..., Wd`` rows (deterministic %.17g text)."""
-    header = "t," + ",".join(f"W{j + 1}" for j in range(path.d))
-    lines = [header]
-    times = path.times
-    for k in range(path.M + 1):
-        lines.append(",".join([fmt(times[k])] + [fmt(v) for v in path.values[k]]))
-    atomic_write_text(file, "\n".join(lines) + "\n")
+    """Dump a path as ``t, W1, ..., Wd`` rows (shortest round-trip text)."""
+    atomic_write_text(file, csv_text(
+        ["t"] + [f"W{j + 1}" for j in range(path.d)],
+        np.column_stack([path.times, path.values])))
 
 
 def read_path_csv(file, kind=DriverKind.PIECEWISE_LINEAR_INTERP,

@@ -32,7 +32,7 @@ class EmptyBasisError(RoughmorError):
 class ConvergenceError(RoughmorError):
     """Iteration failed to reach the requested tolerance.
 
-    Carries the last (best) residual and the iteration count.
+    Carries the final residual and the iteration count.
     """
 
     def __init__(self, message, residual=None, iterations=None):

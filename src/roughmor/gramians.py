@@ -28,7 +28,7 @@ from scipy.linalg import eigh
 from .errors import (ArgumentError, CapabilityError, ConvergenceError,
                      GuardedScalar, IntegrationOverflowError, StabilityError)
 from ._lyap import SchurLyapunov
-from ._util import atomic_write_text, fmt
+from ._util import atomic_write_text, csv_text
 from .system import (BilinearRoughSystem, apply_lyapunov,
                      apply_lyapunov_adjoint, is_mean_square_stable,
                      lyapunov_matrix_representation, noise_part)
@@ -171,7 +171,7 @@ def solve_algebraic_gramian(
     residual of the defining equation is then checked: above ``tol`` it
     raises ConvergenceError.
 
-    Requires mean-square stability (iterative check); StabilityError
+    Requires mean-square stability (is_mean_square_stable); StabilityError
     otherwise.
     """
     if not (tol > 0.0):
@@ -179,7 +179,7 @@ def solve_algebraic_gramian(
     if max_iter < 1:
         raise ArgumentError(f"need max_iter >= 1, got {max_iter}")
     A, N, rhs = _side_data(sys, side)
-    report = is_mean_square_stable(sys, method="iterative")
+    report = is_mean_square_stable(sys)
     if not report.is_mean_square_stable:
         detail = "drift spectrum reaches the closed right half plane" \
             if report.rho is None \
@@ -243,7 +243,7 @@ def solve_algebraic_gramian_dense(
     A, N, rhs = _side_data(sys, side)
     work = BilinearRoughSystem(A=A, N=N, K=sys.K, C=np.zeros((1, sys.n)),
                                x0=np.zeros(sys.n))
-    M = lyapunov_matrix_representation(work, dense_threshold=sys.n * sys.n)
+    M = lyapunov_matrix_representation(work)
     vecP = np.linalg.solve(M, -rhs.reshape(-1, order="F"))
     P = vecP.reshape(sys.n, sys.n, order="F")
     P = (P + P.T) / 2
@@ -406,7 +406,6 @@ def gramian_spectrum(G) -> np.ndarray:
 
 def write_spectrum_csv(eigenvalues, file) -> None:
     """Dump a spectrum as ``index,eigenvalue`` rows (0-based, as ordered)."""
-    lines = ["index,eigenvalue"]
-    for i, w in enumerate(np.asarray(eigenvalues, dtype=float)):
-        lines.append(f"{i},{fmt(w)}")
-    atomic_write_text(file, "\n".join(lines) + "\n")
+    atomic_write_text(file, csv_text(
+        ["index", "eigenvalue"],
+        enumerate(np.asarray(eigenvalues, dtype=float))))

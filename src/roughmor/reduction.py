@@ -18,7 +18,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .errors import ArgumentError, EmptyBasisError, PreconditionError
-from ._util import atomic_write_text
+from ._util import atomic_write_text, csv_text
 from .gramians import GramianKind, GramianResult, solve_algebraic_gramian
 from .system import BilinearRoughSystem, DriftNonlinearity
 
@@ -288,11 +288,10 @@ def two_stage_reduce(
 
 def write_stage_metadata_csv(meta: TwoStageMetadata, file) -> None:
     """Dump (stage, order, tolerance) rows; the full-order row has none."""
-    lines = ["stage,order,tolerance"]
-    for stage, order, tolerance in meta.records():
-        tol_txt = "" if tolerance is None else "%g" % tolerance
-        lines.append(f"{stage},{order},{tol_txt}")
-    atomic_write_text(file, "\n".join(lines) + "\n")
+    atomic_write_text(file, csv_text(
+        ["stage", "order", "tolerance"],
+        [(stage, order, "" if tolerance is None else "%g" % tolerance)
+         for stage, order, tolerance in meta.records()]))
 
 
 @dataclass(frozen=True)

@@ -5,30 +5,30 @@ the increments of the time-augmented path (dt, dW): each stage solves
 
     Z_i = z_k + sum_j a_ij [G Z_j + dt f(Z_j)],   G = A dt + sum_m s_m N_m,
 
-with s = K^{1/2} dW, one LU factorization per distinct diagonal entry per
-step, and Newton iteration when the drift nonlinearity is present. No
-iterated integrals of the driver enter: the scheme uses increments only.
+with s = K^{1/2} dW. The scheme is Crouzeix's: its two diagonal entries are
+equal, so one LU factorization per step serves both stages. Newton iteration
+solves the stages when the drift nonlinearity is present. No iterated
+integrals of the driver enter: the scheme uses increments only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (ArgumentError, GuardedScalar, IntegrationOverflowError,
                      StepFailureError)
-from ._util import atomic_write_text, fmt
+from ._util import atomic_write_text, csv_text
 from .drivers import DriverKind, DriverPath, piecewise_linear_derivative
 from .gramians import integrate_gramian_ode
 from .reduction import ReducedModel
 from .system import BilinearRoughSystem, drift_f
 
-DEFAULT_NEWTON_TOL = 1e-12
-DEFAULT_NEWTON_MAX = 50
+NEWTON_TOL = 1e-12
+NEWTON_MAX = 50
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,8 @@ def _as_system(model) -> BilinearRoughSystem:
         f"expected a BilinearRoughSystem or ReducedModel, got {type(model)!r}")
 
 
-def rough_rk_simulate(
-        model, path: DriverPath, tableau: Optional[ButcherTableau] = None,
-        newton_tol: float = DEFAULT_NEWTON_TOL,
-        newton_max: int = DEFAULT_NEWTON_MAX) -> SimulationResult:
-    """Integrate the system along the path with the DIRK scheme.
+def rough_rk_simulate(model, path: DriverPath) -> SimulationResult:
+    """Integrate the system along the path with the Crouzeix DIRK scheme.
 
     The path is augmented with time internally: each step consumes the pair
     (dt, dW_k). Stage systems are solved by LU for f = 0 and by Newton with
@@ -100,8 +97,6 @@ def rough_rk_simulate(
     non-convergent Newton iteration, naming the step.
     """
     sys = _as_system(model)
-    if tableau is None:
-        tableau = crouzeix_tableau()
     if path.d != sys.d:
         raise ArgumentError(
             f"path has {path.d} components but the system drives {sys.d}")
@@ -109,7 +104,10 @@ def rough_rk_simulate(
     M = path.M
     dt = (path.T - path.t0) / M
     dW = np.diff(path.values, axis=0)
-    a, b, s_count = tableau.a, tableau.b, tableau.s
+    tableau = crouzeix_tableau()
+    a, b = tableau.a, tableau.b
+    # a11 = a22, so both stages share the matrix I - a11 G and one LU per step
+    aii = a[0, 0]
     nl = sys.drift_nonlinearity
     eye = np.eye(n)
     eps = np.finfo(float).eps
@@ -125,43 +123,34 @@ def rough_rk_simulate(
         for m_i in range(sys.d):
             G = G + s_vec[m_i] * sys.N[m_i]
         z = states[k]
-        lus = {}
+        Mstage = eye - aii * G
+        lu = lu_factor(Mstage)
+        if np.abs(np.diag(lu[0])).min() <= \
+                eps * n * np.linalg.norm(Mstage, 1):
+            raise StepFailureError(
+                f"singular stage matrix at step {k} (diagonal a = {aii:.6g}); "
+                "consider refining the grid", step=k)
         stage_F = []
-        for i in range(s_count):
+        for i in range(tableau.s):
             c = z.copy()
             for j in range(i):
                 c += a[i, j] * stage_F[j]
             if not np.all(np.isfinite(c)):
                 raise IntegrationOverflowError(
                     f"state overflowed at step {k + 1} of {M}", step=k + 1)
-            aii = a[i, i]
-            if aii == 0.0:
-                Zi = c
+            Zi = lu_solve(lu, c)
+            if nl is None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    res = np.linalg.norm(Zi - aii * (G @ Zi) - c)
+                    res /= max(1.0, np.linalg.norm(c))
+                if np.isfinite(res):
+                    max_lin_res = max(max_lin_res, res)
             else:
-                if aii not in lus:
-                    Mstage = eye - aii * G
-                    lu = lu_factor(Mstage)
-                    if np.abs(np.diag(lu[0])).min() <= \
-                            eps * n * np.linalg.norm(Mstage, 1):
-                        raise StepFailureError(
-                            f"singular stage matrix at step {k} "
-                            f"(diagonal a = {aii:.6g}); consider refining "
-                            "the grid", step=k)
-                    lus[aii] = lu
-                Zi = lu_solve(lus[aii], c)
-                if nl is None:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        res = np.linalg.norm(Zi - aii * (G @ Zi) - c)
-                        res /= max(1.0, np.linalg.norm(c))
-                    if np.isfinite(res):
-                        max_lin_res = max(max_lin_res, res)
-                else:
-                    Zi, iters = _newton_stage(sys, G, dt, aii, c, Zi,
-                                              newton_tol, newton_max, k)
-                    max_newton = max(max_newton, iters)
+                Zi, iters = _newton_stage(sys, G, dt, aii, c, Zi, k)
+                max_newton = max(max_newton, iters)
             stage_F.append(G @ Zi + dt * drift_f(sys, Zi))
         z_next = z.copy()
-        for i in range(s_count):
+        for i in range(tableau.s):
             z_next = z_next + b[i] * stage_F[i]
         if not np.all(np.isfinite(z_next)):
             raise IntegrationOverflowError(
@@ -174,14 +163,14 @@ def rough_rk_simulate(
                             max_linear_residual=max_lin_res)
 
 
-def _newton_stage(sys, G, dt, aii, c, Z, newton_tol, newton_max, k):
+def _newton_stage(sys, G, dt, aii, c, Z, k):
     """Solve Z = c + aii (G Z + dt f(Z)) by Newton from the linear guess."""
     nl = sys.drift_nonlinearity
     eye = np.eye(len(c))
-    for it in range(1, newton_max + 1):
+    for it in range(1, NEWTON_MAX + 1):
         F = Z - aii * (G @ Z + dt * (Z * float(nl.g(Z)))) - c
         res = np.linalg.norm(F)
-        if res <= newton_tol * max(1.0, np.linalg.norm(Z)):
+        if res <= NEWTON_TOL * max(1.0, np.linalg.norm(Z)):
             return Z, it - 1
         J = eye - aii * (G + dt * (float(nl.g(Z)) * eye
                                    + np.outer(Z, nl.grad_g(Z))))
@@ -194,11 +183,11 @@ def _newton_stage(sys, G, dt, aii, c, Z, newton_tol, newton_max, k):
         Z = Z + delta
     F = Z - aii * (G @ Z + dt * (Z * float(nl.g(Z)))) - c
     res = float(np.linalg.norm(F))
-    if res <= newton_tol * max(1.0, np.linalg.norm(Z)):
-        return Z, newton_max
+    if res <= NEWTON_TOL * max(1.0, np.linalg.norm(Z)):
+        return Z, NEWTON_MAX
     raise StepFailureError(
         f"Newton did not converge at step {k} (residual {res:.3e} after "
-        f"{newton_max} iterations)", step=k, residual=res)
+        f"{NEWTON_MAX} iterations)", step=k, residual=res)
 
 
 @dataclass(frozen=True)
@@ -347,28 +336,20 @@ def pointwise_relative_error(y_full, y_red, times) -> PointwiseErrorSeries:
 def write_trajectory_csv(result: SimulationResult, file) -> None:
     """Dump the output trajectory as ``t, y1, ..., yp`` rows."""
     p = result.outputs.shape[1]
-    lines = ["t," + ",".join(f"y{j + 1}" for j in range(p))]
-    for k in range(len(result.times)):
-        lines.append(",".join([fmt(result.times[k])]
-                              + [fmt(v) for v in result.outputs[k]]))
-    atomic_write_text(file, "\n".join(lines) + "\n")
+    atomic_write_text(file, csv_text(
+        ["t"] + [f"y{j + 1}" for j in range(p)],
+        np.column_stack([result.times, result.outputs])))
 
 
 def write_states_csv(result: SimulationResult, file) -> None:
     """Dump the state trajectory as ``t, x1, ..., xn`` rows."""
     n = result.states.shape[1]
-    lines = ["t," + ",".join(f"x{j + 1}" for j in range(n))]
-    for k in range(len(result.times)):
-        lines.append(",".join([fmt(result.times[k])]
-                              + [fmt(v) for v in result.states[k]]))
-    atomic_write_text(file, "\n".join(lines) + "\n")
+    atomic_write_text(file, csv_text(
+        ["t"] + [f"x{j + 1}" for j in range(n)],
+        np.column_stack([result.times, result.states])))
 
 
 def write_error_csv(times, values, file) -> None:
     """Dump an error series as ``t, rel_err`` rows."""
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    lines = ["t,rel_err"]
-    for k in range(len(times)):
-        lines.append(f"{fmt(times[k])},{fmt(values[k])}")
-    atomic_write_text(file, "\n".join(lines) + "\n")
+    atomic_write_text(file, csv_text(
+        ["t", "rel_err"], np.column_stack([times, values]).astype(float)))

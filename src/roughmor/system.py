@@ -16,10 +16,9 @@ plane is equivalent to mean-square asymptotic stability.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,6 +26,9 @@ from .errors import ArgumentError, CapabilityError
 from ._lyap import SchurLyapunov
 
 DENSE_THRESHOLD = 10_000
+# power iteration of is_mean_square_stable: relative change at which it stops
+STABILITY_TOL = 1e-8
+STABILITY_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -135,24 +137,16 @@ def drift_f(sys: BilinearRoughSystem, x: np.ndarray) -> np.ndarray:
     return x * float(sys.drift_nonlinearity.g(x))
 
 
-class StabilityMethod(str, enum.Enum):
-    DENSE_SPECTRUM = "dense_spectrum"
-    FIXED_POINT_CONVERGENCE = "fixed_point_convergence"
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Outcome of a mean-square stability classification.
 
-    ``spectral_abscissa`` is max Re(lambda(L)) for the dense method and NaN for
-    the iterative method, where ``rho`` carries the spectral radius of the
-    splitting iteration instead (stable iff rho < 1, given A Hurwitz).
+    ``rho`` is the spectral radius of X -> -L_A^{-1}(Pi(X)) (stable iff
+    rho < 1), or None when A is not Hurwitz and the noise part never enters.
     """
 
-    spectral_abscissa: float
     is_mean_square_stable: bool
-    method: StabilityMethod
-    rho: Optional[float] = None
+    rho: Optional[float]
 
 
 def noise_part(X, N, K):
@@ -186,20 +180,18 @@ def apply_lyapunov_adjoint(sys: BilinearRoughSystem, X) -> np.ndarray:
         X, tuple(Ni.T for Ni in sys.N), sys.K)
 
 
-def lyapunov_matrix_representation(
-        sys: BilinearRoughSystem, dense_threshold: int = DENSE_THRESHOLD
-) -> np.ndarray:
+def lyapunov_matrix_representation(sys: BilinearRoughSystem) -> np.ndarray:
     """Dense n^2 x n^2 matrix M with M vec(X) = vec(L(X)).
 
     Column-major vectorization throughout: vec(X) = X.reshape(-1, order="F").
-    Raises CapabilityError when n^2 exceeds ``dense_threshold``; use the
-    iterative stability check instead at that scale.
+    Raises CapabilityError when n^2 exceeds DENSE_THRESHOLD; the matrix-free
+    is_mean_square_stable has no such limit.
     """
     n = sys.n
-    if n * n > dense_threshold:
+    if n * n > DENSE_THRESHOLD:
         raise CapabilityError(
-            f"n^2 = {n * n} exceeds the dense threshold {dense_threshold}; "
-            "use is_mean_square_stable(..., method='iterative')")
+            f"n^2 = {n * n} exceeds the dense threshold {DENSE_THRESHOLD}; "
+            "use the matrix-free is_mean_square_stable instead")
     eye = np.eye(n)
     M = np.kron(eye, sys.A) + np.kron(sys.A, eye)
     K = sys.K
@@ -210,65 +202,37 @@ def lyapunov_matrix_representation(
     return M
 
 
-def is_mean_square_stable(
-        sys: BilinearRoughSystem,
-        method: str = "auto",
-        dense_threshold: int = DENSE_THRESHOLD,
-        tol: float = 1e-8,
-        max_iter: int = 500,
-) -> StabilityReport:
+def is_mean_square_stable(sys: BilinearRoughSystem) -> StabilityReport:
     """Classify mean-square asymptotic stability (lambda(L) in the open left
     half plane).
 
-    method "dense" computes the full spectrum of the n^2 x n^2 representation;
-    "iterative" checks A Hurwitz and then runs a power iteration on
-    X -> -L_A^{-1}(Pi(X)) whose spectral radius is < 1 exactly when L is
-    stable; "auto" picks dense while n^2 <= dense_threshold. The dense route
-    is expensive already at n = 100 (a dense 10^4 x 10^4 eigendecomposition);
-    internal callers in this package always use the iterative route.
+    Checks that A is Hurwitz, then runs a power iteration on
+    X -> -L_A^{-1}(Pi(X)), whose spectral radius is < 1 exactly when L is
+    stable. Matrix-free: one cached-Schur Lyapunov solve per iteration, so
+    the n^2 x n^2 representation is never formed.
     """
-    if method == "auto":
-        method = "dense" if sys.n * sys.n <= dense_threshold else "iterative"
-    if method == "dense":
-        M = lyapunov_matrix_representation(sys, dense_threshold=max(
-            dense_threshold, sys.n * sys.n))
-        abscissa = float(np.linalg.eigvals(M).real.max())
-        return StabilityReport(
-            spectral_abscissa=abscissa,
-            is_mean_square_stable=abscissa < 0.0,
-            method=StabilityMethod.DENSE_SPECTRUM,
-        )
-    if method != "iterative":
-        raise ArgumentError(f"unknown stability method {method!r}")
-
-    # The abscissa of L dominates twice the abscissa of A, so a non-Hurwitz
-    # drift settles the question without touching the noise part.
-    if float(np.linalg.eigvals(sys.A).real.max()) >= 0.0:
-        return StabilityReport(
-            spectral_abscissa=math.nan,
-            is_mean_square_stable=False,
-            method=StabilityMethod.FIXED_POINT_CONVERGENCE,
-        )
     lyap = SchurLyapunov(sys.A)
+    # The abscissa of L dominates twice the abscissa of A, so a non-Hurwitz
+    # drift settles the question without touching the noise part. LAPACK
+    # returns the real Schur form standardized: each 2x2 block has equal
+    # diagonal entries, which are the real part of its eigenvalue pair, so
+    # the diagonal of T carries Re(lambda(A)).
+    if float(np.diag(lyap.T).max()) >= 0.0:
+        return StabilityReport(is_mean_square_stable=False, rho=None)
     X = np.eye(sys.n) / math.sqrt(sys.n)
     rho = 0.0
-    for _ in range(max_iter):
+    for _ in range(STABILITY_MAX_ITER):
         Y = lyap.solve_neg(noise_part(X, sys.N, sys.K))
         lam = float(np.linalg.norm(Y))
         if lam == 0.0:
             rho = 0.0
             break
-        if abs(lam - rho) <= tol * lam:
+        if abs(lam - rho) <= STABILITY_TOL * lam:
             rho = lam
             break
         rho = lam
         X = Y / lam
-    return StabilityReport(
-        spectral_abscissa=math.nan,
-        is_mean_square_stable=rho < 1.0,
-        method=StabilityMethod.FIXED_POINT_CONVERGENCE,
-        rho=rho,
-    )
+    return StabilityReport(is_mean_square_stable=rho < 1.0, rho=rho)
 
 
 def positivity_scale(sys: BilinearRoughSystem) -> float:

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import roughmor
 from roughmor import BilinearRoughSystem
 from roughmor._fixtures import mild_stable_system
 from roughmor.cli import main, read_system_file, write_system_file
@@ -109,6 +111,9 @@ class TestSweep:
                  for row in lines[1:]}
         assert sorted(table) == [2, 4]
         assert table[4] <= 1e-10
+        # the CSV carries the same float as summary.json, in full repr
+        entry = read_summary(out)["table"][0]
+        assert lines[1] == f"{entry['r']},{entry['rel_L2_error']!r}"
 
 
 class TestGramian:
@@ -256,11 +261,16 @@ class TestProbes:
 class TestEntryPoint:
     def test_module_invocation(self, small_model_file, tmp_path):
         out = tmp_path / "run"
+        # the child imports the package this test imported, whether it came
+        # from PYTHONPATH, pytest's pythonpath setting or an install
+        src = os.path.dirname(os.path.dirname(roughmor.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "roughmor.cli", "simulate", "--model",
              "file", "--model-file", small_model_file, "--step-exp", "6",
              "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.json").exists()
         assert "simulated 32 steps" in proc.stdout

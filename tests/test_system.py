@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from roughmor import (ArgumentError, BilinearRoughSystem, CapabilityError,
-                      DriftNonlinearity, StabilityMethod, apply_lyapunov,
+                      DriftNonlinearity, apply_lyapunov,
                       apply_lyapunov_adjoint, drift_f, is_mean_square_stable,
                       lyapunov_matrix_representation, positivity_scale,
                       resolvent_positivity_probe)
@@ -121,44 +119,74 @@ class TestMatrixRepresentation:
                                    atol=1e-12)
 
     def test_dense_threshold_guard(self):
-        sys_ = mild_stable_system(4, 1, seed=1)
+        # n^2 = 10201 crosses DENSE_THRESHOLD; the guard fires before any
+        # Kronecker product is formed
+        sys_ = simple_system(-np.eye(101), [np.zeros((101, 101))], np.eye(1))
         with pytest.raises(CapabilityError):
-            lyapunov_matrix_representation(sys_, dense_threshold=8)
+            lyapunov_matrix_representation(sys_)
+
+
+def dense_abscissa(sys_):
+    return float(np.linalg.eigvals(
+        lyapunov_matrix_representation(sys_)).real.max())
+
+
+def splitting_radius(sys_):
+    # dense oracle for rho: the spectral radius of -L_A^{-1} Pi from the
+    # Kronecker matrices, independent of the Schur solve
+    L_A = kron_operator(sys_.A, (), sys_.K)
+    Pi = kron_operator(sys_.A, sys_.N, sys_.K) - L_A
+    return float(np.abs(np.linalg.eigvals(np.linalg.solve(-L_A, Pi))).max())
 
 
 class TestStability:
     def test_scalar_stable_closed_form(self):
-        # 2a + nu^2 k = -1
+        # 2a + nu^2 k = -1, rho = nu^2 k / (2 |a|) = 0.5
         sys_ = scalar_noise_system(a=-1.0, nu=1.0)
-        report = is_mean_square_stable(sys_, method="dense")
+        report = is_mean_square_stable(sys_)
         assert report.is_mean_square_stable
-        assert report.method is StabilityMethod.DENSE_SPECTRUM
-        assert abs(report.spectral_abscissa - (-1.0)) <= 1e-12
+        assert abs(report.rho - 0.5) <= 1e-12
+        assert abs(dense_abscissa(sys_) - (-1.0)) <= 1e-12
 
     def test_scalar_unstable_closed_form(self):
+        # a = 0 is not Hurwitz, so the noise part never enters
         sys_ = scalar_noise_system(a=0.0, nu=1.0)
-        report = is_mean_square_stable(sys_, method="dense")
+        report = is_mean_square_stable(sys_)
         assert not report.is_mean_square_stable
-        assert abs(report.spectral_abscissa - 1.0) <= 1e-12
+        assert report.rho is None
+        assert abs(dense_abscissa(sys_) - 1.0) <= 1e-12
 
     def test_iterative_agrees_with_dense(self):
         for seed in (2, 3, 4, 5):
             sys_ = mild_stable_system(5, 2, seed=seed)
-            dense = is_mean_square_stable(sys_, method="dense")
-            it = is_mean_square_stable(sys_, method="iterative")
-            assert dense.is_mean_square_stable == it.is_mean_square_stable
+            it = is_mean_square_stable(sys_)
+            assert (dense_abscissa(sys_) < 0.0) == it.is_mean_square_stable
             assert it.rho is not None and it.rho < 1.0
-            assert math.isnan(it.spectral_abscissa)
+            assert abs(it.rho - splitting_radius(sys_)) <= 1e-6 * it.rho
 
     def test_iterative_rejects_non_hurwitz_drift(self):
-        report = is_mean_square_stable(unstable_system(), method="iterative")
+        report = is_mean_square_stable(unstable_system())
         assert not report.is_mean_square_stable
         assert report.rho is None
 
-    def test_unknown_method(self):
-        with pytest.raises(ArgumentError):
-            is_mean_square_stable(mild_stable_system(2, 1, seed=0),
-                                  method="fancy")
+    def test_complex_pair_drift(self):
+        # A = [[eps, 2], [-2, eps]] has eigenvalues eps +- 2i and N = nu I,
+        # so rho = nu^2 / (2 |eps|) when eps < 0. The sheared copy S A S^{-1}
+        # has diagonal eps -+ 1: only the standardized Schur form shows the
+        # real part eps there.
+        shear = np.array([[1.0, 0.5], [0.0, 1.0]])
+        for eps, nu, stable, rho in ((-1e-3, 0.01, True, 0.05),
+                                     (-1e-3, 0.1, False, 5.0),
+                                     (1e-3, 0.01, False, None)):
+            A = np.array([[eps, 2.0], [-2.0, eps]])
+            for drift in (A, shear @ A @ np.linalg.inv(shear)):
+                report = is_mean_square_stable(
+                    simple_system(drift, [nu * np.eye(2)], np.eye(1)))
+                assert report.is_mean_square_stable is stable
+                if rho is None:
+                    assert report.rho is None
+                else:
+                    assert abs(report.rho - rho) <= 1e-8 * rho
 
 
 class TestResolventPositivityProbe:
