@@ -10,8 +10,8 @@ to round-off. The pieces:
 - ``system``: the model container, the Lyapunov operator of the second
   moment flow, and a matrix-free mean-square stability check.
 - ``gramians``: algebraic Gramians by Lyapunov-preconditioned GMRES,
-  finite horizon Gramians by integrating the moment ODE, and a Monte Carlo
-  cross-check.
+  accepted by their backward error, finite horizon Gramians by integrating
+  the moment ODE, and a Monte Carlo cross-check.
 - ``reduction``: spectral truncation, the two-stage exact pipeline, the
   lossy rank sweep, and kernel/subspace diagnostics.
 - ``solver``: Crouzeix's two-stage diagonally implicit Runge-Kutta scheme
@@ -36,12 +36,10 @@ from .drivers import (DriverKind, DriverPath, augment_with_time, coarsen_path,
                       sample_brownian_path, sample_fbm_path,
                       smooth_path_from_function, write_path_csv)
 from .gramians import (GramianKind, GramianResult, MonteCarloSecondMoment,
-                       gramian_residual, gramian_spectrum,
-                       integrate_gramian_ode, monte_carlo_second_moment,
-                       solve_algebraic_gramian, solve_algebraic_gramian_dense,
-                       write_spectrum_csv)
-from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q, PIPELINE_GRAMIAN_TOL,
-                        ProjectionBasis,
+                       gramian_residual, integrate_gramian_ode,
+                       monte_carlo_second_moment, solve_algebraic_gramian,
+                       solve_algebraic_gramian_dense, write_spectrum_csv)
+from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q, ProjectionBasis,
                         ReducedModel, Stage, SweepEntry, TwoStageMetadata,
                         check_kernel_preservation, greedy_rank_sweep,
                         kernel_preservation_scale, project_system,
@@ -71,11 +69,10 @@ __all__ = [
     "sample_brownian_path", "sample_fbm_path", "smooth_path_from_function",
     "write_path_csv",
     "GramianKind", "GramianResult", "MonteCarloSecondMoment",
-    "gramian_residual", "gramian_spectrum", "integrate_gramian_ode",
+    "gramian_residual", "integrate_gramian_ode",
     "monte_carlo_second_moment", "solve_algebraic_gramian",
     "solve_algebraic_gramian_dense", "write_spectrum_csv",
-    "DEFAULT_TOL_P", "DEFAULT_TOL_Q", "PIPELINE_GRAMIAN_TOL",
-    "ProjectionBasis", "ReducedModel",
+    "DEFAULT_TOL_P", "DEFAULT_TOL_Q", "ProjectionBasis", "ReducedModel",
     "Stage", "SweepEntry", "TwoStageMetadata", "check_kernel_preservation",
     "greedy_rank_sweep", "kernel_preservation_scale", "project_system",
     "reduce_by_observability", "subspace_containment_residual",

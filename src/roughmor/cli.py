@@ -36,12 +36,11 @@ from ._fixtures import (decoupled_observability_system, mild_stable_system,
 from ._util import atomic_write_text, csv_text, fmt
 from .drivers import (DriverPath, read_path_csv, sample_fbm_path,
                       smooth_path_from_function, write_path_csv)
-from .gramians import (gramian_spectrum, integrate_gramian_ode,
-                       monte_carlo_second_moment, solve_algebraic_gramian,
-                       write_spectrum_csv)
+from .gramians import (integrate_gramian_ode, monte_carlo_second_moment,
+                       solve_algebraic_gramian, write_spectrum_csv)
 from .heat import Heat1dConfig, build_heat1d, builtin_coefficient, \
     default_heat1d_config
-from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q, PIPELINE_GRAMIAN_TOL,
+from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q,
                         check_kernel_preservation, greedy_rank_sweep,
                         kernel_preservation_scale, truncate_psd_spectrum,
                         two_stage_reduce, write_stage_metadata_csv)
@@ -384,8 +383,10 @@ def run_exact_reduction(cfg: RunConfig) -> int:
         gramian={
             "p_iterations": meta.p_iterations,
             "p_residual": meta.p_residual,
+            "p_backward_error": meta.p_backward_error,
             "q_iterations": meta.q_iterations,
             "q_residual": meta.q_residual,
+            "q_backward_error": meta.q_backward_error,
         },
         solver={
             "max_newton_iterations_full": full.max_newton_iterations,
@@ -409,8 +410,6 @@ def run_exact_reduction(cfg: RunConfig) -> int:
 def run_sweep(cfg: RunConfig) -> int:
     run = _Run(cfg)
     model_sys = build_model(cfg)
-    if model_sys.drift_nonlinearity is not None:
-        raise PreconditionError("the rank sweep requires f = 0")
     model, meta = two_stage_reduce(model_sys, tol_P=cfg.tol_p,
                                    tol_Q=cfg.tol_q)
     ranks = cfg.ranks
@@ -465,7 +464,7 @@ def run_probes(cfg: RunConfig) -> int:
     checks.append(("resolvent_positivity", value, bound, value >= bound))
 
     dec = decoupled_observability_system()
-    Q = solve_algebraic_gramian(dec, "obs", tol=1e-12)
+    Q = solve_algebraic_gramian(dec, "obs")
     wq, Vq = scipy.linalg.eigh((Q.matrix + Q.matrix.T) / 2)
     z = Vq[:, 0]
     triple = check_kernel_preservation(dec, Q.matrix, z)
@@ -534,32 +533,28 @@ def run_simulate(cfg: RunConfig) -> int:
 def run_gramian(cfg: RunConfig) -> int:
     run = _Run(cfg)
     model_sys = build_model(cfg)
-    P = solve_algebraic_gramian(model_sys, "reach", tol=PIPELINE_GRAMIAN_TOL)
-    Q = solve_algebraic_gramian(model_sys, "obs", tol=PIPELINE_GRAMIAN_TOL)
-    t1 = time.perf_counter()
-    write_spectrum_csv(gramian_spectrum(P.matrix),
-                       run.path("gramian_spectrum_p.csv"))
-    write_spectrum_csv(gramian_spectrum(Q.matrix),
-                       run.path("gramian_spectrum_q.csv"))
-
-    def numerical_rank(G, tol):
+    report = {}
+    for side, suffix, tol in (("reach", "p", cfg.tol_p),
+                              ("obs", "q", cfg.tol_q)):
+        G = solve_algebraic_gramian(model_sys, side)
+        # one eigendecomposition gives both the CSV and the rank, so the
+        # file and numerical_rank agree at the cut
         try:
-            return truncate_psd_spectrum(G, tol).r
-        except EmptyBasisError:
-            return 0
-
-    rank_p = numerical_rank(P.matrix, cfg.tol_p)
-    rank_q = numerical_rank(Q.matrix, cfg.tol_q)
-    run.finish(
-        reach={"residual": P.residual, "iterations": P.iterations,
-               "numerical_rank": rank_p},
-        obs={"residual": Q.residual, "iterations": Q.iterations,
-             "numerical_rank": rank_q})
-    print(f"reach: residual {P.residual:.3e} after {P.iterations} GMRES "
-          f"iterations, numerical rank {rank_p} at tol {cfg.tol_p:g}")
-    print(f"obs:   residual {Q.residual:.3e} after {Q.iterations} GMRES "
-          f"iterations, numerical rank {rank_q} at tol {cfg.tol_q:g}")
-    print(f"timings: solves {t1 - run.t0:.2f} s; artifacts in {cfg.out}")
+            basis = truncate_psd_spectrum(G.matrix, tol)
+            spectrum, rank = basis.full_spectrum, basis.r
+        except EmptyBasisError as exc:
+            spectrum, rank = exc.spectrum, 0
+        write_spectrum_csv(spectrum,
+                           run.path(f"gramian_spectrum_{suffix}.csv"))
+        report[side] = {"residual": G.residual,
+                        "backward_error": G.backward_error,
+                        "iterations": G.iterations, "numerical_rank": rank}
+        print(f"{side + ':':6} residual {G.residual:.3e}, backward error "
+              f"{G.backward_error:.3e} after {G.iterations} GMRES "
+              f"iterations, numerical rank {rank} at tol {tol:g}")
+    run.finish(**report)
+    print(f"timings: solves and spectra {time.perf_counter() - run.t0:.2f} s; "
+          f"artifacts in {cfg.out}")
     return 0
 
 

@@ -26,7 +26,12 @@ class StabilityError(PreconditionError):
 
 
 class EmptyBasisError(RoughmorError):
-    """Truncation has nothing to retain (zero matrix input)."""
+    """Truncation has nothing to retain (zero matrix input); carries the
+    full descending spectrum that was cut."""
+
+    def __init__(self, message, spectrum=None):
+        super().__init__(message)
+        self.spectrum = spectrum
 
 
 class ConvergenceError(RoughmorError):

@@ -7,9 +7,10 @@ trapezoid on the same grid. Infinite-horizon Gramians solve
     0 = x0 x0^T + L(P),        0 = C^T C + L*(Q)
 
 by GMRES on the equation preconditioned with a standard Lyapunov solve, whose
-real Schur factorization is cached. The observability side reuses the reach
-solver on the transposed data: L* of a system is L of the system with A and
-every N_i transposed.
+real Schur factorization is cached, and accept a solution by its normwise
+backward error. The observability side reuses the reach solver on the
+transposed data: L* of a system is L of the system with A and every N_i
+transposed.
 
 An independent Euler-Maruyama Monte-Carlo estimator of E[x x^T] serves as a
 statistical oracle for both routes; it shares no code with them.
@@ -23,24 +24,26 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (ArgumentError, CapabilityError, ConvergenceError,
                      GuardedScalar, IntegrationOverflowError, StabilityError)
 from ._lyap import SchurLyapunov
 from ._util import atomic_write_text, csv_text
-from .system import (BilinearRoughSystem, apply_lyapunov,
-                     apply_lyapunov_adjoint, is_mean_square_stable,
+from .system import (BilinearRoughSystem, is_mean_square_stable,
                      lyapunov_matrix_representation, noise_part)
 
-DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 500
+GMRES_MAX_ITER = 500
 # GMRES stops when its residual estimate falls to this fraction of the
 # preconditioned right-hand side. It sits just above the round-off floor:
 # stopping earlier leaves P's smallest eigenvalues, which the exact cut at
 # tol_P = 1e-16 reads, short of converged, and a target below the floor is
 # never met.
 GMRES_TOL = 1e-14
+# A solve is accepted when its normwise backward error is at most this small
+# multiple of machine epsilon: unlike the relative residual, whose round-off
+# floor grows with cond(A), it stays near eps at every order (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 16).
+BACKWARD_ERROR_BOUND = 64 * np.finfo(float).eps
 
 
 class GramianKind(str, enum.Enum):
@@ -56,9 +59,10 @@ class GramianResult:
 
     ``residual`` is the relative Frobenius residual of the defining equation
     (for finite horizons: the integrated-ODE identity Z(T) = Z(0) + L(P_T)).
-    Eigenvalues below -1e-10 times the largest are clamped to zero on
-    construction; matrices already PSD to that allowance pass through bitwise
-    untouched.
+    ``backward_error`` is the normwise backward error by which algebraic
+    solves are accepted (None for finite horizons). The matrix is stored as
+    given: round-off may leave eigenvalues slightly below zero, and
+    truncation drops every eigenvalue that is not positive.
     """
 
     matrix: np.ndarray
@@ -66,6 +70,7 @@ class GramianResult:
     residual: float
     iterations: int
     horizon: float
+    backward_error: Optional[float] = None
     trajectory: Optional[np.ndarray] = field(default=None, repr=False,
                                              compare=False)
     times: Optional[np.ndarray] = field(default=None, repr=False,
@@ -86,11 +91,6 @@ class GramianResult:
                     f"got {self.horizon}")
         elif self.horizon != math.inf:
             raise ArgumentError("infinite-horizon Gramian needs horizon = inf")
-        w = np.linalg.eigvalsh((G + G.T) / 2)
-        if w[0] < -1e-10 * max(w[-1], 0.0):
-            wv, V = np.linalg.eigh((G + G.T) / 2)
-            G = (V * np.clip(wv, 0.0, None)) @ V.T
-            G = (G + G.T) / 2
         object.__setattr__(self, "matrix", G)
         object.__setattr__(self, "kind", kind)
 
@@ -157,27 +157,39 @@ def integrate_gramian_ode(
         times=np.arange(steps + 1) * dt if return_trajectory else None)
 
 
-def solve_algebraic_gramian(
-        sys: BilinearRoughSystem, side: str,
-        tol: float = DEFAULT_TOL,
-        max_iter: int = DEFAULT_MAX_ITER) -> GramianResult:
+def _solve_errors(A, N, K, rhs, P):
+    """(relative residual, backward error) of P in 0 = rhs + L(P).
+
+    With R = rhs + L(P), the relative residual is ||R||_F / ||rhs||_F and the
+    backward error ||R||_F / (||rhs||_F + l ||P||_F), where
+    l = 2 ||A|| + sum_ij |k_ij| ||N_i|| ||N_j|| bounds ||L|| in the Frobenius
+    norm, each 2-norm bounded by sqrt(||M||_1 ||M||_inf) at O(n^2) cost.
+    """
+    nr = np.linalg.norm(rhs)
+    nR = np.linalg.norm(rhs + A @ P + P @ A.T + noise_part(P, N, K))
+    norms = np.sqrt([np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
+                     for M in (A, *N)])
+    ell = 2.0 * norms[0] + norms[1:] @ np.abs(K) @ norms[1:]
+    return float(nR / nr), float(nR / (nr + ell * np.linalg.norm(P)))
+
+
+def solve_algebraic_gramian(sys: BilinearRoughSystem,
+                            side: str) -> GramianResult:
     """Infinite-horizon Gramian by Lyapunov-preconditioned GMRES.
 
     With L_A^{-1} the cached-Schur solve of A X + X A^T = -Y, the equation
     0 = rhs + L(P) reads (I - L_A^{-1} Pi) P = L_A^{-1}(rhs). GMRES runs on
     this form from P = 0 (Damm, NLA 2008) and stops once its residual
     estimate falls to GMRES_TOL relative, which sits just above its
-    round-off floor, or after ``max_iter`` iterations. The true relative
-    residual of the defining equation is then checked: above ``tol`` it
-    raises ConvergenceError.
+    round-off floor, or after GMRES_MAX_ITER iterations. The solution is
+    accepted when its normwise backward error (see _solve_errors) is at most
+    BACKWARD_ERROR_BOUND; otherwise ConvergenceError carries that backward
+    error and the iteration count. The relative residual rides along on the
+    result as a diagnostic.
 
     Requires mean-square stability (is_mean_square_stable); StabilityError
     otherwise.
     """
-    if not (tol > 0.0):
-        raise ArgumentError(f"need tol > 0, got {tol}")
-    if max_iter < 1:
-        raise ArgumentError(f"need max_iter >= 1, got {max_iter}")
     A, N, rhs = _side_data(sys, side)
     report = is_mean_square_stable(sys)
     if not report.is_mean_square_stable:
@@ -190,19 +202,19 @@ def solve_algebraic_gramian(
 
     kind = (GramianKind.REACH_INFINITE if side == "reach"
             else GramianKind.OBS_INFINITE)
-    nr = np.linalg.norm(rhs)
-    if nr == 0.0:
+    if np.linalg.norm(rhs) == 0.0:
         return GramianResult(matrix=np.zeros_like(A), kind=kind,
-                             residual=0.0, iterations=0, horizon=math.inf)
+                             residual=0.0, iterations=0, horizon=math.inf,
+                             backward_error=0.0)
     cache = SchurLyapunov(A)
     b = cache.solve_neg(rhs)
     beta = np.linalg.norm(b)
     # Arnoldi with modified Gram-Schmidt on full n x n Krylov matrices
     basis = [b / beta]
-    H = np.zeros((max_iter + 1, max_iter))
-    e1 = np.zeros(max_iter + 1)
+    H = np.zeros((GMRES_MAX_ITER + 1, GMRES_MAX_ITER))
+    e1 = np.zeros(GMRES_MAX_ITER + 1)
     e1[0] = beta
-    for j in range(max_iter):
+    for j in range(GMRES_MAX_ITER):
         w = basis[j] - cache.solve_neg(noise_part(basis[j], N, sys.K))
         for i, v in enumerate(basis):
             H[i, j] = np.vdot(v, w)
@@ -210,7 +222,7 @@ def solve_algebraic_gramian(
         H[j + 1, j] = np.linalg.norm(w)
         y, *_ = np.linalg.lstsq(H[:j + 2, :j + 1], e1[:j + 2], rcond=None)
         estimate = np.linalg.norm(H[:j + 2, :j + 1] @ y - e1[:j + 2])
-        if estimate <= GMRES_TOL * beta or j + 1 == max_iter:
+        if estimate <= GMRES_TOL * beta or j + 1 == GMRES_MAX_ITER:
             break
         basis.append(w / H[j + 1, j])
     iterations = j + 1
@@ -218,15 +230,16 @@ def solve_algebraic_gramian(
     for coeff, v in zip(y, basis):
         P += coeff * v
     P = (P + P.T) / 2
-    res = float(np.linalg.norm(
-        rhs + A @ P + P @ A.T + noise_part(P, N, sys.K)) / nr)
-    if res > tol:
+    res, eta = _solve_errors(A, N, sys.K, rhs, P)
+    if eta > BACKWARD_ERROR_BOUND:
         raise ConvergenceError(
-            f"algebraic Gramian solve reached relative residual {res:.3e} "
-            f"after {iterations} GMRES iterations (tolerance {tol:.1e})",
-            residual=res, iterations=iterations)
+            f"algebraic Gramian solve reached backward error {eta:.3e} "
+            f"after {iterations} GMRES iterations (bound "
+            f"{BACKWARD_ERROR_BOUND:.1e}; relative residual {res:.3e})",
+            residual=eta, iterations=iterations)
     return GramianResult(matrix=P, kind=kind, residual=res,
-                         iterations=iterations, horizon=math.inf)
+                         iterations=iterations, horizon=math.inf,
+                         backward_error=eta)
 
 
 DENSE_CROSS_CHECK_MAX_ORDER = 30
@@ -247,13 +260,11 @@ def solve_algebraic_gramian_dense(
     vecP = np.linalg.solve(M, -rhs.reshape(-1, order="F"))
     P = vecP.reshape(sys.n, sys.n, order="F")
     P = (P + P.T) / 2
-    nr = np.linalg.norm(rhs)
-    res = float(np.linalg.norm(
-        rhs + A @ P + P @ A.T + noise_part(P, N, sys.K)) / nr)
+    res, eta = _solve_errors(A, N, sys.K, rhs, P)
     kind = (GramianKind.REACH_INFINITE if side == "reach"
             else GramianKind.OBS_INFINITE)
     return GramianResult(matrix=P, kind=kind, residual=res, iterations=1,
-                         horizon=math.inf)
+                         horizon=math.inf, backward_error=eta)
 
 
 def gramian_residual(sys: BilinearRoughSystem, G, side: str) -> GuardedScalar:
@@ -267,15 +278,10 @@ def gramian_residual(sys: BilinearRoughSystem, G, side: str) -> GuardedScalar:
     if G.shape != (sys.n, sys.n):
         raise ArgumentError(
             f"Gramian has shape {G.shape}, expected {(sys.n, sys.n)}")
-    if side == "reach":
-        rhs = np.outer(sys.x0, sys.x0)
-        op = apply_lyapunov(sys, G)
-    elif side == "obs":
-        rhs = sys.C.T @ sys.C
-        op = apply_lyapunov_adjoint(sys, G)
-    else:
-        raise ArgumentError(f"side must be 'reach' or 'obs', got {side!r}")
-    num = float(np.linalg.norm(rhs + op))
+    A, N, rhs = _side_data(sys, side)
+    G = (G + G.T) / 2
+    num = float(np.linalg.norm(
+        rhs + (A @ G + G @ A.T + noise_part(G, N, sys.K))))
     den = float(np.linalg.norm(rhs))
     if den == 0.0:
         return GuardedScalar(num, is_absolute=True)
@@ -395,13 +401,6 @@ def monte_carlo_second_moment(
         integral=integral,
         integral_se=np.sqrt(np.clip(integral_var, 0.0, None)),
         n_paths=n_paths)
-
-
-def gramian_spectrum(G) -> np.ndarray:
-    """Eigenvalues of the symmetrized Gramian, descending."""
-    G = np.asarray(G, dtype=float)
-    w = eigh((G + G.T) / 2, eigvals_only=True)
-    return w[::-1].copy()
 
 
 def write_spectrum_csv(eigenvalues, file) -> None:

@@ -24,7 +24,6 @@ from .system import BilinearRoughSystem, DriftNonlinearity
 
 DEFAULT_TOL_P = 1e-16
 DEFAULT_TOL_Q = 1e-15
-PIPELINE_GRAMIAN_TOL = 1e-10
 
 
 class Stage(str, enum.Enum):
@@ -117,7 +116,7 @@ def truncate_psd_spectrum(G, tol_rel: float) -> ProjectionBasis:
     eigenvalue (ties at the threshold are dropped), orders them descending,
     and fixes each eigenvector's sign so its largest-magnitude entry is
     positive. Nothing above the cut (G zero or negative semidefinite) raises
-    EmptyBasisError.
+    EmptyBasisError, which carries the full descending spectrum.
     """
     G = np.asarray(G, dtype=float)
     if G.ndim != 2 or G.shape[0] != G.shape[1]:
@@ -131,7 +130,7 @@ def truncate_psd_spectrum(G, tol_rel: float) -> ProjectionBasis:
     if r == 0:
         raise EmptyBasisError(
             "no eigenvalue lies above the truncation threshold; "
-            "the matrix has no retained directions")
+            "the matrix has no retained directions", spectrum=w)
     V = V[:, :r].copy()
     for j in range(r):
         i = np.argmax(np.abs(V[:, j]))
@@ -205,9 +204,11 @@ def reduce_by_observability(sys: BilinearRoughSystem, Q: GramianResult,
 class TwoStageMetadata:
     """Orders and solver diagnostics of a two-stage run.
 
-    ``p_spectrum`` holds the full descending spectrum of the reachability
-    Gramian; ``q_spectrum`` the spectrum of the stage-2 observability Gramian
-    (None when stage 2 was skipped).
+    ``*_residual`` and ``*_backward_error`` are the relative residual and the
+    backward error of each Gramian solve. ``p_spectrum`` holds the full
+    descending spectrum of the reachability Gramian; ``q_spectrum`` the
+    spectrum of the stage-2 observability Gramian (None when stage 2 was
+    skipped).
     """
 
     parent_order: int
@@ -218,6 +219,8 @@ class TwoStageMetadata:
     p_residual: float
     q_iterations: Optional[int] = None
     q_residual: Optional[float] = None
+    p_backward_error: Optional[float] = None
+    q_backward_error: Optional[float] = None
     obs_stage_skipped: bool = False
     notice: Optional[str] = None
     p_spectrum: Optional[np.ndarray] = field(default=None, repr=False,
@@ -247,11 +250,11 @@ def two_stage_reduce(
     ReducedModel (composite basis, projected from ``sys``) and a
     TwoStageMetadata.
 
-    Both Gramian solves must meet PIPELINE_GRAMIAN_TOL. GMRES runs them to
-    its round-off floor whatever that tolerance is, so the truncation
-    decision does not depend on where the tolerance falls above the floor.
+    Both Gramian solves run GMRES to its round-off floor and are accepted by
+    their backward error (solve_algebraic_gramian), so the truncation reads
+    Gramians that are correct to round-off at every order.
     """
-    P = solve_algebraic_gramian(sys, "reach", tol=PIPELINE_GRAMIAN_TOL)
+    P = solve_algebraic_gramian(sys, "reach")
     basis_P = truncate_psd_spectrum(P.matrix, tol_P)
     stage1 = project_system(sys, basis_P, stage=Stage.P_STAGE)
 
@@ -259,14 +262,13 @@ def two_stage_reduce(
         meta = TwoStageMetadata(
             parent_order=sys.n, orders=(sys.n, stage1.r), tol_P=tol_P,
             tol_Q=tol_Q, p_iterations=P.iterations, p_residual=P.residual,
-            obs_stage_skipped=True,
+            p_backward_error=P.backward_error, obs_stage_skipped=True,
             notice="observability stage skipped: drift nonlinearity present "
                    "(stage 2 requires f = 0)",
             p_spectrum=basis_P.full_spectrum)
         return stage1, meta
 
-    Q = solve_algebraic_gramian(stage1.system, "obs",
-                                tol=PIPELINE_GRAMIAN_TOL)
+    Q = solve_algebraic_gramian(stage1.system, "obs")
     stage2 = reduce_by_observability(stage1.system, Q, tol_Q)
 
     V = basis_P.V @ stage2.basis.V
@@ -281,6 +283,7 @@ def two_stage_reduce(
         parent_order=sys.n, orders=(sys.n, stage1.r, stage2.r), tol_P=tol_P,
         tol_Q=tol_Q, p_iterations=P.iterations, p_residual=P.residual,
         q_iterations=Q.iterations, q_residual=Q.residual,
+        p_backward_error=P.backward_error, q_backward_error=Q.backward_error,
         p_spectrum=basis_P.full_spectrum,
         q_spectrum=stage2.basis.full_spectrum)
     return final, meta
@@ -346,9 +349,8 @@ def greedy_rank_sweep(exact: ReducedModel, ranks):
 
     for target in targets:
         while cur.n > target:
-            P = solve_algebraic_gramian(cur, "reach",
-                                        tol=PIPELINE_GRAMIAN_TOL)
-            Q = solve_algebraic_gramian(cur, "obs", tol=PIPELINE_GRAMIAN_TOL)
+            P = solve_algebraic_gramian(cur, "reach")
+            Q = solve_algebraic_gramian(cur, "obs")
             wp, Vp = eigh((P.matrix + P.matrix.T) / 2)
             wq, Vq = eigh((Q.matrix + Q.matrix.T) / 2)
             rel_p = wp[0] / wp[-1]

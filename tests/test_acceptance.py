@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from roughmor import (BilinearRoughSystem, DEFAULT_TOL_P, DEFAULT_TOL_Q,
-                      DriftNonlinearity, DriverKind, DriverPath,
-                      PIPELINE_GRAMIAN_TOL, coarsen_path, crouzeix_tableau,
-                      gramian_residual, greedy_rank_sweep,
+                      DriftNonlinearity, DriverKind, DriverPath, coarsen_path,
+                      crouzeix_tableau, gramian_residual, greedy_rank_sweep,
                       integrate_gramian_ode, kernel_preservation_scale,
                       check_kernel_preservation, monte_carlo_second_moment,
                       positivity_scale, reduce_by_observability,
@@ -29,14 +28,12 @@ from roughmor.cli import main
 
 @pytest.fixture(scope="module")
 def heat_P(heat100):
-    return solve_algebraic_gramian(heat100, "reach",
-                                   tol=PIPELINE_GRAMIAN_TOL)
+    return solve_algebraic_gramian(heat100, "reach")
 
 
 @pytest.fixture(scope="module")
 def heat_Q(heat100):
-    return solve_algebraic_gramian(heat100, "obs",
-                                   tol=PIPELINE_GRAMIAN_TOL)
+    return solve_algebraic_gramian(heat100, "obs")
 
 
 def cubic_drift_system():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import roughmor
-from roughmor import BilinearRoughSystem
+from roughmor import DEFAULT_TOL_P, DEFAULT_TOL_Q, BilinearRoughSystem
 from roughmor._fixtures import mild_stable_system
 from roughmor.cli import main, read_system_file, write_system_file
 
@@ -126,11 +126,36 @@ class TestGramian:
         assert (out / "gramian_spectrum_q.csv").exists()
         assert "numerical rank" in capsys.readouterr().out
 
+    def test_spectrum_csv_matches_rank(self, tmp_path):
+        # the CSV and numerical_rank come from one eigendecomposition, so the
+        # entries above the cut are exactly the retained directions; at
+        # n = 200 an eigenvalues-only solve puts 42 entries above the P cut
+        # where the eigenvector solve keeps 41
+        base = mild_stable_system(4, 1, seed=77)
+        write_system_file(BilinearRoughSystem(A=base.A, N=base.N, K=base.K,
+                                              C=base.C, x0=np.zeros(4)),
+                          tmp_path / "zero.txt")
+        runs = {"heat": ["--n", "200"],
+                "zero": ["--model", "file", "--model-file",
+                         str(tmp_path / "zero.txt")]}
+        for name, args in runs.items():
+            out = tmp_path / name
+            assert main(["gramian", *args, "--out", str(out)]) == 0
+            summary = read_summary(out)
+            for side, key, tol in (("p", "reach", DEFAULT_TOL_P),
+                                   ("q", "obs", DEFAULT_TOL_Q)):
+                lines = (out / f"gramian_spectrum_{side}.csv").read_text()
+                w = [float(row.split(",")[1])
+                     for row in lines.splitlines()[1:]]
+                assert sum(v > tol * w[0] for v in w) \
+                    == summary[key]["numerical_rank"]
+        assert summary["reach"]["numerical_rank"] == 0
+
     def test_marginal_system_exits_2(self, tmp_path, monkeypatch):
-        # a pipeline tolerance below the solver's round-off floor cannot be
-        # met: the solve raises ConvergenceError
+        # a backward-error bound below the solver's round-off floor cannot
+        # be met: the solve raises ConvergenceError
         tol = 1e-30
-        monkeypatch.setattr("roughmor.cli.PIPELINE_GRAMIAN_TOL", tol)
+        monkeypatch.setattr("roughmor.gramians.BACKWARD_ERROR_BOUND", tol)
         out = tmp_path / "run"
         rc = main(["gramian", "--n", "10", "--out", str(out)])
         assert rc == 2

@@ -41,7 +41,7 @@ class TestTruncation:
 
     def test_descending_eigenvalues(self):
         sys_ = mild_stable_system(6, 1, seed=17)
-        P = solve_algebraic_gramian(sys_, "reach", tol=1e-12)
+        P = solve_algebraic_gramian(sys_, "reach")
         basis = truncate_psd_spectrum(P.matrix, 1e-10)
         assert np.all(np.diff(basis.retained_eigenvalues) <= 0)
         assert basis.retained_eigenvalues[-1] > \
@@ -81,7 +81,7 @@ class TestProjection:
 
     def test_lift_shape(self):
         sys_ = mild_stable_system(4, 1, seed=29)
-        P = solve_algebraic_gramian(sys_, "reach", tol=1e-12)
+        P = solve_algebraic_gramian(sys_, "reach")
         basis = truncate_psd_spectrum(P.matrix, 1e-8)
         red = project_system(sys_, basis)
         states_r = np.ones((7, red.r))
@@ -111,7 +111,7 @@ class TestTwoStage:
     def test_heat_order_at_loose_tolerance(self, heat100):
         # the smooth spectrum has no gap: a 1e-12 relative cut keeps 26
         # directions, not 35; the machine-precision cut is the default
-        P = solve_algebraic_gramian(heat100, "reach", tol=1e-10)
+        P = solve_algebraic_gramian(heat100, "reach")
         assert truncate_psd_spectrum(P.matrix, 1e-12).r == 26
 
     def test_metadata_records(self, heat_pipeline):
@@ -138,13 +138,13 @@ class TestObservabilityReduction:
         sys_ = mild_stable_system(3, 1, seed=43)
         sys_full_C = BilinearRoughSystem(A=sys_.A, N=sys_.N, K=sys_.K,
                                          C=np.eye(3), x0=sys_.x0)
-        Q = solve_algebraic_gramian(sys_full_C, "obs", tol=1e-12)
+        Q = solve_algebraic_gramian(sys_full_C, "obs")
         red = reduce_by_observability(sys_full_C, Q, 1e-12)
         assert red.r == 3
 
     def test_decoupled_block_removed(self):
         sys_ = decoupled_observability_system()
-        Q = solve_algebraic_gramian(sys_, "obs", tol=1e-12)
+        Q = solve_algebraic_gramian(sys_, "obs")
         red = reduce_by_observability(sys_, Q, 1e-12)
         assert red.r == 2
         # the removed direction is the third coordinate
@@ -157,13 +157,13 @@ class TestObservabilityReduction:
                                grad_g=lambda x: -2.0 * x)
         sys_ = BilinearRoughSystem(A=base.A, N=base.N, K=base.K, C=base.C,
                                    x0=base.x0, drift_nonlinearity=nl)
-        Q = solve_algebraic_gramian(base, "obs", tol=1e-12)
+        Q = solve_algebraic_gramian(base, "obs")
         with pytest.raises(PreconditionError):
             reduce_by_observability(sys_, Q, 1e-12)
 
     def test_rejects_reachability_result(self):
         sys_ = mild_stable_system(3, 1, seed=53)
-        P = solve_algebraic_gramian(sys_, "reach", tol=1e-12)
+        P = solve_algebraic_gramian(sys_, "reach")
         with pytest.raises(ArgumentError):
             reduce_by_observability(sys_, P, 1e-12)
 
@@ -182,20 +182,20 @@ class TestObservabilityReduction:
 class TestKernelPreservation:
     def test_zero_vector(self):
         sys_ = decoupled_observability_system()
-        Q = solve_algebraic_gramian(sys_, "obs", tol=1e-12)
+        Q = solve_algebraic_gramian(sys_, "obs")
         triple = check_kernel_preservation(sys_, Q.matrix, np.zeros(3))
         assert triple == (0.0, 0.0, 0.0)
 
     def test_decoupled_kernel_direction(self):
         sys_ = decoupled_observability_system()
-        Q = solve_algebraic_gramian(sys_, "obs", tol=1e-12)
+        Q = solve_algebraic_gramian(sys_, "obs")
         z = np.array([0.0, 0.0, 1.0])
         triple = check_kernel_preservation(sys_, Q.matrix, z)
         assert max(triple) <= 1e-10
 
     def test_scale_positive(self):
         sys_ = decoupled_observability_system()
-        Q = solve_algebraic_gramian(sys_, "obs", tol=1e-12)
+        Q = solve_algebraic_gramian(sys_, "obs")
         z = np.array([0.0, 0.0, 1.0])
         assert kernel_preservation_scale(sys_, Q.matrix, z) > 0
 
@@ -223,7 +223,7 @@ class TestSubspaceContainment:
     def test_heat_containment_magnitude(self, heat100, heat_full_sim):
         # full reachability space: what the machine-precision cut discards is
         # excited at the 1e-7 scale on the pinned path (regression guard)
-        P = solve_algebraic_gramian(heat100, "reach", tol=1e-10)
+        P = solve_algebraic_gramian(heat100, "reach")
         basis = truncate_psd_spectrum(P.matrix, 1e-16)
         res = subspace_containment_residual(basis, heat_full_sim)
         assert res <= 1e-5
