@@ -17,7 +17,8 @@ to round-off. The pieces:
 - ``solver``: Crouzeix's two-stage diagonally implicit Runge-Kutta scheme
   driven by path increments, plus error norms and a smooth-path comparison
   probe.
-- ``drivers``: fractional Brownian samplers and path utilities.
+- ``drivers``: the fractional Brownian sampler, smooth drivers, and path
+  utilities.
 - ``heat``: a controlled heat equation on (0, 1) as the reference model.
 - ``cli``: the ``roughmor`` command wrapping all of the above.
 """
@@ -31,10 +32,10 @@ from .system import (BilinearRoughSystem, DriftNonlinearity, StabilityReport,
                      apply_lyapunov, apply_lyapunov_adjoint, drift_f,
                      is_mean_square_stable, lyapunov_matrix_representation,
                      positivity_scale, resolvent_positivity_probe)
-from .drivers import (DriverKind, DriverPath, augment_with_time, coarsen_path,
-                      increments, piecewise_linear_derivative, read_path_csv,
-                      sample_brownian_path, sample_fbm_path,
-                      smooth_path_from_function, write_path_csv)
+from .drivers import (DriverKind, DriverPath, coarsen_path,
+                      piecewise_linear_derivative, read_path_csv,
+                      sample_fbm_path, smooth_path_from_function,
+                      write_path_csv)
 from .gramians import (GramianKind, GramianResult, MonteCarloSecondMoment,
                        gramian_residual, integrate_gramian_ode,
                        monte_carlo_second_moment, solve_algebraic_gramian,
@@ -46,11 +47,11 @@ from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q, ProjectionBasis,
                         reduce_by_observability,
                         subspace_containment_residual, truncate_psd_spectrum,
                         two_stage_reduce, write_stage_metadata_csv)
-from .solver import (ButcherTableau, PointwiseErrorSeries, SimulationResult,
-                     SmoothProbeResult, crouzeix_tableau,
-                     pointwise_relative_error, relative_L2_error,
-                     rough_rk_simulate, smooth_quadratic_form_probe,
-                     write_error_csv, write_states_csv, write_trajectory_csv)
+from .solver import (PointwiseErrorSeries, SimulationResult,
+                     SmoothProbeResult, pointwise_relative_error,
+                     relative_L2_error, rough_rk_simulate,
+                     smooth_quadratic_form_probe, write_error_csv,
+                     write_states_csv, write_trajectory_csv)
 from .heat import (Heat1dConfig, build_heat1d, builtin_coefficient,
                    default_heat1d_config)
 
@@ -64,9 +65,8 @@ __all__ = [
     "apply_lyapunov", "apply_lyapunov_adjoint", "drift_f",
     "is_mean_square_stable", "lyapunov_matrix_representation",
     "positivity_scale", "resolvent_positivity_probe",
-    "DriverKind", "DriverPath", "augment_with_time", "coarsen_path",
-    "increments", "piecewise_linear_derivative", "read_path_csv",
-    "sample_brownian_path", "sample_fbm_path", "smooth_path_from_function",
+    "DriverKind", "DriverPath", "coarsen_path", "piecewise_linear_derivative",
+    "read_path_csv", "sample_fbm_path", "smooth_path_from_function",
     "write_path_csv",
     "GramianKind", "GramianResult", "MonteCarloSecondMoment",
     "gramian_residual", "integrate_gramian_ode",
@@ -77,10 +77,10 @@ __all__ = [
     "greedy_rank_sweep", "kernel_preservation_scale", "project_system",
     "reduce_by_observability", "subspace_containment_residual",
     "truncate_psd_spectrum", "two_stage_reduce", "write_stage_metadata_csv",
-    "ButcherTableau", "PointwiseErrorSeries", "SimulationResult",
-    "SmoothProbeResult", "crouzeix_tableau", "pointwise_relative_error",
-    "relative_L2_error", "rough_rk_simulate", "smooth_quadratic_form_probe",
-    "write_error_csv", "write_states_csv", "write_trajectory_csv",
+    "PointwiseErrorSeries", "SimulationResult", "SmoothProbeResult",
+    "pointwise_relative_error", "relative_L2_error", "rough_rk_simulate",
+    "smooth_quadratic_form_probe", "write_error_csv", "write_states_csv",
+    "write_trajectory_csv",
     "Heat1dConfig", "build_heat1d", "builtin_coefficient",
     "default_heat1d_config",
     "__version__",

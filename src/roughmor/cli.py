@@ -414,7 +414,7 @@ def run_sweep(cfg: RunConfig) -> int:
                                    tol_Q=cfg.tol_q)
     ranks = cfg.ranks
     if not ranks:
-        ranks = tuple(range(5, model.r + 1, 2))
+        ranks = tuple(range(5, model.r + 1, 2)) or (model.r,)
     entries = greedy_rank_sweep(model, ranks)
     t1 = time.perf_counter()
 
@@ -475,7 +475,7 @@ def run_probes(cfg: RunConfig) -> int:
 
     scalar = scalar_noise_system()
     sine = smooth_path_from_function(lambda t: np.array([math.sin(t)]),
-                                     0.5, 64, name="sine")
+                                     0.5, 64)
     probe = smooth_quadratic_form_probe(scalar, sine, 0.5, 512)
     bound = -1e-6 * probe.xbar_final_norm
     checks.append(("gronwall_quadratic_form", probe.min_eigenvalue, bound,

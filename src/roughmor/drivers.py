@@ -1,5 +1,6 @@
-"""Driver paths: fractional Brownian motion, smooth test paths, and the
-grid operations the rough solver and the Gronwall probe consume.
+"""Driver paths: fractional Brownian motion, smooth test paths, dyadic
+coarsening, the piecewise-linear slopes the Gronwall probe consumes, and CSV
+round-trips.
 
 All paths live on a uniform grid t_k = k T / M, start at the origin, and are
 deterministic given their seed. fBm is sampled exactly in law by circulant
@@ -22,7 +23,6 @@ from ._util import atomic_write_text, csv_text
 
 class DriverKind(str, enum.Enum):
     FBM = "fbm"
-    BROWNIAN = "brownian"
     SMOOTH_ANALYTIC = "smooth_analytic"
     PIECEWISE_LINEAR_INTERP = "piecewise_linear_interp"
 
@@ -31,8 +31,8 @@ class DriverKind(str, enum.Enum):
 class DriverPath:
     """Sampled driver on the uniform grid t_k = t0 + k (T - t0) / M.
 
-    ``values`` is (M+1) x d with values[0] = 0; the Hurst index (fbm only) and
-    an optional human-readable name (smooth_analytic) ride along as metadata.
+    ``values`` is (M+1) x d with values[0] = 0; fbm paths carry their Hurst
+    index as metadata.
     """
 
     t0: float
@@ -40,7 +40,6 @@ class DriverPath:
     values: np.ndarray
     kind: DriverKind
     hurst: Optional[float] = None
-    name: Optional[str] = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -126,24 +125,8 @@ def sample_fbm_path(H: float, d: int, T: float, M: int, seed: int) -> DriverPath
     return DriverPath(t0=0.0, T=T, values=values, kind=DriverKind.FBM, hurst=H)
 
 
-def sample_brownian_path(d: int, T: float, M: int, seed: int) -> DriverPath:
-    """Standard d-dimensional Brownian motion on M uniform steps."""
-    if M < 1:
-        raise ArgumentError(f"need M >= 1 steps, got {M}")
-    if d < 1:
-        raise ArgumentError(f"need d >= 1 components, got {d}")
-    if not (T > 0.0):
-        raise ArgumentError(f"need T > 0, got {T}")
-    rng = np.random.default_rng(seed)
-    dW = rng.standard_normal((M, d)) * np.sqrt(T / M)
-    values = np.zeros((M + 1, d))
-    values[1:] = np.cumsum(dW, axis=0)
-    return DriverPath(t0=0.0, T=T, values=values, kind=DriverKind.BROWNIAN)
-
-
 def smooth_path_from_function(
-        fn: Callable[[float], np.ndarray], T: float, M: int,
-        name: str = "smooth") -> DriverPath:
+        fn: Callable[[float], np.ndarray], T: float, M: int) -> DriverPath:
     """Sample a smooth deterministic driver t -> fn(t) on the uniform grid.
 
     The value at t = 0 is subtracted so the path starts at the origin; only
@@ -157,7 +140,7 @@ def smooth_path_from_function(
     values = values - values[0]
     values[0] = 0.0
     return DriverPath(t0=0.0, T=T, values=values,
-                      kind=DriverKind.SMOOTH_ANALYTIC, name=name)
+                      kind=DriverKind.SMOOTH_ANALYTIC)
 
 
 def coarsen_path(path: DriverPath, factor: int) -> DriverPath:
@@ -172,26 +155,7 @@ def coarsen_path(path: DriverPath, factor: int) -> DriverPath:
             f"coarsening factor {factor} does not divide M = {path.M}")
     return DriverPath(t0=path.t0, T=path.T,
                       values=path.values[::factor].copy(),
-                      kind=DriverKind.PIECEWISE_LINEAR_INTERP,
-                      hurst=None, name=path.name)
-
-
-def augment_with_time(path: DriverPath) -> DriverPath:
-    """Prepend the time ramp: column 0 of the result holds t_k - t0."""
-    values = np.column_stack([path.times - path.t0, path.values])
-    return DriverPath(t0=path.t0, T=path.T, values=values, kind=path.kind,
-                      hurst=path.hurst, name=path.name)
-
-
-def increments(path: DriverPath, coarsen: int = 1) -> np.ndarray:
-    """(M/coarsen) x d array of driver increments over the coarsened grid.
-
-    Increments telescope: cumulative sums reproduce endpoint values exactly.
-    """
-    if coarsen < 1 or path.M % coarsen != 0:
-        raise ArgumentError(
-            f"coarsening factor {coarsen} does not divide M = {path.M}")
-    return np.diff(path.values[::coarsen], axis=0)
+                      kind=DriverKind.PIECEWISE_LINEAR_INTERP)
 
 
 def piecewise_linear_derivative(path: DriverPath):
@@ -215,13 +179,12 @@ def write_path_csv(path: DriverPath, file) -> None:
         np.column_stack([path.times, path.values])))
 
 
-def read_path_csv(file, kind=DriverKind.PIECEWISE_LINEAR_INTERP,
-                  hurst: Optional[float] = None) -> DriverPath:
+def read_path_csv(file) -> DriverPath:
     """Load a ``t, W1, ..., Wd`` CSV produced by :func:`write_path_csv`.
 
     The time column must be a uniform grid. The stored file carries no kind
-    metadata, so the caller may tag the result; by default it is treated as
-    the piecewise-linear record of whatever was sampled.
+    metadata, so the result is tagged piecewise_linear_interp: the
+    piecewise-linear record of whatever was sampled.
     """
     data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
@@ -236,4 +199,5 @@ def read_path_csv(file, kind=DriverKind.PIECEWISE_LINEAR_INTERP,
     dt = (T - t0) / M
     if np.max(np.abs(times - (t0 + np.arange(M + 1) * dt))) > 1e-9 * max(T - t0, 1.0):
         raise ArgumentError("path CSV time column is not a uniform grid")
-    return DriverPath(t0=t0, T=T, values=values, kind=kind, hurst=hurst)
+    return DriverPath(t0=t0, T=T, values=values,
+                      kind=DriverKind.PIECEWISE_LINEAR_INTERP)

@@ -1,14 +1,16 @@
 """Time integration along rough and smooth drivers, plus error metrics.
 
-The integrator is a two-stage diagonally implicit Runge-Kutta scheme driven by
-the increments of the time-augmented path (dt, dW): each stage solves
+The integrator is Crouzeix's two-stage diagonally implicit Runge-Kutta
+scheme, driven by the time step dt and the driver increment dW of each step:
 
-    Z_i = z_k + sum_j a_ij [G Z_j + dt f(Z_j)],   G = A dt + sum_m s_m N_m,
+    Z_1 = z_k + a11 F(Z_1),   Z_2 = z_k + a21 F(Z_1) + a11 F(Z_2),
+    z_{k+1} = z_k + (F(Z_1) + F(Z_2)) / 2,
 
-with s = K^{1/2} dW. The scheme is Crouzeix's: its two diagonal entries are
-equal, so one LU factorization per step serves both stages. Newton iteration
-solves the stages when the drift nonlinearity is present. No iterated
-integrals of the driver enter: the scheme uses increments only.
+with F(Z) = G Z + dt f(Z), G = A dt + sum_m s_m N_m and s = K^{1/2} dW. Both
+stages have the diagonal entry a11, so one LU factorization per step serves
+both. Newton iteration solves the stages when the drift nonlinearity is
+present. No iterated integrals of the driver enter: the scheme uses
+increments only.
 """
 
 from __future__ import annotations
@@ -30,41 +32,10 @@ from .system import BilinearRoughSystem, drift_f
 NEWTON_TOL = 1e-12
 NEWTON_MAX = 50
 
-
-@dataclass(frozen=True)
-class ButcherTableau:
-    """Coefficients of a diagonally implicit Runge-Kutta method."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ArgumentError(f"a must be square, got shape {a.shape}")
-        s = a.shape[0]
-        if b.shape != (s,):
-            raise ArgumentError(f"b must have length {s}, got shape {b.shape}")
-        if np.any(np.triu(a, 1) != 0.0):
-            raise ArgumentError(
-                "tableau is not diagonally implicit (a_ij != 0 above the "
-                "diagonal)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    @property
-    def s(self) -> int:
-        return self.a.shape[0]
-
-
-def crouzeix_tableau() -> ButcherTableau:
-    """The A-stable two-stage DIRK with a11 = a22 = 1/2 + sqrt(3)/6."""
-    g = 0.5 + math.sqrt(3.0) / 6.0
-    a = np.array([[g, 0.0],
-                  [-math.sqrt(3.0) / 3.0, g]])
-    b = np.array([0.5, 0.5])
-    return ButcherTableau(a=a, b=b)
+# Crouzeix's tableau: a11 = a22, a12 = 0, and equal weights b1 = b2
+A11 = 0.5 + math.sqrt(3.0) / 6.0
+A21 = -math.sqrt(3.0) / 3.0
+B1 = B2 = 0.5
 
 
 @dataclass(frozen=True)
@@ -90,11 +61,11 @@ def _as_system(model) -> BilinearRoughSystem:
 def rough_rk_simulate(model, path: DriverPath) -> SimulationResult:
     """Integrate the system along the path with the Crouzeix DIRK scheme.
 
-    The path is augmented with time internally: each step consumes the pair
-    (dt, dW_k). Stage systems are solved by LU for f = 0 and by Newton with
-    the analytic Jacobian I - a_ii (G + dt (g(Z) I + Z grad_g(Z)^T))
-    otherwise. Raises StepFailureError on a singular stage matrix or a
-    non-convergent Newton iteration, naming the step.
+    Each step consumes the time step dt and the driver increment dW_k. Stage
+    systems are solved by LU for f = 0 and by Newton with the analytic
+    Jacobian I - a11 (G + dt (g(Z) I + Z grad_g(Z)^T)) otherwise. Raises
+    StepFailureError on a singular stage matrix or a non-convergent Newton
+    iteration, naming the step.
     """
     sys = _as_system(model)
     if path.d != sys.d:
@@ -104,10 +75,6 @@ def rough_rk_simulate(model, path: DriverPath) -> SimulationResult:
     M = path.M
     dt = (path.T - path.t0) / M
     dW = np.diff(path.values, axis=0)
-    tableau = crouzeix_tableau()
-    a, b = tableau.a, tableau.b
-    # a11 = a22, so both stages share the matrix I - a11 G and one LU per step
-    aii = a[0, 0]
     nl = sys.drift_nonlinearity
     eye = np.eye(n)
     eps = np.finfo(float).eps
@@ -117,41 +84,42 @@ def rough_rk_simulate(model, path: DriverPath) -> SimulationResult:
     max_newton = 0
     max_lin_res = 0.0
 
+    def stage(c):
+        # one stage of step k: solve Z = c + a11 (G Z + dt f(Z)) with the
+        # step's G and LU, and return G Z + dt f(Z)
+        nonlocal max_newton, max_lin_res
+        if not np.all(np.isfinite(c)):
+            raise IntegrationOverflowError(
+                f"state overflowed at step {k + 1} of {M}", step=k + 1)
+        Z = lu_solve(lu, c)
+        if nl is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = np.linalg.norm(Z - A11 * (G @ Z) - c)
+                res /= max(1.0, np.linalg.norm(c))
+            if np.isfinite(res):
+                max_lin_res = max(max_lin_res, res)
+        else:
+            Z, iters = _newton_stage(sys, G, dt, c, Z, k)
+            max_newton = max(max_newton, iters)
+        return G @ Z + dt * drift_f(sys, Z)
+
     for k in range(M):
         s_vec = sys.K_sqrt @ dW[k]
         G = sys.A * dt
         for m_i in range(sys.d):
             G = G + s_vec[m_i] * sys.N[m_i]
         z = states[k]
-        Mstage = eye - aii * G
+        # a11 = a22, so both stages share the matrix I - a11 G and one LU
+        Mstage = eye - A11 * G
         lu = lu_factor(Mstage)
         if np.abs(np.diag(lu[0])).min() <= \
                 eps * n * np.linalg.norm(Mstage, 1):
             raise StepFailureError(
-                f"singular stage matrix at step {k} (diagonal a = {aii:.6g}); "
+                f"singular stage matrix at step {k} (diagonal a = {A11:.6g}); "
                 "consider refining the grid", step=k)
-        stage_F = []
-        for i in range(tableau.s):
-            c = z.copy()
-            for j in range(i):
-                c += a[i, j] * stage_F[j]
-            if not np.all(np.isfinite(c)):
-                raise IntegrationOverflowError(
-                    f"state overflowed at step {k + 1} of {M}", step=k + 1)
-            Zi = lu_solve(lu, c)
-            if nl is None:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    res = np.linalg.norm(Zi - aii * (G @ Zi) - c)
-                    res /= max(1.0, np.linalg.norm(c))
-                if np.isfinite(res):
-                    max_lin_res = max(max_lin_res, res)
-            else:
-                Zi, iters = _newton_stage(sys, G, dt, aii, c, Zi, k)
-                max_newton = max(max_newton, iters)
-            stage_F.append(G @ Zi + dt * drift_f(sys, Zi))
-        z_next = z.copy()
-        for i in range(tableau.s):
-            z_next = z_next + b[i] * stage_F[i]
+        F1 = stage(z)
+        F2 = stage(z + A21 * F1)
+        z_next = z + B1 * F1 + B2 * F2
         if not np.all(np.isfinite(z_next)):
             raise IntegrationOverflowError(
                 f"state overflowed at step {k + 1} of {M}", step=k + 1)
@@ -163,17 +131,19 @@ def rough_rk_simulate(model, path: DriverPath) -> SimulationResult:
                             max_linear_residual=max_lin_res)
 
 
-def _newton_stage(sys, G, dt, aii, c, Z, k):
-    """Solve Z = c + aii (G Z + dt f(Z)) by Newton from the linear guess."""
+def _newton_stage(sys, G, dt, c, Z, k):
+    """Solve Z = c + a11 (G Z + dt f(Z)) by Newton from the linear guess."""
     nl = sys.drift_nonlinearity
     eye = np.eye(len(c))
-    for it in range(1, NEWTON_MAX + 1):
-        F = Z - aii * (G @ Z + dt * (Z * float(nl.g(Z)))) - c
-        res = np.linalg.norm(F)
+    for it in range(NEWTON_MAX + 1):
+        g = float(nl.g(Z))
+        F = Z - A11 * (G @ Z + dt * (Z * g)) - c
+        res = float(np.linalg.norm(F))
         if res <= NEWTON_TOL * max(1.0, np.linalg.norm(Z)):
-            return Z, it - 1
-        J = eye - aii * (G + dt * (float(nl.g(Z)) * eye
-                                   + np.outer(Z, nl.grad_g(Z))))
+            return Z, it
+        if it == NEWTON_MAX:
+            break
+        J = eye - A11 * (G + dt * (g * eye + np.outer(Z, nl.grad_g(Z))))
         try:
             delta = np.linalg.solve(J, -F)
         except np.linalg.LinAlgError as exc:
@@ -181,10 +151,6 @@ def _newton_stage(sys, G, dt, aii, c, Z, k):
                 f"singular Newton Jacobian at step {k}", step=k,
                 residual=res) from exc
         Z = Z + delta
-    F = Z - aii * (G @ Z + dt * (Z * float(nl.g(Z)))) - c
-    res = float(np.linalg.norm(F))
-    if res <= NEWTON_TOL * max(1.0, np.linalg.norm(Z)):
-        return Z, NEWTON_MAX
     raise StepFailureError(
         f"Newton did not converge at step {k} (residual {res:.3e} after "
         f"{NEWTON_MAX} iterations)", step=k, residual=res)

@@ -13,7 +13,7 @@ import pytest
 
 from roughmor import (BilinearRoughSystem, DEFAULT_TOL_P, DEFAULT_TOL_Q,
                       DriftNonlinearity, DriverKind, DriverPath, coarsen_path,
-                      crouzeix_tableau, gramian_residual, greedy_rank_sweep,
+                      gramian_residual, greedy_rank_sweep,
                       integrate_gramian_ode, kernel_preservation_scale,
                       check_kernel_preservation, monte_carlo_second_moment,
                       positivity_scale, reduce_by_observability,
@@ -157,8 +157,7 @@ def test_criterion_6_gronwall_probe():
         pl = DriverPath(t0=0.0, T=0.5, values=nodes,
                         kind=DriverKind.PIECEWISE_LINEAR_INTERP)
         sine = smooth_path_from_function(
-            lambda t: np.full(sys_.d, math.sin(2 * t)), 0.5, 64,
-            name="sine")
+            lambda t: np.full(sys_.d, math.sin(2 * t)), 0.5, 64)
         for driver, path in (("piecewise", pl), ("sine", sine)):
             probe = smooth_quadratic_form_probe(sys_, path, 0.5, 512)
             ratio = probe.min_eigenvalue / max(probe.xbar_final_norm, 1e-300)
@@ -201,8 +200,6 @@ def test_criterion_8_scheme_order():
     R = sympy.lambdify(z, sympy.simplify(
         1 + z * (b * (sympy.eye(2) - z * a).inv()
                  * sympy.ones(2, 1))[0, 0]), "math")
-    tab = crouzeix_tableau()
-    assert tab.s == 2
     det = BilinearRoughSystem(A=np.array([[-1.0]]), N=(np.zeros((1, 1)),),
                               K=np.eye(1), C=np.eye(1), x0=np.ones(1))
     still = DriverPath(t0=0.0, T=0.1, values=np.zeros((2, 1)),

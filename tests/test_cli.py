@@ -115,6 +115,15 @@ class TestSweep:
         entry = read_summary(out)["table"][0]
         assert lines[1] == f"{entry['r']},{entry['rel_L2_error']!r}"
 
+    def test_default_ranks_below_five(self, tmp_path):
+        # heat n = 4 reduces 4 -> 4 -> 4, so range(5, r + 1, 2) is empty and
+        # the default sweep is the exact order alone
+        out = tmp_path / "run"
+        assert main(["sweep", "--n", "4", "--out", str(out)]) == 0
+        summary = read_summary(out)
+        assert len(summary["table"]) == 1
+        assert summary["table"][0]["actual_r"] == summary["orders"][-1]
+
 
 class TestGramian:
     def test_spectra_and_ranks(self, small_model_file, tmp_path, capsys):

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from roughmor import (ArgumentError, DriverKind, DriverPath,
-                      augment_with_time, coarsen_path, increments,
+from roughmor import (ArgumentError, DriverKind, DriverPath, coarsen_path,
                       piecewise_linear_derivative, read_path_csv,
-                      sample_brownian_path, sample_fbm_path,
-                      smooth_path_from_function, write_path_csv)
+                      sample_fbm_path, smooth_path_from_function,
+                      write_path_csv)
 
 
 def fbm_covariance(t, s, H):
@@ -15,28 +14,44 @@ def fbm_covariance(t, s, H):
     return 0.5 * (t ** (2 * H) + s ** (2 * H) - abs(t - s) ** (2 * H))
 
 
+def check_covariance(H, T, M, pairs, seed0, n_paths=10_000):
+    # sample E[W(t_i) W(t_j)] over fresh paths within 3 standard errors
+    samples = np.empty((n_paths, M + 1))
+    for k in range(n_paths):
+        samples[k] = sample_fbm_path(H, 1, T, M, seed=seed0 + k).values[:, 0]
+    times = np.arange(M + 1) * (T / M)
+    for i, j in pairs:
+        prod = samples[:, i] * samples[:, j]
+        mean = prod.mean()
+        se = prod.std(ddof=1) / math.sqrt(n_paths)
+        exact = fbm_covariance(times[i], times[j], H)
+        assert abs(mean - exact) <= 3.0 * se, (H, M, i, j, mean, exact, se)
+
+
 class TestSampling:
     def test_half_hurst_is_brownian(self):
         # H = 1/2: increments i.i.d. with variance T/M
         path = sample_fbm_path(0.5, 1, 2.0, 100_000, seed=5)
-        incs = increments(path)[:, 0]
+        incs = np.diff(path.values[:, 0])
         var = incs.var()
         assert abs(var - 2.0 / 100_000) <= 0.05 * (2.0 / 100_000)
 
     def test_covariance_against_closed_form(self):
-        H, T, M, n_paths = 0.4, 1.0, 64, 10_000
-        samples = np.empty((n_paths, M + 1))
-        for k in range(n_paths):
-            samples[k] = sample_fbm_path(H, 1, T, M, seed=50_000 + k
-                                         ).values[:, 0]
-        pairs = [(16, 16), (32, 16), (48, 32), (64, 48), (64, 64)]
-        times = np.arange(M + 1) * (T / M)
-        for i, j in pairs:
-            prod = samples[:, i] * samples[:, j]
-            mean = prod.mean()
-            se = prod.std(ddof=1) / math.sqrt(n_paths)
-            exact = fbm_covariance(times[i], times[j], H)
-            assert abs(mean - exact) <= 3.0 * se
+        H, T, M = 0.4, 1.0, 64
+        check_covariance(H, T, M, [(16, 16), (32, 16), (48, 32), (64, 48),
+                                   (64, 64)], seed0=50_000)
+
+    def test_dense_fallback_covariance(self):
+        # at H = 0.85, M = 4 the circulant embedding (0 at lag M) has a
+        # negative eigenvalue, so the sampler takes the dense Cholesky route
+        H, T, M = 0.85, 1.0, 4
+        k = np.arange(M)
+        gamma = 0.5 * ((k + 1.0) ** (2 * H) + np.abs(k - 1.0) ** (2 * H)
+                       - 2.0 * k ** (2 * H))
+        eig = np.fft.fft(np.concatenate([gamma, [0.0], gamma[-1:0:-1]])).real
+        assert eig.min() < -1e-2 * eig.max()
+        check_covariance(H, T, M, [(1, 1), (2, 1), (3, 2), (4, 2), (4, 4)],
+                         seed0=60_000)
 
     def test_same_seed_bitwise(self):
         a = sample_fbm_path(0.4, 2, 1.0, 256, seed=9)
@@ -51,12 +66,6 @@ class TestSampling:
         path = sample_fbm_path(0.3, 3, 1.0, 64, seed=2)
         assert np.all(path.values[0] == 0.0)
 
-    def test_brownian_matches_half_hurst_scaling(self):
-        path = sample_brownian_path(1, 4.0, 50_000, seed=6)
-        incs = increments(path)[:, 0]
-        var = incs.var()
-        assert abs(var - 4.0 / 50_000) <= 0.05 * (4.0 / 50_000)
-
     def test_invalid_hurst(self):
         with pytest.raises(ArgumentError):
             sample_fbm_path(1.0, 1, 1.0, 16, seed=0)
@@ -64,48 +73,7 @@ class TestSampling:
             sample_fbm_path(0.0, 1, 1.0, 16, seed=0)
 
 
-class TestAugmentWithTime:
-    def test_zero_path_gives_time_ramp(self):
-        zero = DriverPath(t0=0.0, T=1.0, values=np.zeros((9, 1)),
-                          kind=DriverKind.PIECEWISE_LINEAR_INTERP)
-        aug = augment_with_time(zero)
-        np.testing.assert_allclose(aug.values[:, 0], np.linspace(0, 1, 9),
-                                   atol=1e-15)
-        assert np.all(aug.values[:, 1] == 0.0)
-
-    def test_time_column_increments(self):
-        path = sample_fbm_path(0.4, 1, 1.0, 8, seed=1)
-        aug = augment_with_time(path)
-        incs = increments(aug)[:, 0]
-        np.testing.assert_allclose(incs, 1.0 / 8, atol=1e-15)
-
-    def test_width_grows_by_one(self):
-        path = sample_fbm_path(0.4, 2, 1.0, 8, seed=1)
-        assert augment_with_time(path).d == 3
-
-
 class TestIncrements:
-    def test_first_differences(self):
-        path = sample_fbm_path(0.4, 1, 1.0, 16, seed=3)
-        np.testing.assert_array_equal(increments(path),
-                                      np.diff(path.values, axis=0))
-
-    def test_full_coarsening_single_increment(self):
-        path = sample_fbm_path(0.4, 1, 1.0, 16, seed=3)
-        incs = increments(path, coarsen=16)
-        assert incs.shape == (1, 1)
-        assert incs[0, 0] == path.values[-1, 0] - path.values[0, 0]
-
-    def test_dyadic_telescoping_bitwise(self):
-        path = sample_fbm_path(0.4, 1, 1.0, 16, seed=3)
-        coarse = increments(path, coarsen=2)
-        fine = increments(path)
-        # sums over node values telescope exactly, not just to round-off
-        direct = path.values[2::2] - path.values[:-2:2]
-        assert np.array_equal(coarse, direct)
-        np.testing.assert_allclose(coarse, fine[0::2] + fine[1::2],
-                                   atol=1e-15)
-
     def test_coarsen_path_keeps_endpoints(self):
         path = sample_fbm_path(0.4, 2, 1.0, 16, seed=4)
         c = coarsen_path(path, 4)
@@ -151,10 +119,10 @@ class TestCsvRoundTrip:
         path = sample_fbm_path(0.4, 2, 0.5, 64, seed=8)
         out = tmp_path / "path.csv"
         write_path_csv(path, out)
-        back = read_path_csv(out, kind=DriverKind.FBM, hurst=0.4)
+        back = read_path_csv(out)
         assert np.array_equal(back.values, path.values)
         assert back.t0 == path.t0 and back.T == path.T
-        assert back.kind is DriverKind.FBM and back.hurst == 0.4
+        assert back.kind is DriverKind.PIECEWISE_LINEAR_INTERP
 
     def test_header(self, tmp_path):
         path = sample_fbm_path(0.4, 2, 0.5, 4, seed=8)

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from roughmor import (ArgumentError, BilinearRoughSystem, ButcherTableau,
-                      DriftNonlinearity, DriverKind, DriverPath,
-                      IntegrationOverflowError, crouzeix_tableau,
-                      pointwise_relative_error, relative_L2_error,
-                      rough_rk_simulate, sample_fbm_path,
+import roughmor.solver
+from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
+                      DriverKind, DriverPath, IntegrationOverflowError,
+                      StepFailureError, pointwise_relative_error,
+                      relative_L2_error, rough_rk_simulate, sample_fbm_path,
                       smooth_path_from_function, smooth_quadratic_form_probe,
                       coarsen_path)
 from roughmor._fixtures import mild_stable_system, scalar_noise_system
@@ -39,18 +39,10 @@ def zero_path(T, M, d=1):
 
 class TestTableau:
     def test_crouzeix_values(self):
-        tab = crouzeix_tableau()
         g = 0.5 + math.sqrt(3) / 6
-        assert tab.s == 2
-        np.testing.assert_allclose(np.diag(tab.a), [g, g], atol=1e-15)
-        np.testing.assert_allclose(tab.a[1, 0], -math.sqrt(3) / 3,
-                                   atol=1e-15)
-        np.testing.assert_allclose(tab.b, [0.5, 0.5], atol=1e-15)
-
-    def test_rejects_explicit_upper_part(self):
-        with pytest.raises(ArgumentError):
-            ButcherTableau(a=np.array([[0.5, 0.1], [0.0, 0.5]]),
-                           b=np.array([0.5, 0.5]))
+        assert abs(roughmor.solver.A11 - g) <= 1e-15
+        assert abs(roughmor.solver.A21 + math.sqrt(3) / 3) <= 1e-15
+        assert roughmor.solver.B1 == roughmor.solver.B2 == 0.5
 
 
 class TestDeterministicSteps:
@@ -143,6 +135,35 @@ class TestNoiseAndNonlinearity:
             rough_rk_simulate(sys_, zero_path(1.0, 400))
         assert err.value.step >= 1
 
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_stage_matrix_raises(self):
+        # I - a11 dt A = diag(0, 1 + a11 dt): the first step cannot be solved
+        dt = 0.1
+        sys_ = BilinearRoughSystem(
+            A=np.diag([1.0 / (roughmor.solver.A11 * dt), -1.0]),
+            N=(np.zeros((2, 2)),), K=np.eye(1), C=np.eye(2)[:1],
+            x0=np.ones(2))
+        with pytest.raises(StepFailureError) as err:
+            rough_rk_simulate(sys_, zero_path(dt, 1))
+        assert err.value.step == 0
+
+    def test_newton_failure_raises(self, monkeypatch):
+        # no Newton iteration allowed: the linear guess misses the cubic
+        # drift, so the first stage fails with its residual attached
+        nl = DriftNonlinearity(g=lambda x: -float(x @ x),
+                               grad_g=lambda x: -2.0 * x)
+        sys_ = BilinearRoughSystem(A=-np.eye(3), N=(0.2 * np.eye(3),),
+                                   K=np.eye(1), C=np.eye(3)[:1],
+                                   x0=np.array([1.0, 0.5, -0.5]),
+                                   drift_nonlinearity=nl)
+        path = sample_fbm_path(0.45, 1, 1.0, 128, seed=14)
+        monkeypatch.setattr(roughmor.solver, "NEWTON_MAX", 0)
+        with pytest.raises(StepFailureError) as err:
+            rough_rk_simulate(sys_, path)
+        assert err.value.step == 0
+        assert err.value.residual > roughmor.solver.NEWTON_TOL
+        assert "Newton did not converge" in str(err.value)
+
 
 class TestSelfConvergence:
     def test_scalar_bilinear_rate(self):
@@ -172,7 +193,7 @@ class TestSmoothProbe:
     def test_scalar_sine_driver(self):
         sys_ = scalar_noise_system(a=-1.0, nu=1.0, x0=1.0)
         path = smooth_path_from_function(
-            lambda t: np.array([math.sin(t)]), 0.5, 64, name="sine")
+            lambda t: np.array([math.sin(t)]), 0.5, 64)
         probe = smooth_quadratic_form_probe(sys_, path, 0.5, 512)
         assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm
 
@@ -184,7 +205,7 @@ class TestSmoothProbe:
                                    x0=np.array([1.0, 0.5]),
                                    drift_nonlinearity=nl)
         path = smooth_path_from_function(
-            lambda t: np.array([math.sin(2 * t)]), 0.5, 64, name="sine")
+            lambda t: np.array([math.sin(2 * t)]), 0.5, 64)
         probe = smooth_quadratic_form_probe(sys_, path, 0.5, 512)
         assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm
 
