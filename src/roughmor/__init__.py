@@ -41,7 +41,7 @@ from .gramians import (GramianKind, GramianResult, MonteCarloSecondMoment,
                        monte_carlo_second_moment, solve_algebraic_gramian,
                        solve_algebraic_gramian_dense, write_spectrum_csv)
 from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q, ProjectionBasis,
-                        ReducedModel, Stage, SweepEntry, TwoStageMetadata,
+                        ReducedModel, SweepEntry, TwoStageMetadata,
                         check_kernel_preservation, greedy_rank_sweep,
                         kernel_preservation_scale, project_system,
                         reduce_by_observability,
@@ -52,8 +52,7 @@ from .solver import (PointwiseErrorSeries, SimulationResult,
                      relative_L2_error, rough_rk_simulate,
                      smooth_quadratic_form_probe, write_error_csv,
                      write_states_csv, write_trajectory_csv)
-from .heat import (Heat1dConfig, build_heat1d, builtin_coefficient,
-                   default_heat1d_config)
+from .heat import Heat1dConfig, build_heat1d, default_heat1d_config
 
 __version__ = "0.1.0"
 
@@ -73,7 +72,7 @@ __all__ = [
     "monte_carlo_second_moment", "solve_algebraic_gramian",
     "solve_algebraic_gramian_dense", "write_spectrum_csv",
     "DEFAULT_TOL_P", "DEFAULT_TOL_Q", "ProjectionBasis", "ReducedModel",
-    "Stage", "SweepEntry", "TwoStageMetadata", "check_kernel_preservation",
+    "SweepEntry", "TwoStageMetadata", "check_kernel_preservation",
     "greedy_rank_sweep", "kernel_preservation_scale", "project_system",
     "reduce_by_observability", "subspace_containment_residual",
     "truncate_psd_spectrum", "two_stage_reduce", "write_stage_metadata_csv",
@@ -81,7 +80,6 @@ __all__ = [
     "pointwise_relative_error", "relative_L2_error", "rough_rk_simulate",
     "smooth_quadratic_form_probe", "write_error_csv", "write_states_csv",
     "write_trajectory_csv",
-    "Heat1dConfig", "build_heat1d", "builtin_coefficient",
-    "default_heat1d_config",
+    "Heat1dConfig", "build_heat1d", "default_heat1d_config",
     "__version__",
 ]

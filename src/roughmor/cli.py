@@ -38,8 +38,7 @@ from .drivers import (DriverPath, read_path_csv, sample_fbm_path,
                       smooth_path_from_function, write_path_csv)
 from .gramians import (integrate_gramian_ode, monte_carlo_second_moment,
                        solve_algebraic_gramian, write_spectrum_csv)
-from .heat import Heat1dConfig, build_heat1d, builtin_coefficient, \
-    default_heat1d_config
+from .heat import build_heat1d, default_heat1d_config
 from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q,
                         check_kernel_preservation, greedy_rank_sweep,
                         kernel_preservation_scale, truncate_psd_spectrum,
@@ -96,14 +95,6 @@ class RunConfig:
     out: str = _key("roughmor-run", help="output directory")
     path_file: Optional[str] = _key(None,
                                     help="reuse a stored driver path CSV")
-    beta: Optional[str] = _key(
-        None, help="heat1d transport coefficients, one per channel, "
-                   "';'-separated (with --gamma), e.g. constant:0.4")
-    gamma: Optional[str] = _key(
-        None, help="heat1d reaction coefficients, one per channel, "
-                   "';'-separated (with --beta), e.g. sin-scaled:4")
-    init: Optional[str] = _key(
-        None, help="heat1d initial profile, e.g. gaussian-bump:1,0.5,2")
     fixture: str = _key("stable", help="probe fixture 'stable' or "
                                        "'unstable' (probes)")
     states: bool = _key(False, lambda text: _BOOLS[text.lower()],
@@ -270,20 +261,7 @@ def write_system_file(model_sys: BilinearRoughSystem, path) -> None:
 def build_model(cfg: RunConfig) -> BilinearRoughSystem:
     if cfg.model == "file":
         return read_system_file(cfg.model_file)
-    if (cfg.beta is None) != (cfg.gamma is None):
-        raise ArgumentError(
-            "beta and gamma overrides must be given together (one "
-            "coefficient per channel, ';'-separated)")
-    default = default_heat1d_config(cfg.n)
-    beta, gamma = default.beta, default.gamma
-    if cfg.beta is not None:
-        beta = [builtin_coefficient(s) for s in cfg.beta.split(";")]
-        gamma = [builtin_coefficient(s) for s in cfg.gamma.split(";")]
-    init = builtin_coefficient(cfg.init) if cfg.init is not None \
-        else default.initial_profile
-    return build_heat1d(Heat1dConfig(
-        n=cfg.n, beta=beta, gamma=gamma, initial_profile=init,
-        K=np.eye(len(beta))))
+    return build_heat1d(default_heat1d_config(cfg.n))
 
 
 def resolve_driver(cfg: RunConfig, d: int) -> DriverPath:
@@ -360,7 +338,7 @@ def run_exact_reduction(cfg: RunConfig) -> int:
     write_path_csv(path, run.path("driver_path.csv"))
 
     full = rough_rk_simulate(model_sys, path)
-    reduced = rough_rk_simulate(model, path)
+    reduced = rough_rk_simulate(model.system, path)
     t3 = time.perf_counter()
 
     rel = relative_L2_error(full.outputs, reduced.outputs, full.times)
@@ -476,7 +454,7 @@ def run_probes(cfg: RunConfig) -> int:
     scalar = scalar_noise_system()
     sine = smooth_path_from_function(lambda t: np.array([math.sin(t)]),
                                      0.5, 64)
-    probe = smooth_quadratic_form_probe(scalar, sine, 0.5, 512)
+    probe = smooth_quadratic_form_probe(scalar, sine, 512)
     bound = -1e-6 * probe.xbar_final_norm
     checks.append(("gronwall_quadratic_form", probe.min_eigenvalue, bound,
                    probe.min_eigenvalue >= bound))

@@ -4,14 +4,15 @@ forcing on (0, 1) with Dirichlet boundaries.
 Interior nodes zeta_j = j h with h = 1/(n+1) carry the state x_j(t) ~
 u(t, zeta_j). The drift is the standard second-difference Laplacian; each
 noise channel contributes a forward-difference transport term scaled by
-beta_k(zeta) plus a reaction term gamma_k(zeta), and the output is the
-average temperature y = (1/n) sum_j x_j.
+beta_k(zeta) plus a reaction term gamma_k(zeta), the channels are
+independent (K = I), and the output is the average temperature
+y = (1/n) sum_j x_j.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,14 +26,13 @@ class Heat1dConfig:
 
     ``beta`` and ``gamma`` hold one entry per noise channel, each either a
     constant or a callable of the spatial variable; ``initial_profile`` maps
-    zeta to u(0, zeta). K defaults to the identity (independent channels).
+    zeta to u(0, zeta). The channels are independent: K is the identity.
     """
 
     n: int
     beta: Sequence
     gamma: Sequence
     initial_profile: object
-    K: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.n < 2:
@@ -43,13 +43,6 @@ class Heat1dConfig:
                 f"{len(self.beta)} and {len(self.gamma)}")
         if len(self.beta) < 1:
             raise ArgumentError("need at least one noise channel")
-        if self.K is not None:
-            K = np.asarray(self.K, dtype=float)
-            d = len(self.beta)
-            if K.shape != (d, d):
-                raise ArgumentError(
-                    f"K has shape {K.shape}, expected {(d, d)}")
-            object.__setattr__(self, "K", K)
 
     @property
     def d(self) -> int:
@@ -82,61 +75,17 @@ def build_heat1d(cfg: Heat1dConfig) -> BilinearRoughSystem:
         bvals = _evaluate(beta_k, zeta)
         gvals = _evaluate(gamma_k, zeta)
         N.append(bvals[:, None] * B0 + np.diag(gvals))
-    K = np.eye(cfg.d) if cfg.K is None else cfg.K
     C = np.full((1, n), 1.0 / n)
     x0 = _evaluate(cfg.initial_profile, zeta)
-    return BilinearRoughSystem(A=A, N=tuple(N), K=K, C=C, x0=x0)
+    return BilinearRoughSystem(A=A, N=tuple(N), K=np.eye(cfg.d), C=C, x0=x0)
 
 
 def default_heat1d_config(n: int = 100) -> Heat1dConfig:
     """The reference configuration: two channels with constant transport
-    coefficients 0.4 and -0.2, reaction terms 4 sin and 4 cos, a Gaussian
-    bump initial profile, and K = I."""
+    coefficients 0.4 and -0.2, reaction terms 4 sin and 4 cos, and a
+    Gaussian bump initial profile."""
     return Heat1dConfig(
         n=n,
         beta=(0.4, -0.2),
         gamma=(lambda z: 4 * np.sin(z), lambda z: 4 * np.cos(z)),
-        initial_profile=lambda z: np.exp(-2 * np.abs(z - 0.5) ** 2),
-        K=np.eye(2))
-
-
-def builtin_coefficient(spec: str):
-    """Parse a named coefficient, e.g. 'constant:0.4' or 'sin-scaled:4'.
-
-    Available names: constant:c; sin-scaled:amp; cos-scaled:amp;
-    gaussian-bump:amp,center,sharpness (defaults 1, 0.5, 2). Returns a
-    scalar for 'constant' and a callable of zeta otherwise.
-    """
-    name, _, argstr = spec.partition(":")
-    name = name.strip()
-    try:
-        args = [float(tok) for tok in argstr.split(",")] if argstr.strip() \
-            else []
-    except ValueError as exc:
-        raise ArgumentError(
-            f"could not parse numeric parameters in coefficient {spec!r}"
-        ) from exc
-    if name == "constant":
-        if len(args) != 1:
-            raise ArgumentError("constant takes exactly one parameter")
-        return args[0]
-    if name == "sin-scaled":
-        amp = args[0] if args else 1.0
-        if len(args) > 1:
-            raise ArgumentError("sin-scaled takes at most one parameter")
-        return lambda z: amp * np.sin(z)
-    if name == "cos-scaled":
-        amp = args[0] if args else 1.0
-        if len(args) > 1:
-            raise ArgumentError("cos-scaled takes at most one parameter")
-        return lambda z: amp * np.cos(z)
-    if name == "gaussian-bump":
-        if len(args) > 3:
-            raise ArgumentError("gaussian-bump takes at most three parameters")
-        amp = args[0] if len(args) > 0 else 1.0
-        center = args[1] if len(args) > 1 else 0.5
-        sharp = args[2] if len(args) > 2 else 2.0
-        return lambda z: amp * np.exp(-sharp * np.abs(z - center) ** 2)
-    raise ArgumentError(
-        f"unknown coefficient {name!r}; available: constant, sin-scaled, "
-        "cos-scaled, gaussian-bump")
+        initial_profile=lambda z: np.exp(-2 * np.abs(z - 0.5) ** 2))

@@ -5,12 +5,12 @@ because the state evolves inside im(P), this stage is exact for the output.
 Stage 2 recomputes the observability Gramian Q on the stage-1 model (the
 orders only compose correctly this way) and removes its numerical kernel,
 which is invisible to the output for f = 0 and invertible K. The composite
-basis V = V_P V_Q' is recorded so full-order states can be lifted back.
+basis V = V_P V_Q' is recorded so full-order states can be lifted back;
+its row count is the parent order.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,12 +24,6 @@ from .system import BilinearRoughSystem, DriftNonlinearity
 
 DEFAULT_TOL_P = 1e-16
 DEFAULT_TOL_Q = 1e-15
-
-
-class Stage(str, enum.Enum):
-    P_STAGE = "P_stage"
-    Q_STAGE = "Q_stage"
-    TWO_STAGE = "two_stage"
 
 
 @dataclass(frozen=True)
@@ -82,23 +76,16 @@ class ProjectionBasis:
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """A projected system plus the basis and stage that produced it."""
+    """A projected system plus the basis that produced it."""
 
     system: BilinearRoughSystem
     basis: ProjectionBasis
-    stage: Stage
-    parent_order: int
 
     def __post_init__(self):
         if self.system.n != self.basis.r:
             raise ArgumentError(
                 f"reduced order {self.system.n} does not match basis rank "
                 f"{self.basis.r}")
-        if self.basis.V.shape[0] != self.parent_order:
-            raise ArgumentError(
-                f"basis has {self.basis.V.shape[0]} rows, expected "
-                f"parent order {self.parent_order}")
-        object.__setattr__(self, "stage", Stage(self.stage))
 
     @property
     def r(self) -> int:
@@ -161,8 +148,8 @@ def _galerkin(sys: BilinearRoughSystem, V) -> BilinearRoughSystem:
         drift_nonlinearity=_reduced_nonlinearity(nl, V) if nl else None)
 
 
-def project_system(sys: BilinearRoughSystem, basis: ProjectionBasis,
-                   stage: Stage = Stage.P_STAGE) -> ReducedModel:
+def project_system(sys: BilinearRoughSystem,
+                   basis: ProjectionBasis) -> ReducedModel:
     """Galerkin projection of the system onto the basis columns.
 
     Reduced matrices are V^T A V, V^T N_i V, C V, V^T x0 with K unchanged;
@@ -172,8 +159,7 @@ def project_system(sys: BilinearRoughSystem, basis: ProjectionBasis,
     if V.shape[0] != sys.n:
         raise ArgumentError(
             f"basis has {V.shape[0]} rows but the system has order {sys.n}")
-    return ReducedModel(system=_galerkin(sys, V), basis=basis, stage=stage,
-                        parent_order=sys.n)
+    return ReducedModel(system=_galerkin(sys, V), basis=basis)
 
 
 def reduce_by_observability(sys: BilinearRoughSystem, Q: GramianResult,
@@ -197,7 +183,7 @@ def reduce_by_observability(sys: BilinearRoughSystem, Q: GramianResult,
             "observability-based reduction requires invertible K "
             f"(min eigenvalue {wK[0]:.3e}, max {wK[-1]:.3e})")
     basis = truncate_psd_spectrum(Q.matrix, tol_rel)
-    return project_system(sys, basis, stage=Stage.Q_STAGE)
+    return project_system(sys, basis)
 
 
 @dataclass(frozen=True)
@@ -231,9 +217,9 @@ class TwoStageMetadata:
     def records(self):
         """Rows (stage, order, tolerance) for the metadata CSV."""
         rows = [("full", self.parent_order, None),
-                (Stage.P_STAGE.value, self.orders[1], self.tol_P)]
+                ("P_stage", self.orders[1], self.tol_P)]
         if not self.obs_stage_skipped:
-            rows.append((Stage.Q_STAGE.value, self.orders[2], self.tol_Q))
+            rows.append(("Q_stage", self.orders[2], self.tol_Q))
         return rows
 
 
@@ -256,7 +242,7 @@ def two_stage_reduce(
     """
     P = solve_algebraic_gramian(sys, "reach")
     basis_P = truncate_psd_spectrum(P.matrix, tol_P)
-    stage1 = project_system(sys, basis_P, stage=Stage.P_STAGE)
+    stage1 = project_system(sys, basis_P)
 
     if sys.drift_nonlinearity is not None:
         meta = TwoStageMetadata(
@@ -278,7 +264,7 @@ def two_stage_reduce(
         discarded_max=stage2.basis.discarded_max,
         tol_rel=tol_Q,
         full_spectrum=stage2.basis.full_spectrum)
-    final = project_system(sys, composite, stage=Stage.TWO_STAGE)
+    final = project_system(sys, composite)
     meta = TwoStageMetadata(
         parent_order=sys.n, orders=(sys.n, stage1.r, stage2.r), tol_P=tol_P,
         tol_Q=tol_Q, p_iterations=P.iterations, p_residual=P.residual,

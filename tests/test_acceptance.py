@@ -47,7 +47,7 @@ def cubic_drift_system():
 
 def test_criterion_1_exact_reduction(heat_pipeline, heat_path, heat_full_sim):
     model, meta = heat_pipeline
-    reduced = rough_rk_simulate(model, heat_path)
+    reduced = rough_rk_simulate(model.system, heat_path)
     err = float(relative_L2_error(heat_full_sim.outputs, reduced.outputs,
                                   heat_full_sim.times))
     print(f"criterion 1: orders {meta.orders}, relative L2 error {err:.4e} "
@@ -130,7 +130,7 @@ def test_criterion_5_kernel_preservation(heat100, heat_Q, heat_path,
         scale = kernel_preservation_scale(heat100, heat_Q.matrix, z)
         worst = max(worst, max(triple) / (1e-8 * scale))
     model = reduce_by_observability(heat100, heat_Q, DEFAULT_TOL_Q)
-    reduced = rough_rk_simulate(model, heat_path)
+    reduced = rough_rk_simulate(model.system, heat_path)
     err = float(relative_L2_error(heat_full_sim.outputs, reduced.outputs,
                                   heat_full_sim.times))
     print(f"criterion 5: {kernel.shape[1]} kernel vectors, worst "
@@ -159,7 +159,7 @@ def test_criterion_6_gronwall_probe():
         sine = smooth_path_from_function(
             lambda t: np.full(sys_.d, math.sin(2 * t)), 0.5, 64)
         for driver, path in (("piecewise", pl), ("sine", sine)):
-            probe = smooth_quadratic_form_probe(sys_, path, 0.5, 512)
+            probe = smooth_quadratic_form_probe(sys_, path, 512)
             ratio = probe.min_eigenvalue / max(probe.xbar_final_norm, 1e-300)
             worst = min(worst, ratio)
             assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm, \

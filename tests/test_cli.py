@@ -257,6 +257,20 @@ class TestConfigResolution:
         cfgfile.write_text("stepexp=6\n")
         assert main(["simulate", "--config", str(cfgfile)]) == 1
 
+    def test_heat_coefficient_keys_rejected(self, tmp_path):
+        # the heat model's coefficients are fixed; any other model comes in
+        # through --model file
+        out = tmp_path / "run"
+        with pytest.raises(SystemExit) as exc:
+            main(["reduce", "--n", "4", "--beta", "constant:0.4", "--gamma",
+                  "constant:0.1", "--out", str(out)])
+        assert exc.value.code == 1
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("n=4\nbeta=\n")
+        assert main(["reduce", "--config", str(cfgfile),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_invalid_hurst_flag(self, tmp_path):
         rc = main(["simulate", "--n", "4", "--hurst", "2.0",
                    "--out", str(tmp_path / "run")])

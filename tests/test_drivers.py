@@ -41,17 +41,24 @@ class TestSampling:
         check_covariance(H, T, M, [(16, 16), (32, 16), (48, 32), (64, 48),
                                    (64, 64)], seed0=50_000)
 
-    def test_dense_fallback_covariance(self):
-        # at H = 0.85, M = 4 the circulant embedding (0 at lag M) has a
-        # negative eigenvalue, so the sampler takes the dense Cholesky route
-        H, T, M = 0.85, 1.0, 4
-        k = np.arange(M)
-        gamma = 0.5 * ((k + 1.0) ** (2 * H) + np.abs(k - 1.0) ** (2 * H)
-                       - 2.0 * k ** (2 * H))
-        eig = np.fft.fft(np.concatenate([gamma, [0.0], gamma[-1:0:-1]])).real
-        assert eig.min() < -1e-2 * eig.max()
-        check_covariance(H, T, M, [(1, 1), (2, 1), (3, 2), (4, 2), (4, 4)],
-                         seed0=60_000)
+    def test_embedding_nonnegative_on_grid(self):
+        # the circulant row gamma(0..M), gamma(M-1..1) of fGn has no negative
+        # eigenvalue, so the sampler never raises on this grid
+        for H in np.arange(1, 100) / 100:
+            for M in 2 ** np.arange(1, 13):
+                k = np.arange(M + 1)
+                gamma = 0.5 * ((k + 1.0) ** (2 * H)
+                               + np.abs(k - 1.0) ** (2 * H)
+                               - 2.0 * k ** (2 * H))
+                eig = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
+                assert eig.min() >= -1e-12 * eig.max(), (H, M, eig.min())
+                sample_fbm_path(H, 1, 1.0, int(M), seed=0)
+
+    def test_high_hurst_covariance(self):
+        # high H on a short grid, where a circulant with 0 at lag M has an
+        # eigenvalue of -3.3e-2 of the largest and would not sample exactly
+        check_covariance(0.85, 1.0, 4, [(1, 1), (2, 1), (3, 2), (4, 2),
+                                        (4, 4)], seed0=60_000)
 
     def test_same_seed_bitwise(self):
         a = sample_fbm_path(0.4, 2, 1.0, 256, seed=9)

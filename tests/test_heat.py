@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
 from roughmor import (ArgumentError, Heat1dConfig, build_heat1d,
-                      builtin_coefficient, default_heat1d_config)
+                      default_heat1d_config)
 
 
 def pure_diffusion(n):
@@ -98,45 +96,8 @@ class TestDefaultConfig:
         assert sys_.C.shape == (1, 100)
         np.testing.assert_array_equal(sys_.K, np.eye(2))
 
-    def test_matches_builtin_coefficients(self):
-        # the named coefficient forms reproduce the reference model bitwise
-        cfg = Heat1dConfig(
-            n=100,
-            beta=(builtin_coefficient("constant:0.4"),
-                  builtin_coefficient("constant:-0.2")),
-            gamma=(builtin_coefficient("sin-scaled:4"),
-                   builtin_coefficient("cos-scaled:4")),
-            initial_profile=builtin_coefficient("gaussian-bump:1,0.5,2"),
-            K=np.eye(2))
-        a = build_heat1d(cfg)
-        b = build_heat1d(default_heat1d_config(100))
-        for lhs, rhs in ((a.A, b.A), (a.N[0], b.N[0]), (a.N[1], b.N[1]),
-                         (a.K, b.K), (a.C, b.C), (a.x0, b.x0)):
-            assert np.array_equal(lhs, rhs)
-
     def test_reference_size_default(self):
         assert default_heat1d_config().n == 100
-
-
-class TestBuiltinCoefficient:
-    def test_constant(self):
-        assert builtin_coefficient("constant:0.4") == 0.4
-
-    def test_gaussian_defaults(self):
-        fn = builtin_coefficient("gaussian-bump")
-        assert abs(fn(0.5) - 1.0) <= 1e-15
-        assert abs(fn(0.0) - math.exp(-0.5)) <= 1e-15
-
-    def test_sin_default_amplitude(self):
-        fn = builtin_coefficient("sin-scaled")
-        assert abs(fn(1.0) - math.sin(1.0)) <= 1e-15
-
-    @pytest.mark.parametrize("bad", [
-        "constant", "constant:1,2", "sin-scaled:1,2", "mystery:3",
-        "constant:abc", "gaussian-bump:1,2,3,4"])
-    def test_rejections(self, bad):
-        with pytest.raises(ArgumentError):
-            builtin_coefficient(bad)
 
 
 class TestConfigValidation:
@@ -152,8 +113,3 @@ class TestConfigValidation:
     def test_no_channels(self):
         with pytest.raises(ArgumentError):
             Heat1dConfig(n=4, beta=(), gamma=(), initial_profile=1.0)
-
-    def test_wrong_K_shape(self):
-        with pytest.raises(ArgumentError):
-            Heat1dConfig(n=4, beta=(0.0,), gamma=(0.0,),
-                         initial_profile=1.0, K=np.eye(2))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,16 +136,19 @@ class TestNoiseAndNonlinearity:
             rough_rk_simulate(sys_, zero_path(1.0, 400))
         assert err.value.step >= 1
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_singular_stage_matrix_raises(self):
-        # I - a11 dt A = diag(0, 1 + a11 dt): the first step cannot be solved
+        # I - a11 dt A = diag(0, 1 + a11 dt): the first step cannot be solved;
+        # the caller sees roughmor's error and no warning (scipy's LU warns
+        # on the zero pivot)
         dt = 0.1
         sys_ = BilinearRoughSystem(
             A=np.diag([1.0 / (roughmor.solver.A11 * dt), -1.0]),
             N=(np.zeros((2, 2)),), K=np.eye(1), C=np.eye(2)[:1],
             x0=np.ones(2))
-        with pytest.raises(StepFailureError) as err:
-            rough_rk_simulate(sys_, zero_path(dt, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError) as err:
+                rough_rk_simulate(sys_, zero_path(dt, 1))
         assert err.value.step == 0
 
     def test_newton_failure_raises(self, monkeypatch):
@@ -186,15 +190,14 @@ class TestSmoothProbe:
         sys_ = BilinearRoughSystem(A=np.array([[-1.0]]),
                                    N=(np.zeros((1, 1)),), K=np.eye(1),
                                    C=np.eye(1), x0=np.ones(1))
-        probe = smooth_quadratic_form_probe(sys_, zero_path(1.0, 32), 1.0,
-                                            256)
+        probe = smooth_quadratic_form_probe(sys_, zero_path(1.0, 32), 256)
         assert probe.min_eigenvalue >= -1e-10
 
     def test_scalar_sine_driver(self):
         sys_ = scalar_noise_system(a=-1.0, nu=1.0, x0=1.0)
         path = smooth_path_from_function(
             lambda t: np.array([math.sin(t)]), 0.5, 64)
-        probe = smooth_quadratic_form_probe(sys_, path, 0.5, 512)
+        probe = smooth_quadratic_form_probe(sys_, path, 512)
         assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm
 
     def test_cubic_drift_driver(self):
@@ -206,14 +209,14 @@ class TestSmoothProbe:
                                    drift_nonlinearity=nl)
         path = smooth_path_from_function(
             lambda t: np.array([math.sin(2 * t)]), 0.5, 64)
-        probe = smooth_quadratic_form_probe(sys_, path, 0.5, 512)
+        probe = smooth_quadratic_form_probe(sys_, path, 512)
         assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm
 
     def test_rejects_rough_path_kind(self):
         sys_ = scalar_noise_system()
         path = sample_fbm_path(0.4, 1, 0.5, 64, seed=1)
         with pytest.raises(ArgumentError):
-            smooth_quadratic_form_probe(sys_, path, 0.5, 512)
+            smooth_quadratic_form_probe(sys_, path, 512)
 
 
 class TestErrorNorms:
@@ -254,7 +257,7 @@ class TestErrorNorms:
         # two-stage model on the shared path: relative output error below
         # 1e-8 at every node past the startup transient (measured 3e-11)
         model, _ = heat_pipeline
-        rom = rough_rk_simulate(model, heat_path)
+        rom = rough_rk_simulate(model.system, heat_path)
         series = pointwise_relative_error(heat_full_sim.outputs, rom.outputs,
                                           heat_full_sim.times)
         after = series.times >= 0.05
