@@ -7,21 +7,26 @@ scheme, driven by the time step dt and the driver increment dW of each step:
     z_{k+1} = z_k + (F(Z_1) + F(Z_2)) / 2,
 
 with F(Z) = G Z + dt f(Z), G = A dt + sum_m s_m N_m and s = K^{1/2} dW. Both
-stages have the diagonal entry a11, so one LU factorization per step serves
-both. Newton iteration solves the stages when the drift nonlinearity is
-present. No iterated integrals of the driver enter: the scheme uses
-increments only. The integrator takes a BilinearRoughSystem; a reduced
-model enters as its ``system``.
+stages have the diagonal entry a11, so one band LU factorization of
+I - a11 G per step serves both; its bandwidth is the widest lower and upper
+bandwidth among A and the N_m, so a step of a tridiagonal model costs O(n).
+Newton iteration solves the stages when the drift nonlinearity is present.
+No iterated integrals of the driver enter: the scheme uses increments only.
+The integrator takes a BilinearRoughSystem; a reduced model enters as its
+``system``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import bandwidth
+# dgbtrf is bound as lu_factor: the one factorization of each step, under
+# the name the benchmark's tracer hooks
+from scipy.linalg.lapack import dgbtrf as lu_factor, dgbtrs
 
 from .errors import (ArgumentError, GuardedScalar, IntegrationOverflowError,
                      StepFailureError)
@@ -54,12 +59,14 @@ def rough_rk_simulate(model: BilinearRoughSystem,
                       path: DriverPath) -> SimulationResult:
     """Integrate the system along the path with the Crouzeix DIRK scheme.
 
-    Each step consumes the time step dt and the driver increment dW_k. Stage
-    systems are solved by LU for f = 0 and by Newton with the analytic
-    Jacobian I - a11 (G + dt (g(Z) I + Z grad_g(Z)^T)) otherwise. Raises
-    StepFailureError on a singular stage matrix or a non-convergent Newton
-    iteration, naming the step; scipy's warning on an exactly singular LU
-    is silenced, since that error reports it.
+    Each step consumes the time step dt and the driver increment dW_k. The
+    stage matrix I - a11 G is kept and factored in band storage, with the
+    lower and upper bandwidth of G read once from A and the N_m: a step of
+    the tridiagonal heat model costs O(n), a dense model is the full band.
+    Stage systems are solved by that band LU for f = 0 and by Newton with
+    the analytic Jacobian I - a11 (G + dt (g(Z) I + Z grad_g(Z)^T)), a dense
+    matrix, otherwise. Raises StepFailureError on a singular stage matrix
+    or a non-convergent Newton iteration, naming the step.
     """
     if path.d != model.d:
         raise ArgumentError(
@@ -69,8 +76,25 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     dt = (path.T - path.t0) / M
     dW = np.diff(path.values, axis=0)
     nl = model.drift_nonlinearity
-    eye = np.eye(n)
     eps = np.finfo(float).eps
+
+    # Row i of an (n, kl+ku+1) band array holds G[i, i-kl : i+ku+1], zero
+    # outside G. Its transpose is G^T in LAPACK band storage, so G Z is a dot
+    # of each row with a sliding window of Z, and the stages solve with the
+    # factors of (I - a11 G)^T, whose lower and upper bandwidths are ku, kl.
+    kl, ku = np.max([bandwidth(X) for X in (model.A, *model.N)], axis=0)
+    width = kl + ku + 1
+    bands = np.stack([_band_rows(X, kl, ku).ravel()
+                      for X in (model.A, *model.N)])
+    coef = np.empty(model.d + 1)
+    coef[0] = dt
+    z_pad = np.zeros(n + width - 1)
+    windows = sliding_window_view(z_pad, width)
+    ab = np.empty((n, ku + width))
+
+    def apply_G(Z):
+        z_pad[kl:kl + n] = Z
+        return np.vecdot(G_rows, windows)
 
     states = np.empty((M + 1, n))
     states[0] = model.x0
@@ -79,17 +103,17 @@ def rough_rk_simulate(model: BilinearRoughSystem,
 
     def stage(c):
         # one stage of step k: solve Z = c + a11 (G Z + dt f(Z)) with the
-        # step's G and LU, and return G Z + dt f(Z)
+        # step's band LU, and return G Z + dt f(Z)
         nonlocal max_newton, max_lin_res
         if not np.all(np.isfinite(c)):
             raise IntegrationOverflowError(
                 f"state overflowed at step {k + 1} of {M}", step=k + 1)
-        Z = lu_solve(lu, c)
+        Z = dgbtrs(lu, ku, kl, c, piv, trans=1)[0]
         if nl is not None:
             Z, iters = _newton_stage(model, G, dt, c, Z, k)
             max_newton = max(max_newton, iters)
             return G @ Z + dt * drift_f(model, Z)
-        GZ = G @ Z
+        GZ = apply_G(Z)
         with np.errstate(over="ignore", invalid="ignore"):
             res = np.linalg.norm(Z - A11 * GZ - c)
             res /= max(1.0, np.linalg.norm(c))
@@ -97,34 +121,47 @@ def rough_rk_simulate(model: BilinearRoughSystem,
             max_lin_res = max(max_lin_res, res)
         return GZ
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
-        for k in range(M):
-            s_vec = model.K_sqrt @ dW[k]
-            G = model.A * dt
-            for m_i in range(model.d):
-                G = G + s_vec[m_i] * model.N[m_i]
-            z = states[k]
-            # a11 = a22, so both stages share the matrix I - a11 G and one LU
-            Mstage = eye - A11 * G
-            lu = lu_factor(Mstage)
-            if np.abs(np.diag(lu[0])).min() <= \
-                    eps * n * np.linalg.norm(Mstage, 1):
-                raise StepFailureError(
-                    f"singular stage matrix at step {k} (diagonal "
-                    f"a = {A11:.6g}); consider refining the grid", step=k)
-            F1 = stage(z)
-            F2 = stage(z + A21 * F1)
-            z_next = z + B1 * F1 + B2 * F2
-            if not np.all(np.isfinite(z_next)):
-                raise IntegrationOverflowError(
-                    f"state overflowed at step {k + 1} of {M}", step=k + 1)
-            states[k + 1] = z_next
+    for k in range(M):
+        coef[1:] = model.K_sqrt @ dW[k]
+        G_rows = (coef @ bands).reshape(n, width)
+        if nl is not None:
+            G = model.A * dt + sum(s * N for s, N in zip(coef[1:], model.N))
+        # a11 = a22, so both stages share the matrix I - a11 G and one LU;
+        # ab.T is its transpose in band storage, whose first ku rows take
+        # the fill-in
+        ab[:, :ku] = 0.0
+        np.multiply(G_rows, -A11, out=ab[:, ku:])
+        ab[:, ku + kl] += 1.0
+        # the 1-norm of the factored (I - a11 G)^T, from its band columns
+        norm = np.abs(ab[:, ku:]).sum(axis=1).max()
+        lu, piv, _ = lu_factor(ab.T, ku, kl, overwrite_ab=1)
+        if np.abs(lu[kl + ku]).min() <= eps * n * norm:
+            raise StepFailureError(
+                f"singular stage matrix at step {k} (diagonal "
+                f"a = {A11:.6g}); consider refining the grid", step=k)
+        z = states[k]
+        F1 = stage(z)
+        F2 = stage(z + A21 * F1)
+        z_next = z + B1 * F1 + B2 * F2
+        if not np.all(np.isfinite(z_next)):
+            raise IntegrationOverflowError(
+                f"state overflowed at step {k + 1} of {M}", step=k + 1)
+        states[k + 1] = z_next
 
     outputs = states @ model.C.T
     return SimulationResult(times=path.times, states=states, outputs=outputs,
                             max_newton_iterations=max_newton,
                             max_linear_residual=max_lin_res)
+
+
+def _band_rows(X, kl, ku):
+    """Row i holds X[i, i-kl : i+ku+1], with zeros outside X."""
+    n = len(X)
+    rows = np.zeros((n, kl + ku + 1))
+    for t in range(kl + ku + 1):
+        offset = t - kl
+        rows[max(0, -offset):n - max(0, offset), t] = np.diagonal(X, offset)
+    return rows
 
 
 def _newton_stage(sys, G, dt, c, Z, k):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import roughmor.solver
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
@@ -151,6 +152,22 @@ class TestNoiseAndNonlinearity:
                 rough_rk_simulate(sys_, zero_path(dt, 1))
         assert err.value.step == 0
 
+    def test_numerically_singular_tridiagonal_stage_matrix_raises(self):
+        # I - a11 dt A = tridiag(-0.98, -0.15, 2.01) at n = 120 has condition
+        # number 3e16, yet the pivots of its partially pivoted LU stay near
+        # 1; those of its transpose expose it
+        n, dt = 120, 0.1
+        stage_matrix = (np.diag(np.full(n, -0.15))
+                        + np.diag(np.full(n - 1, -0.98), -1)
+                        + np.diag(np.full(n - 1, 2.01), 1))
+        sys_ = BilinearRoughSystem(
+            A=(np.eye(n) - stage_matrix) / (roughmor.solver.A11 * dt),
+            N=(np.zeros((n, n)),), K=np.eye(1), C=np.eye(n)[:1],
+            x0=np.ones(n))
+        with pytest.raises(StepFailureError) as err:
+            rough_rk_simulate(sys_, zero_path(dt, 1))
+        assert err.value.step == 0
+
     def test_newton_failure_raises(self, monkeypatch):
         # no Newton iteration allowed: the linear guess misses the cubic
         # drift, so the first stage fails with its residual attached
@@ -167,6 +184,65 @@ class TestNoiseAndNonlinearity:
         assert err.value.step == 0
         assert err.value.residual > roughmor.solver.NEWTON_TOL
         assert "Newton did not converge" in str(err.value)
+
+
+def dense_crouzeix_states(sys_, path):
+    # the scheme written with dense solves of I - a11 G, no band storage
+    n = sys_.n
+    dt = (path.T - path.t0) / path.M
+    z = sys_.x0.copy()
+    states = [z]
+    for dw in np.diff(path.values, axis=0):
+        s = sys_.K_sqrt @ dw
+        G = sys_.A * dt + sum(s_m * N_m for s_m, N_m in zip(s, sys_.N))
+        stage_matrix = np.eye(n) - roughmor.solver.A11 * G
+        F1 = G @ np.linalg.solve(stage_matrix, z)
+        F2 = G @ np.linalg.solve(stage_matrix, z + roughmor.solver.A21 * F1)
+        z = z + 0.5 * (F1 + F2)
+        states.append(z)
+    return np.array(states)
+
+
+class TestBandStorage:
+    @staticmethod
+    def banded_system():
+        # A has two subdiagonals and one superdiagonal, N_1 one
+        # subdiagonal, N_2 one superdiagonal: G has bandwidth (2, 1)
+        rng = np.random.default_rng(21)
+        n = 9
+
+        def band(offsets, scale):
+            return sum(np.diag(scale * rng.standard_normal(n - abs(o)), o)
+                       for o in offsets)
+
+        A = band((-2, -1, 1), 0.5) - 3.0 * np.eye(n)
+        N = (band((-1, 0), 0.4), band((0, 1), 0.4))
+        return BilinearRoughSystem(A=A, N=N, K=np.eye(2),
+                                   C=rng.standard_normal((1, n)),
+                                   x0=rng.standard_normal(n))
+
+    def test_asymmetric_band_matches_dense_reference(self):
+        sys_ = self.banded_system()
+        assert scipy.linalg.bandwidth(
+            sys_.A + sys_.N[0] + sys_.N[1]) == (2, 1)
+        path = sample_fbm_path(0.4, 2, 1.0, 64, seed=22)
+        ref = dense_crouzeix_states(sys_, path)
+        res = rough_rk_simulate(sys_, path)
+        assert np.abs(res.states - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_dense_similar_system_matches_dense_reference(self):
+        sys_ = self.banded_system()
+        Q, _ = np.linalg.qr(np.random.default_rng(23).standard_normal(
+            (sys_.n, sys_.n)))
+        dense = BilinearRoughSystem(
+            A=Q.T @ sys_.A @ Q, N=tuple(Q.T @ N @ Q for N in sys_.N),
+            K=sys_.K, C=sys_.C @ Q, x0=Q.T @ sys_.x0)
+        path = sample_fbm_path(0.4, 2, 1.0, 64, seed=22)
+        ref = dense_crouzeix_states(dense, path)
+        res = rough_rk_simulate(dense, path)
+        assert np.abs(res.states - ref).max() <= 1e-12 * np.abs(ref).max()
+        np.testing.assert_allclose(res.outputs, rough_rk_simulate(
+            sys_, path).outputs, rtol=1e-12, atol=0)
 
 
 class TestSelfConvergence:
