@@ -365,6 +365,10 @@ def run_exact_reduction(cfg: RunConfig) -> int:
             "q_iterations": meta.q_iterations,
             "q_residual": meta.q_residual,
             "q_backward_error": meta.q_backward_error,
+            "p_gate_rho": meta.p_gate_rho,
+            "p_gate_solves": meta.p_gate_solves,
+            "q_gate_rho": meta.q_gate_rho,
+            "q_gate_solves": meta.q_gate_solves,
         },
         solver={
             "max_newton_iterations_full": full.max_newton_iterations,
@@ -526,7 +530,9 @@ def run_gramian(cfg: RunConfig) -> int:
                            run.path(f"gramian_spectrum_{suffix}.csv"))
         report[side] = {"residual": G.residual,
                         "backward_error": G.backward_error,
-                        "iterations": G.iterations, "numerical_rank": rank}
+                        "iterations": G.iterations, "numerical_rank": rank,
+                        "gate_rho": G.gate_rho,
+                        "gate_solves": G.gate_solves}
         print(f"{side + ':':6} residual {G.residual:.3e}, backward error "
               f"{G.backward_error:.3e} after {G.iterations} GMRES "
               f"iterations, numerical rank {rank} at tol {tol:g}")

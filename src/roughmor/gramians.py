@@ -7,10 +7,10 @@ trapezoid on the same grid. Infinite-horizon Gramians solve
     0 = x0 x0^T + L(P),        0 = C^T C + L*(Q)
 
 by GMRES on the equation preconditioned with a standard Lyapunov solve, whose
-real Schur factorization is cached, and accept a solution by its normwise
-backward error. The observability side reuses the reach solver on the
-transposed data: L* of a system is L of the system with A and every N_i
-transposed.
+real Schur factorization the stability check builds and the solve reuses,
+and accept a solution by its normwise backward error. The observability side
+reuses the reach solver on the transposed data: L* of a system is L of the
+system with A and every N_i transposed.
 
 An independent Euler-Maruyama Monte-Carlo estimator of E[x x^T] serves as a
 statistical oracle for both routes; it shares no code with them.
@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (ArgumentError, CapabilityError, ConvergenceError,
                      GuardedScalar, IntegrationOverflowError, StabilityError)
-from ._lyap import SchurLyapunov
 from ._util import atomic_write_text, csv_text
 from .system import (BilinearRoughSystem, is_mean_square_stable,
                      lyapunov_matrix_representation, noise_part)
@@ -60,9 +59,11 @@ class GramianResult:
     ``residual`` is the relative Frobenius residual of the defining equation
     (for finite horizons: the integrated-ODE identity Z(T) = Z(0) + L(P_T)).
     ``backward_error`` is the normwise backward error by which algebraic
-    solves are accepted (None for finite horizons). The matrix is stored as
-    given: round-off may leave eigenvalues slightly below zero, and
-    truncation drops every eigenvalue that is not positive.
+    solves are accepted, and ``gate_rho`` and ``gate_solves`` the splitting
+    spectral radius and solve count of their stability check (all None for
+    finite horizons). The matrix is stored as given: round-off may leave
+    eigenvalues slightly below zero, and truncation drops every eigenvalue
+    that is not positive.
     """
 
     matrix: np.ndarray
@@ -71,6 +72,8 @@ class GramianResult:
     iterations: int
     horizon: float
     backward_error: Optional[float] = None
+    gate_rho: Optional[float] = None
+    gate_solves: Optional[int] = None
     trajectory: Optional[np.ndarray] = field(default=None, repr=False,
                                              compare=False)
     times: Optional[np.ndarray] = field(default=None, repr=False,
@@ -188,7 +191,8 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
     result as a diagnostic.
 
     Requires mean-square stability (is_mean_square_stable); StabilityError
-    otherwise.
+    otherwise. The solve reuses the check's Schur factorization of A, on the
+    obs side transposed, so it factors A once.
     """
     A, N, rhs = _side_data(sys, side)
     report = is_mean_square_stable(sys)
@@ -202,11 +206,12 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
 
     kind = (GramianKind.REACH_INFINITE if side == "reach"
             else GramianKind.OBS_INFINITE)
+    gate = dict(gate_rho=report.rho, gate_solves=report.solves)
     if np.linalg.norm(rhs) == 0.0:
         return GramianResult(matrix=np.zeros_like(A), kind=kind,
                              residual=0.0, iterations=0, horizon=math.inf,
-                             backward_error=0.0)
-    cache = SchurLyapunov(A)
+                             backward_error=0.0, **gate)
+    cache = report.lyap if side == "reach" else report.lyap.transposed()
     b = cache.solve_neg(rhs)
     beta = np.linalg.norm(b)
     # Arnoldi with modified Gram-Schmidt on full n x n Krylov matrices
@@ -239,7 +244,7 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
             residual=eta, iterations=iterations)
     return GramianResult(matrix=P, kind=kind, residual=res,
                          iterations=iterations, horizon=math.inf,
-                         backward_error=eta)
+                         backward_error=eta, **gate)
 
 
 DENSE_CROSS_CHECK_MAX_ORDER = 30

@@ -191,10 +191,11 @@ class TwoStageMetadata:
     """Orders and solver diagnostics of a two-stage run.
 
     ``*_residual`` and ``*_backward_error`` are the relative residual and the
-    backward error of each Gramian solve. ``p_spectrum`` holds the full
-    descending spectrum of the reachability Gramian; ``q_spectrum`` the
-    spectrum of the stage-2 observability Gramian (None when stage 2 was
-    skipped).
+    backward error of each Gramian solve, ``*_gate_rho`` and ``*_gate_solves``
+    the splitting spectral radius and solve count of its stability check.
+    ``p_spectrum`` holds the full descending spectrum of the reachability
+    Gramian; ``q_spectrum`` the spectrum of the stage-2 observability
+    Gramian (None when stage 2 was skipped).
     """
 
     parent_order: int
@@ -207,6 +208,10 @@ class TwoStageMetadata:
     q_residual: Optional[float] = None
     p_backward_error: Optional[float] = None
     q_backward_error: Optional[float] = None
+    p_gate_rho: Optional[float] = None
+    p_gate_solves: Optional[int] = None
+    q_gate_rho: Optional[float] = None
+    q_gate_solves: Optional[int] = None
     obs_stage_skipped: bool = False
     notice: Optional[str] = None
     p_spectrum: Optional[np.ndarray] = field(default=None, repr=False,
@@ -248,7 +253,8 @@ def two_stage_reduce(
         meta = TwoStageMetadata(
             parent_order=sys.n, orders=(sys.n, stage1.r), tol_P=tol_P,
             tol_Q=tol_Q, p_iterations=P.iterations, p_residual=P.residual,
-            p_backward_error=P.backward_error, obs_stage_skipped=True,
+            p_backward_error=P.backward_error, p_gate_rho=P.gate_rho,
+            p_gate_solves=P.gate_solves, obs_stage_skipped=True,
             notice="observability stage skipped: drift nonlinearity present "
                    "(stage 2 requires f = 0)",
             p_spectrum=basis_P.full_spectrum)
@@ -270,6 +276,8 @@ def two_stage_reduce(
         tol_Q=tol_Q, p_iterations=P.iterations, p_residual=P.residual,
         q_iterations=Q.iterations, q_residual=Q.residual,
         p_backward_error=P.backward_error, q_backward_error=Q.backward_error,
+        p_gate_rho=P.gate_rho, p_gate_solves=P.gate_solves,
+        q_gate_rho=Q.gate_rho, q_gate_solves=Q.gate_solves,
         p_spectrum=basis_P.full_spectrum,
         q_spectrum=stage2.basis.full_spectrum)
     return final, meta

@@ -135,10 +135,16 @@ def rough_rk_simulate(model: BilinearRoughSystem,
         # the 1-norm of the factored (I - a11 G)^T, from its band columns
         norm = np.abs(ab[:, ku:]).sum(axis=1).max()
         lu, piv, _ = lu_factor(ab.T, ku, kl, overwrite_ab=1)
-        if np.abs(lu[kl + ku]).min() <= eps * n * norm:
+        pivot = np.abs(lu[kl + ku]).min()
+        if pivot <= eps * n * norm:
             raise StepFailureError(
-                f"singular stage matrix at step {k} (diagonal "
-                f"a = {A11:.6g}); consider refining the grid", step=k)
+                f"singular stage matrix I - a G at step {k} (a = {A11:.6g}, "
+                f"smallest LU pivot {pivot:.3e} against 1-norm {norm:.3e}): "
+                "G = A dt + sum_m s_m N_m has an eigenvalue at 1/a to "
+                "working precision for this step's dt and driver increments "
+                "s_m, and a finer grid need not help: the s_m shrink like "
+                "dt^H, more slowly than dt",
+                step=k)
         z = states[k]
         F1 = stage(z)
         F2 = stage(z + A21 * F1)

@@ -26,9 +26,13 @@ from .errors import ArgumentError, CapabilityError
 from ._lyap import SchurLyapunov
 
 DENSE_THRESHOLD = 10_000
-# power iteration of is_mean_square_stable: relative change at which it stops
+# Arnoldi of is_mean_square_stable stops once the dominant Ritz pair's
+# residual estimate falls to this fraction of the Ritz value
 STABILITY_TOL = 1e-8
+# cap on the Lyapunov solves of one stability check
 STABILITY_MAX_ITER = 500
+# the Arnoldi loop restarts after this many steps
+_ARNOLDI_RESTART = 20
 
 
 @dataclass(frozen=True)
@@ -143,10 +147,15 @@ class StabilityReport:
 
     ``rho`` is the spectral radius of X -> -L_A^{-1}(Pi(X)) (stable iff
     rho < 1), or None when A is not Hurwitz and the noise part never enters.
+    ``solves`` counts the Lyapunov solves the estimate took. ``lyap`` is the
+    Schur factorization of A the check built, for the Gramian solve to
+    reuse.
     """
 
     is_mean_square_stable: bool
     rho: Optional[float]
+    solves: int
+    lyap: SchurLyapunov = field(compare=False, repr=False)
 
 
 def noise_part(X, N, K):
@@ -206,10 +215,17 @@ def is_mean_square_stable(sys: BilinearRoughSystem) -> StabilityReport:
     """Classify mean-square asymptotic stability (lambda(L) in the open left
     half plane).
 
-    Checks that A is Hurwitz, then runs a power iteration on
-    X -> -L_A^{-1}(Pi(X)), whose spectral radius is < 1 exactly when L is
-    stable. Matrix-free: one cached-Schur Lyapunov solve per iteration, so
-    the n^2 x n^2 representation is never formed.
+    Checks that A is Hurwitz, then estimates the spectral radius of
+    X -> -L_A^{-1}(Pi(X)), which is < 1 exactly when L is stable, by
+    Arnoldi with modified Gram-Schmidt on n x n matrices (Stewart, SIMAX
+    2001), started from the positive definite I / sqrt(n). The operator is
+    resolvent positive, so its dominant eigenvalue is real and has a PSD
+    eigenvector (Damm, LNCIS 297, 2004): every _ARNOLDI_RESTART steps the
+    loop restarts from the real part of the dominant Ritz vector. It stops
+    when that Ritz pair's residual estimate h_{k+1,k} |e_k^T s| is at most
+    STABILITY_TOL |theta|, on breakdown, or after STABILITY_MAX_ITER solves.
+    Matrix-free: one cached-Schur Lyapunov solve per step, so the n^2 x n^2
+    representation is never formed.
     """
     lyap = SchurLyapunov(sys.A)
     # The abscissa of L dominates twice the abscissa of A, so a non-Hurwitz
@@ -218,21 +234,39 @@ def is_mean_square_stable(sys: BilinearRoughSystem) -> StabilityReport:
     # diagonal entries, which are the real part of its eigenvalue pair, so
     # the diagonal of T carries Re(lambda(A)).
     if float(np.diag(lyap.T).max()) >= 0.0:
-        return StabilityReport(is_mean_square_stable=False, rho=None)
-    X = np.eye(sys.n) / math.sqrt(sys.n)
-    rho = 0.0
-    for _ in range(STABILITY_MAX_ITER):
-        Y = lyap.solve_neg(noise_part(X, sys.N, sys.K))
-        lam = float(np.linalg.norm(Y))
-        if lam == 0.0:
-            rho = 0.0
-            break
-        if abs(lam - rho) <= STABILITY_TOL * lam:
-            rho = lam
-            break
-        rho = lam
-        X = Y / lam
-    return StabilityReport(is_mean_square_stable=rho < 1.0, rho=rho)
+        return StabilityReport(is_mean_square_stable=False, rho=None,
+                               solves=0, lyap=lyap)
+    eps = np.finfo(float).eps
+    v = np.eye(sys.n) / math.sqrt(sys.n)
+    solves = 0
+    done = False
+    while not done:
+        basis = [v]
+        H = np.zeros((_ARNOLDI_RESTART + 1, _ARNOLDI_RESTART))
+        for j in range(_ARNOLDI_RESTART):
+            w = lyap.solve_neg(noise_part(basis[j], sys.N, sys.K))
+            solves += 1
+            w_norm = np.linalg.norm(w)
+            for i, u in enumerate(basis):
+                H[i, j] = np.vdot(u, w)
+                w -= H[i, j] * u
+            H[j + 1, j] = np.linalg.norm(w)
+            # eig returns eigenvectors of unit 2-norm
+            theta, S = np.linalg.eig(H[:j + 1, :j + 1])
+            k = int(np.argmax(np.abs(theta)))
+            rho = float(abs(theta[k]))
+            done = (H[j + 1, j] * abs(S[j, k]) <= STABILITY_TOL * rho
+                    or H[j + 1, j] <= eps * w_norm
+                    or solves == STABILITY_MAX_ITER)
+            if done:
+                break
+            if j + 1 < _ARNOLDI_RESTART:
+                basis.append(w / H[j + 1, j])
+        else:
+            v = sum(s.real * u for s, u in zip(S[:, k], basis))
+            v /= np.linalg.norm(v)
+    return StabilityReport(is_mean_square_stable=rho < 1.0, rho=rho,
+                           solves=solves, lyap=lyap)
 
 
 def positivity_scale(sys: BilinearRoughSystem) -> float:

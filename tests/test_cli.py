@@ -54,6 +54,10 @@ class TestReduce:
         assert summary["status"] == "ok"
         assert summary["relative_l2_error"] <= 1e-10
         assert not summary["error_is_absolute"]
+        gramian = summary["gramian"]
+        for side in ("p", "q"):
+            assert 0.0 < gramian[f"{side}_gate_rho"] < 1.0
+            assert gramian[f"{side}_gate_solves"] > 0
         for name in ("config.txt", "driver_path.csv", "gramian_spectrum_p.csv",
                      "gramian_spectrum_q.csv", "stage_metadata.csv",
                      "output_full.csv", "output_reduced.csv",
@@ -134,6 +138,11 @@ class TestGramian:
         assert (out / "gramian_spectrum_p.csv").exists()
         assert (out / "gramian_spectrum_q.csv").exists()
         assert "numerical rank" in capsys.readouterr().out
+        summary = read_summary(out)
+        # both sides gate the same system
+        assert summary["reach"]["gate_rho"] == summary["obs"]["gate_rho"]
+        assert 0.0 < summary["reach"]["gate_rho"] < 1.0
+        assert summary["obs"]["gate_solves"] > 0
 
     def test_spectrum_csv_matches_rank(self, tmp_path):
         # the CSV and numerical_rank come from one eigendecomposition, so the

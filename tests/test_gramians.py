@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import roughmor._lyap
 from roughmor import (DEFAULT_TOL_P, ArgumentError, BilinearRoughSystem,
                       ConvergenceError, GramianKind, StabilityError,
                       build_heat1d, default_heat1d_config, gramian_residual,
@@ -142,6 +143,25 @@ class TestAlgebraicGramian:
         res = solve_algebraic_gramian(sys_, "reach")
         np.testing.assert_allclose(res.matrix, np.ones((2, 2)) / 0.01,
                                    rtol=1e-10)
+
+    def test_one_schur_per_solve(self, monkeypatch):
+        # the solve reuses the stability check's factorization of A, on the
+        # obs side transposed
+        calls = []
+        schur = roughmor._lyap.schur
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(roughmor._lyap, "schur", counting)
+        sys_ = build_heat1d(default_heat1d_config(30))
+        for side in ("reach", "obs"):
+            calls.clear()
+            res = solve_algebraic_gramian(sys_, side)
+            assert len(calls) == 1
+            assert res.backward_error <= BACKWARD_ERROR_BOUND
+            assert 0.0 < res.gate_rho < 1.0 and res.gate_solves > 0
 
     def test_rejects_unknown_side(self):
         with pytest.raises(ArgumentError):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+import roughmor.system
 from roughmor import (ArgumentError, BilinearRoughSystem, CapabilityError,
                       DriftNonlinearity, apply_lyapunov,
-                      apply_lyapunov_adjoint, drift_f, is_mean_square_stable,
+                      apply_lyapunov_adjoint, build_heat1d,
+                      default_heat1d_config, drift_f, is_mean_square_stable,
                       lyapunov_matrix_representation, positivity_scale,
                       resolvent_positivity_probe)
 from roughmor._fixtures import mild_stable_system, scalar_noise_system, \
     unstable_system
+from roughmor._lyap import SchurLyapunov
 
 
 def kron_operator(A, N, K):
@@ -157,12 +160,28 @@ class TestStability:
         assert abs(dense_abscissa(sys_) - 1.0) <= 1e-12
 
     def test_iterative_agrees_with_dense(self):
-        for seed in (2, 3, 4, 5):
-            sys_ = mild_stable_system(5, 2, seed=seed)
+        # the n = 10 operator needs more Arnoldi steps than one restart cycle
+        systems = [mild_stable_system(5, 2, seed=seed) for seed in (2, 3, 4, 5)]
+        systems.append(mild_stable_system(10, 2, seed=0))
+        for sys_ in systems:
             it = is_mean_square_stable(sys_)
             assert (dense_abscissa(sys_) < 0.0) == it.is_mean_square_stable
             assert it.rho is not None and it.rho < 1.0
             assert abs(it.rho - splitting_radius(sys_)) <= 1e-6 * it.rho
+        assert it.solves > roughmor.system._ARNOLDI_RESTART
+
+    def test_heat_gate_solve_count(self, monkeypatch):
+        calls = []
+        solve = SchurLyapunov.solve_neg
+
+        def counting(self, Q):
+            calls.append(1)
+            return solve(self, Q)
+
+        monkeypatch.setattr(SchurLyapunov, "solve_neg", counting)
+        report = is_mean_square_stable(build_heat1d(default_heat1d_config(100)))
+        assert report.is_mean_square_stable
+        assert report.solves == len(calls) <= 12
 
     def test_iterative_rejects_non_hurwitz_drift(self):
         report = is_mean_square_stable(unstable_system())
