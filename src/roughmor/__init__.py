@@ -8,7 +8,8 @@ driver the output of the reduced model then coincides with the full one up
 to round-off. The pieces:
 
 - ``system``: the model container, the Lyapunov operator of the second
-  moment flow, and a matrix-free mean-square stability check.
+  moment flow and its adjoint, and a matrix-free mean-square stability
+  check.
 - ``gramians``: algebraic Gramians by Lyapunov-preconditioned GMRES,
   accepted by their backward error, finite horizon Gramians by integrating
   the moment ODE, and a Monte Carlo cross-check.
@@ -28,10 +29,10 @@ from .errors import (ArgumentError, CapabilityError, ConvergenceError,
                      IntegrationOverflowError, NumericalError,
                      PreconditionError, RoughmorError, StabilityError,
                      StepFailureError)
-from .system import (BilinearRoughSystem, DriftNonlinearity, StabilityReport,
-                     apply_lyapunov, apply_lyapunov_adjoint, drift_f,
-                     is_mean_square_stable, lyapunov_matrix_representation,
-                     positivity_scale, resolvent_positivity_probe)
+from .system import (BilinearRoughSystem, DriftNonlinearity,
+                     LyapunovOperator, StabilityReport, drift_f,
+                     is_mean_square_stable, positivity_scale,
+                     resolvent_positivity_probe)
 from .drivers import (DriverKind, DriverPath, coarsen_path,
                       piecewise_linear_derivative, read_path_csv,
                       sample_fbm_path, smooth_path_from_function,
@@ -60,9 +61,8 @@ __all__ = [
     "ArgumentError", "CapabilityError", "ConvergenceError", "EmptyBasisError",
     "GuardedScalar", "IntegrationOverflowError", "NumericalError",
     "PreconditionError", "RoughmorError", "StabilityError", "StepFailureError",
-    "BilinearRoughSystem", "DriftNonlinearity", "StabilityReport",
-    "apply_lyapunov", "apply_lyapunov_adjoint", "drift_f",
-    "is_mean_square_stable", "lyapunov_matrix_representation",
+    "BilinearRoughSystem", "DriftNonlinearity", "LyapunovOperator",
+    "StabilityReport", "drift_f", "is_mean_square_stable",
     "positivity_scale", "resolvent_positivity_probe",
     "DriverKind", "DriverPath", "coarsen_path", "piecewise_linear_derivative",
     "read_path_csv", "sample_fbm_path", "smooth_path_from_function",

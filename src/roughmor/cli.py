@@ -324,6 +324,11 @@ class _Run:
             self.cfg, status, artifacts=self.artifacts, **payload))
 
 
+# the GramianResult attributes that summary.json reports for each solve
+_GRAMIAN_KEYS = ("iterations", "residual", "backward_error", "gate_rho",
+                 "gate_solves")
+
+
 def run_exact_reduction(cfg: RunConfig) -> int:
     run = _Run(cfg)
     model_sys = build_model(cfg)
@@ -358,18 +363,9 @@ def run_exact_reduction(cfg: RunConfig) -> int:
         orders=list(meta.orders),
         relative_l2_error=float(rel),
         error_is_absolute=rel.is_absolute,
-        gramian={
-            "p_iterations": meta.p_iterations,
-            "p_residual": meta.p_residual,
-            "p_backward_error": meta.p_backward_error,
-            "q_iterations": meta.q_iterations,
-            "q_residual": meta.q_residual,
-            "q_backward_error": meta.q_backward_error,
-            "p_gate_rho": meta.p_gate_rho,
-            "p_gate_solves": meta.p_gate_solves,
-            "q_gate_rho": meta.q_gate_rho,
-            "q_gate_solves": meta.q_gate_solves,
-        },
+        gramian={f"{prefix}_{key}": None if G is None else getattr(G, key)
+                 for prefix, G in (("p", meta.P), ("q", meta.Q))
+                 for key in _GRAMIAN_KEYS},
         solver={
             "max_newton_iterations_full": full.max_newton_iterations,
             "max_newton_iterations_reduced": reduced.max_newton_iterations,
@@ -528,11 +524,8 @@ def run_gramian(cfg: RunConfig) -> int:
             spectrum, rank = exc.spectrum, 0
         write_spectrum_csv(spectrum,
                            run.path(f"gramian_spectrum_{suffix}.csv"))
-        report[side] = {"residual": G.residual,
-                        "backward_error": G.backward_error,
-                        "iterations": G.iterations, "numerical_rank": rank,
-                        "gate_rho": G.gate_rho,
-                        "gate_solves": G.gate_solves}
+        report[side] = {"numerical_rank": rank,
+                        **{key: getattr(G, key) for key in _GRAMIAN_KEYS}}
         print(f"{side + ':':6} residual {G.residual:.3e}, backward error "
               f"{G.backward_error:.3e} after {G.iterations} GMRES "
               f"iterations, numerical rank {rank} at tol {tol:g}")

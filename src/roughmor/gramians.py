@@ -8,12 +8,13 @@ trapezoid on the same grid. Infinite-horizon Gramians solve
 
 by GMRES on the equation preconditioned with a standard Lyapunov solve, whose
 real Schur factorization the stability check builds and the solve reuses,
-and accept a solution by its normwise backward error. The observability side
-reuses the reach solver on the transposed data: L* of a system is L of the
-system with A and every N_i transposed.
+and accept a solution by its normwise backward error. Every route evaluates
+its side's equation through system.LyapunovOperator, which holds the
+transposed data on the observability side.
 
 An independent Euler-Maruyama Monte-Carlo estimator of E[x x^T] serves as a
-statistical oracle for both routes; it shares no code with them.
+statistical oracle for both routes; it takes only the side's A and N_i from
+the operator and shares no arithmetic with the routes.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ArgumentError, CapabilityError, ConvergenceError,
-                     GuardedScalar, IntegrationOverflowError, StabilityError)
+from .errors import (ArgumentError, ConvergenceError, GuardedScalar,
+                     IntegrationOverflowError, StabilityError)
 from ._util import atomic_write_text, csv_text
-from .system import (BilinearRoughSystem, is_mean_square_stable,
-                     lyapunov_matrix_representation, noise_part)
+from .system import (BilinearRoughSystem, LyapunovOperator,
+                     is_mean_square_stable)
 
 GMRES_MAX_ITER = 500
 # GMRES stops when its residual estimate falls to this fraction of the
@@ -98,16 +99,6 @@ class GramianResult:
         object.__setattr__(self, "kind", kind)
 
 
-def _side_data(sys: BilinearRoughSystem, side: str):
-    """(A', N', rhs) such that the reach-side equations on the primed data
-    realize the requested side; obs transposes A and every N_i."""
-    if side == "reach":
-        return sys.A, sys.N, np.outer(sys.x0, sys.x0)
-    if side == "obs":
-        return sys.A.T, tuple(Ni.T for Ni in sys.N), sys.C.T @ sys.C
-    raise ArgumentError(f"side must be 'reach' or 'obs', got {side!r}")
-
-
 def integrate_gramian_ode(
         sys: BilinearRoughSystem, side: str, T: float, steps: int,
         return_trajectory: bool = False) -> GramianResult:
@@ -117,16 +108,13 @@ def integrate_gramian_ode(
     composite trapezoid on the RK4 grid. With ``return_trajectory`` the
     sampled Z(t_k) stack rides along on the result.
     """
-    A, N, Z0 = _side_data(sys, side)
+    L = LyapunovOperator(sys, side)
+    Z0 = L.rhs
     if not (T > 0.0):
         raise ArgumentError(f"need T > 0, got {T}")
     if steps < 1:
         raise ArgumentError(f"need steps >= 1, got {steps}")
     dt = T / steps
-
-    def L(X):
-        return A @ X + X @ A.T + noise_part(X, N, sys.K)
-
     Z = (Z0 + Z0.T) / 2
     integral = np.zeros_like(Z)
     samples = [Z.copy()] if return_trajectory else None
@@ -160,22 +148,6 @@ def integrate_gramian_ode(
         times=np.arange(steps + 1) * dt if return_trajectory else None)
 
 
-def _solve_errors(A, N, K, rhs, P):
-    """(relative residual, backward error) of P in 0 = rhs + L(P).
-
-    With R = rhs + L(P), the relative residual is ||R||_F / ||rhs||_F and the
-    backward error ||R||_F / (||rhs||_F + l ||P||_F), where
-    l = 2 ||A|| + sum_ij |k_ij| ||N_i|| ||N_j|| bounds ||L|| in the Frobenius
-    norm, each 2-norm bounded by sqrt(||M||_1 ||M||_inf) at O(n^2) cost.
-    """
-    nr = np.linalg.norm(rhs)
-    nR = np.linalg.norm(rhs + A @ P + P @ A.T + noise_part(P, N, K))
-    norms = np.sqrt([np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
-                     for M in (A, *N)])
-    ell = 2.0 * norms[0] + norms[1:] @ np.abs(K) @ norms[1:]
-    return float(nR / nr), float(nR / (nr + ell * np.linalg.norm(P)))
-
-
 def solve_algebraic_gramian(sys: BilinearRoughSystem,
                             side: str) -> GramianResult:
     """Infinite-horizon Gramian by Lyapunov-preconditioned GMRES.
@@ -185,16 +157,16 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
     this form from P = 0 (Damm, NLA 2008) and stops once its residual
     estimate falls to GMRES_TOL relative, which sits just above its
     round-off floor, or after GMRES_MAX_ITER iterations. The solution is
-    accepted when its normwise backward error (see _solve_errors) is at most
-    BACKWARD_ERROR_BOUND; otherwise ConvergenceError carries that backward
-    error and the iteration count. The relative residual rides along on the
-    result as a diagnostic.
+    accepted when its normwise backward error (LyapunovOperator.errors) is
+    at most BACKWARD_ERROR_BOUND; otherwise ConvergenceError carries that
+    backward error and the iteration count. The relative residual rides
+    along on the result as a diagnostic.
 
     Requires mean-square stability (is_mean_square_stable); StabilityError
     otherwise. The solve reuses the check's Schur factorization of A, on the
     obs side transposed, so it factors A once.
     """
-    A, N, rhs = _side_data(sys, side)
+    op = LyapunovOperator(sys, side)
     report = is_mean_square_stable(sys)
     if not report.is_mean_square_stable:
         detail = "drift spectrum reaches the closed right half plane" \
@@ -207,12 +179,12 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
     kind = (GramianKind.REACH_INFINITE if side == "reach"
             else GramianKind.OBS_INFINITE)
     gate = dict(gate_rho=report.rho, gate_solves=report.solves)
-    if np.linalg.norm(rhs) == 0.0:
-        return GramianResult(matrix=np.zeros_like(A), kind=kind,
+    if np.linalg.norm(op.rhs) == 0.0:
+        return GramianResult(matrix=np.zeros_like(op.A), kind=kind,
                              residual=0.0, iterations=0, horizon=math.inf,
                              backward_error=0.0, **gate)
     cache = report.lyap if side == "reach" else report.lyap.transposed()
-    b = cache.solve_neg(rhs)
+    b = cache.solve_neg(op.rhs)
     beta = np.linalg.norm(b)
     # Arnoldi with modified Gram-Schmidt on full n x n Krylov matrices
     basis = [b / beta]
@@ -220,7 +192,7 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
     e1 = np.zeros(GMRES_MAX_ITER + 1)
     e1[0] = beta
     for j in range(GMRES_MAX_ITER):
-        w = basis[j] - cache.solve_neg(noise_part(basis[j], N, sys.K))
+        w = basis[j] - cache.solve_neg(op.noise(basis[j]))
         for i, v in enumerate(basis):
             H[i, j] = np.vdot(v, w)
             w -= H[i, j] * v
@@ -231,11 +203,11 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
             break
         basis.append(w / H[j + 1, j])
     iterations = j + 1
-    P = np.zeros_like(A)
+    P = np.zeros_like(op.A)
     for coeff, v in zip(y, basis):
         P += coeff * v
     P = (P + P.T) / 2
-    res, eta = _solve_errors(A, N, sys.K, rhs, P)
+    res, eta = op.errors(P)
     if eta > BACKWARD_ERROR_BOUND:
         raise ConvergenceError(
             f"algebraic Gramian solve reached backward error {eta:.3e} "
@@ -247,25 +219,16 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
                          backward_error=eta, **gate)
 
 
-DENSE_CROSS_CHECK_MAX_ORDER = 30
-
-
 def solve_algebraic_gramian_dense(
         sys: BilinearRoughSystem, side: str) -> GramianResult:
     """Cross-check route: solve M vec(P) = -vec(rhs) with the dense n^2 x n^2
-    operator matrix. Independent of the GMRES solver; small n only."""
-    if sys.n > DENSE_CROSS_CHECK_MAX_ORDER:
-        raise CapabilityError(
-            f"dense cross-check is limited to n <= "
-            f"{DENSE_CROSS_CHECK_MAX_ORDER}, got n = {sys.n}")
-    A, N, rhs = _side_data(sys, side)
-    work = BilinearRoughSystem(A=A, N=N, K=sys.K, C=np.zeros((1, sys.n)),
-                               x0=np.zeros(sys.n))
-    M = lyapunov_matrix_representation(work)
-    vecP = np.linalg.solve(M, -rhs.reshape(-1, order="F"))
+    operator matrix (LyapunovOperator.matrix, so n <= DENSE_MAX_ORDER).
+    Independent of the GMRES solver."""
+    op = LyapunovOperator(sys, side)
+    vecP = np.linalg.solve(op.matrix(), -op.rhs.reshape(-1, order="F"))
     P = vecP.reshape(sys.n, sys.n, order="F")
     P = (P + P.T) / 2
-    res, eta = _solve_errors(A, N, sys.K, rhs, P)
+    res, eta = op.errors(P)
     kind = (GramianKind.REACH_INFINITE if side == "reach"
             else GramianKind.OBS_INFINITE)
     return GramianResult(matrix=P, kind=kind, residual=res, iterations=1,
@@ -283,11 +246,10 @@ def gramian_residual(sys: BilinearRoughSystem, G, side: str) -> GuardedScalar:
     if G.shape != (sys.n, sys.n):
         raise ArgumentError(
             f"Gramian has shape {G.shape}, expected {(sys.n, sys.n)}")
-    A, N, rhs = _side_data(sys, side)
+    op = LyapunovOperator(sys, side)
     G = (G + G.T) / 2
-    num = float(np.linalg.norm(
-        rhs + (A @ G + G @ A.T + noise_part(G, N, sys.K))))
-    den = float(np.linalg.norm(rhs))
+    num = float(np.linalg.norm(op.residual(G)))
+    den = float(np.linalg.norm(op.rhs))
     if den == 0.0:
         return GuardedScalar(num, is_absolute=True)
     return GuardedScalar(num / den, is_absolute=False)
@@ -363,16 +325,10 @@ def monte_carlo_second_moment(
     if not (0.0 < dt < T):
         raise ArgumentError(f"need 0 < dt < T, got dt={dt}, T={T}")
     steps = int(round(T / dt))
-    n, d = sys.n, sys.d
-
-    if side == "reach":
-        batches = [(sys.A, sys.N, sys.x0)]
-    elif side == "obs":
-        A_t = sys.A.T
-        N_t = tuple(Ni.T for Ni in sys.N)
-        batches = [(A_t, N_t, c) for c in sys.C if np.any(c != 0.0)]
-    else:
-        raise ArgumentError(f"side must be 'reach' or 'obs', got {side!r}")
+    n = sys.n
+    op = LyapunovOperator(sys, side)
+    starts = [sys.x0] if side == "reach" \
+        else [c for c in sys.C if np.any(c != 0.0)]
 
     times = np.arange(steps + 1) * (T / steps)
     traj = np.zeros((steps + 1, n, n))
@@ -382,15 +338,15 @@ def monte_carlo_second_moment(
     chunks = [_MC_CHUNK] * (n_paths // _MC_CHUNK)
     if n_paths % _MC_CHUNK:
         chunks.append(n_paths % _MC_CHUNK)
-    batch_seeds = np.random.SeedSequence(seed).spawn(len(batches))
+    batch_seeds = np.random.SeedSequence(seed).spawn(len(starts))
 
-    for (A, N, x_init), batch_seed in zip(batches, batch_seeds):
+    for x_init, batch_seed in zip(starts, batch_seeds):
         S1 = np.zeros((steps + 1, n, n))
         S2 = np.zeros((steps + 1, n, n))
         I1 = np.zeros((n, n))
         I2 = np.zeros((n, n))
         for m, child in zip(chunks, batch_seed.spawn(len(chunks))):
-            _euler_chunk(A, N, sys.K_sqrt, x_init, T, steps, m,
+            _euler_chunk(op.A, op.N, sys.K_sqrt, x_init, T, steps, m,
                          np.random.default_rng(child), S1, S2, I1, I2)
         mean_traj = S1 / n_paths
         traj += mean_traj

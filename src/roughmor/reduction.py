@@ -188,40 +188,33 @@ def reduce_by_observability(sys: BilinearRoughSystem, Q: GramianResult,
 
 @dataclass(frozen=True)
 class TwoStageMetadata:
-    """Orders and solver diagnostics of a two-stage run.
+    """Orders and Gramian solves of a two-stage run.
 
-    ``*_residual`` and ``*_backward_error`` are the relative residual and the
-    backward error of each Gramian solve, ``*_gate_rho`` and ``*_gate_solves``
-    the splitting spectral radius and solve count of its stability check.
-    ``p_spectrum`` holds the full descending spectrum of the reachability
-    Gramian; ``q_spectrum`` the spectrum of the stage-2 observability
-    Gramian (None when stage 2 was skipped).
+    ``P`` and ``Q`` are the Gramian solves of the two stages, with their
+    residuals, backward errors and stability-check diagnostics; ``Q`` is
+    None when stage 2 was skipped. ``p_spectrum`` holds the full descending
+    spectrum of the reachability Gramian; ``q_spectrum`` the spectrum of the
+    stage-2 observability Gramian (None when stage 2 was skipped).
     """
 
-    parent_order: int
     orders: tuple
     tol_P: float
     tol_Q: float
-    p_iterations: int
-    p_residual: float
-    q_iterations: Optional[int] = None
-    q_residual: Optional[float] = None
-    p_backward_error: Optional[float] = None
-    q_backward_error: Optional[float] = None
-    p_gate_rho: Optional[float] = None
-    p_gate_solves: Optional[int] = None
-    q_gate_rho: Optional[float] = None
-    q_gate_solves: Optional[int] = None
-    obs_stage_skipped: bool = False
+    P: GramianResult
+    Q: Optional[GramianResult] = None
     notice: Optional[str] = None
     p_spectrum: Optional[np.ndarray] = field(default=None, repr=False,
                                              compare=False)
     q_spectrum: Optional[np.ndarray] = field(default=None, repr=False,
                                              compare=False)
 
+    @property
+    def obs_stage_skipped(self) -> bool:
+        return self.Q is None
+
     def records(self):
         """Rows (stage, order, tolerance) for the metadata CSV."""
-        rows = [("full", self.parent_order, None),
+        rows = [("full", self.orders[0], None),
                 ("P_stage", self.orders[1], self.tol_P)]
         if not self.obs_stage_skipped:
             rows.append(("Q_stage", self.orders[2], self.tol_Q))
@@ -251,10 +244,7 @@ def two_stage_reduce(
 
     if sys.drift_nonlinearity is not None:
         meta = TwoStageMetadata(
-            parent_order=sys.n, orders=(sys.n, stage1.r), tol_P=tol_P,
-            tol_Q=tol_Q, p_iterations=P.iterations, p_residual=P.residual,
-            p_backward_error=P.backward_error, p_gate_rho=P.gate_rho,
-            p_gate_solves=P.gate_solves, obs_stage_skipped=True,
+            orders=(sys.n, stage1.r), tol_P=tol_P, tol_Q=tol_Q, P=P,
             notice="observability stage skipped: drift nonlinearity present "
                    "(stage 2 requires f = 0)",
             p_spectrum=basis_P.full_spectrum)
@@ -272,13 +262,8 @@ def two_stage_reduce(
         full_spectrum=stage2.basis.full_spectrum)
     final = project_system(sys, composite)
     meta = TwoStageMetadata(
-        parent_order=sys.n, orders=(sys.n, stage1.r, stage2.r), tol_P=tol_P,
-        tol_Q=tol_Q, p_iterations=P.iterations, p_residual=P.residual,
-        q_iterations=Q.iterations, q_residual=Q.residual,
-        p_backward_error=P.backward_error, q_backward_error=Q.backward_error,
-        p_gate_rho=P.gate_rho, p_gate_solves=P.gate_solves,
-        q_gate_rho=Q.gate_rho, q_gate_solves=Q.gate_solves,
-        p_spectrum=basis_P.full_spectrum,
+        orders=(sys.n, stage1.r, stage2.r), tol_P=tol_P, tol_Q=tol_Q, P=P,
+        Q=Q, p_spectrum=basis_P.full_spectrum,
         q_spectrum=stage2.basis.full_spectrum)
     return final, meta
 

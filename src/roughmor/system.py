@@ -11,7 +11,10 @@ dynamics,
     L(X) = A X + X A^T + sum_ij k_ij N_i X N_j^T,
 
 governs the second moment E[x x^T]; its spectrum lying in the open left half
-plane is equivalent to mean-square asymptotic stability.
+plane is equivalent to mean-square asymptotic stability. LyapunovOperator
+holds L or its adjoint L* with the right-hand side of the matching Gramian
+equation, and is the one place that evaluates L, L*, their noise part, the
+Gramian residual and backward error, and the dense Kronecker matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ import numpy as np
 from .errors import ArgumentError, CapabilityError
 from ._lyap import SchurLyapunov
 
-DENSE_THRESHOLD = 10_000
+# LyapunovOperator.matrix has n^4 entries: 6.5 MB at this order
+DENSE_MAX_ORDER = 30
 # Arnoldi of is_mean_square_stable stops once the dominant Ritz pair's
 # residual estimate falls to this fraction of the Ritz value
 STABILITY_TOL = 1e-8
@@ -158,57 +162,77 @@ class StabilityReport:
     lyap: SchurLyapunov = field(compare=False, repr=False)
 
 
-def noise_part(X, N, K):
-    """Pi(X) = sum_ij k_ij N_i X N_j^T; the adjoint Pi* passes the N_i^T."""
-    out = np.zeros_like(X)
-    for i in range(len(N)):
-        for j in range(len(N)):
-            if K[i, j] != 0.0:
-                out += K[i, j] * (N[i] @ X @ N[j].T)
-    return out
+class LyapunovOperator:
+    """The operator of one side's Gramian equation 0 = rhs + L(G).
 
-
-def _check_operand(sys, X):
-    X = np.asarray(X, dtype=float)
-    if X.shape != (sys.n, sys.n):
-        raise ArgumentError(
-            f"operand has shape {X.shape}, expected {(sys.n, sys.n)}")
-    return (X + X.T) / 2
-
-
-def apply_lyapunov(sys: BilinearRoughSystem, X) -> np.ndarray:
-    """L(X) = A X + X A^T + sum_ij k_ij N_i X N_j^T (input symmetrized)."""
-    X = _check_operand(sys, X)
-    return sys.A @ X + X @ sys.A.T + noise_part(X, sys.N, sys.K)
-
-
-def apply_lyapunov_adjoint(sys: BilinearRoughSystem, X) -> np.ndarray:
-    """L*(X) = A^T X + X A + sum_ij k_ij N_i^T X N_j (input symmetrized)."""
-    X = _check_operand(sys, X)
-    return sys.A.T @ X + X @ sys.A + noise_part(
-        X, tuple(Ni.T for Ni in sys.N), sys.K)
-
-
-def lyapunov_matrix_representation(sys: BilinearRoughSystem) -> np.ndarray:
-    """Dense n^2 x n^2 matrix M with M vec(X) = vec(L(X)).
-
-    Column-major vectorization throughout: vec(X) = X.reshape(-1, order="F").
-    Raises CapabilityError when n^2 exceeds DENSE_THRESHOLD; the matrix-free
-    is_mean_square_stable has no such limit.
+    L(X) = A X + X A^T + Pi(X) with Pi(X) = sum_ij k_ij N_i X N_j^T. On the
+    reach side A, N and rhs are sys.A, sys.N and x0 x0^T. The adjoint L* of
+    a system is L of the system with A and every N_i transposed, so the obs
+    side holds A^T, the N_i^T and C^T C.
     """
-    n = sys.n
-    if n * n > DENSE_THRESHOLD:
-        raise CapabilityError(
-            f"n^2 = {n * n} exceeds the dense threshold {DENSE_THRESHOLD}; "
-            "use the matrix-free is_mean_square_stable instead")
-    eye = np.eye(n)
-    M = np.kron(eye, sys.A) + np.kron(sys.A, eye)
-    K = sys.K
-    for i in range(sys.d):
-        for j in range(sys.d):
-            if K[i, j] != 0.0:
-                M += K[i, j] * np.kron(sys.N[j], sys.N[i])
-    return M
+
+    def __init__(self, sys: BilinearRoughSystem, side: str = "reach"):
+        if side == "reach":
+            self.A, self.N = sys.A, sys.N
+            self.rhs = np.outer(sys.x0, sys.x0)
+        elif side == "obs":
+            self.A, self.N = sys.A.T, tuple(Ni.T for Ni in sys.N)
+            self.rhs = sys.C.T @ sys.C
+        else:
+            raise ArgumentError(f"side must be 'reach' or 'obs', got {side!r}")
+        self.K = sys.K
+
+    def noise(self, X) -> np.ndarray:
+        """Pi(X) = sum_ij k_ij N_i X N_j^T."""
+        N, K = self.N, self.K
+        out = np.zeros_like(X)
+        for i in range(len(N)):
+            for j in range(len(N)):
+                if K[i, j] != 0.0:
+                    out += K[i, j] * (N[i] @ X @ N[j].T)
+        return out
+
+    def __call__(self, X) -> np.ndarray:
+        return self.A @ X + X @ self.A.T + self.noise(X)
+
+    def residual(self, G) -> np.ndarray:
+        """rhs + L(G), the residual of G in the Gramian equation."""
+        return self.rhs + self.A @ G + G @ self.A.T + self.noise(G)
+
+    def errors(self, G):
+        """(relative residual, backward error) of G in 0 = rhs + L(G).
+
+        With R = residual(G), the relative residual is ||R||_F / ||rhs||_F
+        and the backward error ||R||_F / (||rhs||_F + l ||G||_F), where
+        l = 2 ||A|| + sum_ij |k_ij| ||N_i|| ||N_j|| bounds ||L|| in the
+        Frobenius norm, each 2-norm bounded by sqrt(||M||_1 ||M||_inf) at
+        O(n^2) cost.
+        """
+        nr = np.linalg.norm(self.rhs)
+        nR = np.linalg.norm(self.residual(G))
+        norms = np.sqrt([np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
+                         for M in (self.A, *self.N)])
+        ell = 2.0 * norms[0] + norms[1:] @ np.abs(self.K) @ norms[1:]
+        return float(nR / nr), float(nR / (nr + ell * np.linalg.norm(G)))
+
+    def matrix(self) -> np.ndarray:
+        """Dense n^2 x n^2 matrix M with M vec(X) = vec(L(X)).
+
+        Column-major vectorization throughout: vec(X) = X.reshape(-1,
+        order="F"). Raises CapabilityError when n exceeds DENSE_MAX_ORDER.
+        """
+        n = self.A.shape[0]
+        if n > DENSE_MAX_ORDER:
+            raise CapabilityError(
+                f"the dense operator matrix is limited to n <= "
+                f"{DENSE_MAX_ORDER}, got n = {n}")
+        eye = np.eye(n)
+        M = np.kron(eye, self.A) + np.kron(self.A, eye)
+        for i in range(len(self.N)):
+            for j in range(len(self.N)):
+                if self.K[i, j] != 0.0:
+                    M += self.K[i, j] * np.kron(self.N[j], self.N[i])
+        return M
 
 
 def is_mean_square_stable(sys: BilinearRoughSystem) -> StabilityReport:
@@ -236,6 +260,7 @@ def is_mean_square_stable(sys: BilinearRoughSystem) -> StabilityReport:
     if float(np.diag(lyap.T).max()) >= 0.0:
         return StabilityReport(is_mean_square_stable=False, rho=None,
                                solves=0, lyap=lyap)
+    op = LyapunovOperator(sys)
     eps = np.finfo(float).eps
     v = np.eye(sys.n) / math.sqrt(sys.n)
     solves = 0
@@ -244,7 +269,7 @@ def is_mean_square_stable(sys: BilinearRoughSystem) -> StabilityReport:
         basis = [v]
         H = np.zeros((_ARNOLDI_RESTART + 1, _ARNOLDI_RESTART))
         for j in range(_ARNOLDI_RESTART):
-            w = lyap.solve_neg(noise_part(basis[j], sys.N, sys.K))
+            w = lyap.solve_neg(op.noise(basis[j]))
             solves += 1
             w_norm = np.linalg.norm(w)
             for i, u in enumerate(basis):

@@ -1,10 +1,12 @@
 """Exact text of each CSV writer: float cells as the shortest repr that
 round-trips, int cells and labels as plain text, stage tolerances in %g."""
 
+import math
+
 import numpy as np
 import pytest
 
-from roughmor import (DriverKind, DriverPath, SimulationResult,
+from roughmor import (DriverKind, DriverPath, GramianResult, SimulationResult,
                       TwoStageMetadata, write_error_csv, write_path_csv,
                       write_spectrum_csv, write_stage_metadata_csv,
                       write_states_csv, write_trajectory_csv)
@@ -16,8 +18,10 @@ RESULT = SimulationResult(
     states=np.array([[1.0, -2.5e-17], [THIRD, 2.0]]),
     outputs=np.array([[1.0], [THIRD]]),
     max_newton_iterations=0, max_linear_residual=0.0)
-META = TwoStageMetadata(parent_order=100, orders=(100, 35, 33), tol_P=1e-16,
-                        tol_Q=THIRD, p_iterations=13, p_residual=1e-12)
+SOLVE = GramianResult(matrix=np.eye(1), kind="reach_infinite",
+                      residual=1e-12, iterations=13, horizon=math.inf)
+META = TwoStageMetadata(orders=(100, 35, 33), tol_P=1e-16, tol_Q=THIRD,
+                        P=SOLVE, Q=SOLVE)
 
 CASES = {
     "path": (

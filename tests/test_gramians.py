@@ -190,6 +190,15 @@ class TestGramianResidual:
         res = gramian_residual(sys_, np.zeros((2, 2)), "reach")
         assert res == 0.0 and res.is_absolute
 
+    def test_agrees_with_solve_residual(self):
+        # both routes sum rhs + L(G) in one order, so they agree bitwise
+        for sys_ in (build_heat1d(default_heat1d_config(30)),
+                     mild_stable_system(5, 2, seed=0)):
+            for side in ("reach", "obs"):
+                G = solve_algebraic_gramian(sys_, side)
+                assert float(gramian_residual(sys_, G.matrix, side)) \
+                    == G.residual
+
 
 class TestMonteCarlo:
     def test_noise_free_matches_flow(self):

@@ -3,11 +3,10 @@ import pytest
 
 import roughmor.system
 from roughmor import (ArgumentError, BilinearRoughSystem, CapabilityError,
-                      DriftNonlinearity, apply_lyapunov,
-                      apply_lyapunov_adjoint, build_heat1d,
+                      DriftNonlinearity, LyapunovOperator, build_heat1d,
                       default_heat1d_config, drift_f, is_mean_square_stable,
-                      lyapunov_matrix_representation, positivity_scale,
-                      resolvent_positivity_probe)
+                      positivity_scale, resolvent_positivity_probe,
+                      solve_algebraic_gramian_dense)
 from roughmor._fixtures import mild_stable_system, scalar_noise_system, \
     unstable_system
 from roughmor._lyap import SchurLyapunov
@@ -43,11 +42,11 @@ class TestApplyLyapunov:
     def test_vanishes_for_zero_coefficients(self):
         sys_ = simple_system(np.zeros((2, 2)), [np.zeros((2, 2))], np.eye(1))
         X = np.array([[1.0, 2.0], [2.0, -3.0]])
-        assert np.all(apply_lyapunov(sys_, X) == 0.0)
+        assert np.all(LyapunovOperator(sys_)(X) == 0.0)
 
     def test_pure_drift_identity(self):
         sys_ = simple_system(np.eye(2), [np.zeros((2, 2))], np.eye(1))
-        np.testing.assert_allclose(apply_lyapunov(sys_, np.eye(2)),
+        np.testing.assert_allclose(LyapunovOperator(sys_)(np.eye(2)),
                                    2.0 * np.eye(2), rtol=0, atol=0)
 
     def test_matches_kronecker_oracle(self):
@@ -58,12 +57,12 @@ class TestApplyLyapunov:
         X = np.eye(2)
         M = kron_operator(A, [N1], K)
         expected = (M @ X.reshape(-1, order="F")).reshape(2, 2, order="F")
-        np.testing.assert_allclose(apply_lyapunov(sys_, X), expected,
+        np.testing.assert_allclose(LyapunovOperator(sys_)(X), expected,
                                    atol=1e-15)
 
     def test_adjoint_zero_case(self):
         sys_ = simple_system(np.zeros((2, 2)), [np.zeros((2, 2))], np.eye(1))
-        assert np.all(apply_lyapunov_adjoint(sys_, np.eye(2)) == 0.0)
+        assert np.all(LyapunovOperator(sys_, "obs")(np.eye(2)) == 0.0)
 
     def test_adjoint_identity_random(self):
         rng = np.random.default_rng(11)
@@ -76,8 +75,8 @@ class TestApplyLyapunov:
         X = X + X.T
         Y = rng.standard_normal((5, 5))
         Y = Y + Y.T
-        lhs = np.sum(apply_lyapunov(sys_, X) * Y)
-        rhs = np.sum(X * apply_lyapunov_adjoint(sys_, Y))
+        lhs = np.sum(LyapunovOperator(sys_)(X) * Y)
+        rhs = np.sum(X * LyapunovOperator(sys_, "obs")(Y))
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(X) * np.linalg.norm(Y)
 
     def test_adjoint_matches_transposed_kronecker_oracle(self):
@@ -88,15 +87,15 @@ class TestApplyLyapunov:
         X = np.eye(2)
         M = kron_operator(A.T, [N1.T], K)
         expected = (M @ X.reshape(-1, order="F")).reshape(2, 2, order="F")
-        np.testing.assert_allclose(apply_lyapunov_adjoint(sys_, X), expected,
-                                   atol=1e-15)
+        np.testing.assert_allclose(LyapunovOperator(sys_, "obs")(X),
+                                   expected, atol=1e-15)
 
     def test_preserves_symmetry(self):
         rng = np.random.default_rng(5)
         sys_ = mild_stable_system(4, 2, seed=3)
         X = rng.standard_normal((4, 4))
         X = X + X.T
-        L = apply_lyapunov(sys_, X)
+        L = LyapunovOperator(sys_)(X)
         np.testing.assert_allclose(L, L.T, atol=1e-14)
 
 
@@ -104,34 +103,37 @@ class TestMatrixRepresentation:
     def test_scalar_case(self):
         a, nu, k = -1.5, 0.7, 2.0
         sys_ = simple_system([[a]], [[[nu]]], [[k]], C=[[1.0]], x0=[1.0])
-        M = lyapunov_matrix_representation(sys_)
+        M = LyapunovOperator(sys_).matrix()
         np.testing.assert_allclose(M, [[2 * a + nu ** 2 * k]], atol=1e-15)
 
     def test_zero_system(self):
         sys_ = simple_system(np.zeros((2, 2)), [np.zeros((2, 2))], np.eye(1))
-        assert np.all(lyapunov_matrix_representation(sys_) == 0.0)
+        assert np.all(LyapunovOperator(sys_).matrix() == 0.0)
 
     def test_consistent_with_apply(self):
         sys_ = mild_stable_system(2, 2, seed=8)
-        M = lyapunov_matrix_representation(sys_)
         rng = np.random.default_rng(0)
         X = rng.standard_normal((2, 2))
         X = X + X.T
-        via_matrix = (M @ X.reshape(-1, order="F")).reshape(2, 2, order="F")
-        np.testing.assert_allclose(apply_lyapunov(sys_, X), via_matrix,
-                                   atol=1e-12)
+        for side in ("reach", "obs"):
+            op = LyapunovOperator(sys_, side)
+            via_matrix = (op.matrix() @ X.reshape(-1, order="F")).reshape(
+                2, 2, order="F")
+            np.testing.assert_allclose(op(X), via_matrix, atol=1e-12)
 
     def test_dense_threshold_guard(self):
-        # n^2 = 10201 crosses DENSE_THRESHOLD; the guard fires before any
-        # Kronecker product is formed
-        sys_ = simple_system(-np.eye(101), [np.zeros((101, 101))], np.eye(1))
+        # n = 31 crosses DENSE_MAX_ORDER; the guard fires before any
+        # Kronecker product is formed, also for the dense Gramian solve
+        sys_ = simple_system(-np.eye(31), [np.zeros((31, 31))], np.eye(1))
         with pytest.raises(CapabilityError):
-            lyapunov_matrix_representation(sys_)
+            LyapunovOperator(sys_).matrix()
+        with pytest.raises(CapabilityError):
+            solve_algebraic_gramian_dense(sys_, "reach")
 
 
 def dense_abscissa(sys_):
     return float(np.linalg.eigvals(
-        lyapunov_matrix_representation(sys_)).real.max())
+        LyapunovOperator(sys_).matrix()).real.max())
 
 
 def splitting_radius(sys_):
