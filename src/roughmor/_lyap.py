@@ -1,14 +1,14 @@
 """Cached Bartels-Stewart solves for A X + X A^T = -Q.
 
-The GMRES Gramian solve and the Arnoldi loop of the stability check both
-call the same Lyapunov resolvent many times with a fixed A; factoring the
-real Schur form once and reusing it turns each solve into two changes of
-basis by the orthogonal factor and one triangular Sylvester solve. That
-solve is recursive and blocked (Jonsson & Kagstrom, ACM TOMS 28(4), 2002):
-it halves the larger dimension until both are at most 64, so most of its
-work is matrix products, and calls LAPACK's level-2 dtrsyl at the leaves.
-The check also reads Re(lambda(A)) off the diagonal of the Schur factor,
-and the observability Gramian solves with A^T from the same factorization.
+The GMRES Gramian solve and the stability check call the same Lyapunov
+resolvent many times with a fixed A; factoring the real Schur form once and
+reusing it turns each solve into two changes of basis by the orthogonal
+factor and one triangular Sylvester solve. That solve is recursive and
+blocked (Jonsson & Kagstrom, ACM TOMS 28(4), 2002): it halves the larger
+dimension until both are at most 64, so most of its work is matrix products,
+and calls LAPACK's level-2 dtrsyl at the leaves. The check also reads
+Re(lambda(A)) off the diagonal of the Schur factor, and the observability
+Gramian solves with A^T from the same factorization.
 """
 
 from __future__ import annotations

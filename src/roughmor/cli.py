@@ -36,8 +36,9 @@ from ._fixtures import (decoupled_observability_system, mild_stable_system,
 from ._util import atomic_write_text, csv_text, fmt
 from .drivers import (DriverPath, read_path_csv, sample_fbm_path,
                       smooth_path_from_function, write_path_csv)
-from .gramians import (integrate_gramian_ode, monte_carlo_second_moment,
-                       solve_algebraic_gramian, write_spectrum_csv)
+from .gramians import (_solve_gramians, integrate_gramian_ode,
+                       monte_carlo_second_moment, solve_algebraic_gramian,
+                       write_spectrum_csv)
 from .heat import build_heat1d, default_heat1d_config
 from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q,
                         check_kernel_preservation, greedy_rank_sweep,
@@ -325,8 +326,8 @@ class _Run:
 
 
 # the GramianResult attributes that summary.json reports for each solve
-_GRAMIAN_KEYS = ("iterations", "residual", "backward_error", "gate_rho",
-                 "gate_solves")
+_GRAMIAN_KEYS = ("iterations", "residual", "backward_error",
+                 "gate_rho_lower", "gate_rho_upper", "gate_solves")
 
 
 def run_exact_reduction(cfg: RunConfig) -> int:
@@ -433,8 +434,8 @@ def run_probes(cfg: RunConfig) -> int:
     stability_target = unstable_system() if cfg.fixture == "unstable" \
         else mild
     report = is_mean_square_stable(stability_target)
-    rho = report.rho if report.rho is not None else math.inf
-    checks.append(("mean_square_stability", rho, 1.0,
+    upper = report.upper if report.upper is not None else math.inf
+    checks.append(("mean_square_stability", upper, 1.0,
                    report.is_mean_square_stable))
 
     value = resolvent_positivity_probe(mild, trials=10_000, seed=7)
@@ -512,9 +513,9 @@ def run_gramian(cfg: RunConfig) -> int:
     run = _Run(cfg)
     model_sys = build_model(cfg)
     report = {}
-    for side, suffix, tol in (("reach", "p", cfg.tol_p),
-                              ("obs", "q", cfg.tol_q)):
-        G = solve_algebraic_gramian(model_sys, side)
+    results = _solve_gramians(model_sys, ("reach", "obs"))
+    for G, side, suffix, tol in zip(results, ("reach", "obs"), ("p", "q"),
+                                    (cfg.tol_p, cfg.tol_q)):
         # one eigendecomposition gives both the CSV and the rank, so the
         # file and numerical_rank agree at the cut
         try:

@@ -30,7 +30,7 @@ from .errors import (ArgumentError, ConvergenceError, GuardedScalar,
                      IntegrationOverflowError, StabilityError)
 from ._util import atomic_write_text, csv_text
 from .system import (BilinearRoughSystem, LyapunovOperator,
-                     is_mean_square_stable)
+                     StabilityReport, is_mean_square_stable)
 
 GMRES_MAX_ITER = 500
 # GMRES stops when its residual estimate falls to this fraction of the
@@ -60,11 +60,11 @@ class GramianResult:
     ``residual`` is the relative Frobenius residual of the defining equation
     (for finite horizons: the integrated-ODE identity Z(T) = Z(0) + L(P_T)).
     ``backward_error`` is the normwise backward error by which algebraic
-    solves are accepted, and ``gate_rho`` and ``gate_solves`` the splitting
-    spectral radius and solve count of their stability check (all None for
-    finite horizons). The matrix is stored as given: round-off may leave
-    eigenvalues slightly below zero, and truncation drops every eigenvalue
-    that is not positive.
+    solves are accepted, and ``gate_rho_lower``, ``gate_rho_upper`` and
+    ``gate_solves`` the bracket on the splitting spectral radius and the
+    solve count of their stability check (all None for finite horizons).
+    The matrix is stored as given: round-off may leave eigenvalues slightly
+    below zero, and truncation drops every eigenvalue that is not positive.
     """
 
     matrix: np.ndarray
@@ -73,7 +73,8 @@ class GramianResult:
     iterations: int
     horizon: float
     backward_error: Optional[float] = None
-    gate_rho: Optional[float] = None
+    gate_rho_lower: Optional[float] = None
+    gate_rho_upper: Optional[float] = None
     gate_solves: Optional[int] = None
     trajectory: Optional[np.ndarray] = field(default=None, repr=False,
                                              compare=False)
@@ -140,10 +141,9 @@ def integrate_gramian_ode(
     nZ0 = np.linalg.norm(Z0)
     residual = float(np.linalg.norm(Z - Z0 - L(integral)) / nZ0) \
         if nZ0 > 0 else float(np.linalg.norm(Z - Z0 - L(integral)))
-    kind = GramianKind.REACH_FINITE if side == "reach" else GramianKind.OBS_FINITE
     return GramianResult(
-        matrix=integral, kind=kind, residual=residual, iterations=steps,
-        horizon=float(T),
+        matrix=integral, kind=GramianKind(f"{side}_finite"), residual=residual,
+        iterations=steps, horizon=float(T),
         trajectory=np.stack(samples) if return_trajectory else None,
         times=np.arange(steps + 1) * dt if return_trajectory else None)
 
@@ -162,23 +162,34 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
     backward error and the iteration count. The relative residual rides
     along on the result as a diagnostic.
 
-    Requires mean-square stability (is_mean_square_stable); StabilityError
-    otherwise. The solve reuses the check's Schur factorization of A, on the
-    obs side transposed, so it factors A once.
+    Requires mean-square stability (is_mean_square_stable): StabilityError
+    when the check proves the system unstable, NumericalError when it
+    cannot decide. The solve reuses the check's Schur factorization of A,
+    on the obs side transposed, so it factors A once.
     """
-    op = LyapunovOperator(sys, side)
+    return _solve_gramians(sys, (side,))[0]
+
+
+def _solve_gramians(sys: BilinearRoughSystem, sides) -> list:
+    """solve_algebraic_gramian for each of ``sides`` behind one stability
+    check, whose Schur factorization every solve reuses."""
+    ops = [LyapunovOperator(sys, side) for side in sides]
     report = is_mean_square_stable(sys)
     if not report.is_mean_square_stable:
         detail = "drift spectrum reaches the closed right half plane" \
-            if report.rho is None \
-            else f"splitting spectral radius {report.rho:.6g} >= 1"
+            if report.lower is None \
+            else f"splitting spectral radius >= {report.lower:.6g} > 1"
         raise StabilityError(
             f"system is not mean-square asymptotically stable ({detail}); "
             "the algebraic Gramian equation has no PSD solution")
+    return [_gmres_gramian(op, side, report) for op, side in zip(ops, sides)]
 
-    kind = (GramianKind.REACH_INFINITE if side == "reach"
-            else GramianKind.OBS_INFINITE)
-    gate = dict(gate_rho=report.rho, gate_solves=report.solves)
+
+def _gmres_gramian(op: LyapunovOperator, side: str,
+                   report: StabilityReport) -> GramianResult:
+    kind = GramianKind(f"{side}_infinite")
+    gate = dict(gate_rho_lower=report.lower, gate_rho_upper=report.upper,
+                gate_solves=report.solves)
     if np.linalg.norm(op.rhs) == 0.0:
         return GramianResult(matrix=np.zeros_like(op.A), kind=kind,
                              residual=0.0, iterations=0, horizon=math.inf,
@@ -229,10 +240,9 @@ def solve_algebraic_gramian_dense(
     P = vecP.reshape(sys.n, sys.n, order="F")
     P = (P + P.T) / 2
     res, eta = op.errors(P)
-    kind = (GramianKind.REACH_INFINITE if side == "reach"
-            else GramianKind.OBS_INFINITE)
-    return GramianResult(matrix=P, kind=kind, residual=res, iterations=1,
-                         horizon=math.inf, backward_error=eta)
+    return GramianResult(matrix=P, kind=GramianKind(f"{side}_infinite"),
+                         residual=res, iterations=1, horizon=math.inf,
+                         backward_error=eta)
 
 
 def gramian_residual(sys: BilinearRoughSystem, G, side: str) -> GuardedScalar:

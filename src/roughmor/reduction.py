@@ -19,7 +19,8 @@ from scipy.linalg import eigh
 
 from .errors import ArgumentError, EmptyBasisError, PreconditionError
 from ._util import atomic_write_text, csv_text
-from .gramians import GramianKind, GramianResult, solve_algebraic_gramian
+from .gramians import (GramianKind, GramianResult, _solve_gramians,
+                       solve_algebraic_gramian)
 from .system import BilinearRoughSystem, DriftNonlinearity
 
 DEFAULT_TOL_P = 1e-16
@@ -295,11 +296,11 @@ def greedy_rank_sweep(exact: ReducedModel, ranks):
     """Lossy models below the exact order by greedy alternating truncation.
 
     Starting from the exact reduced model, each step solves both Gramians of
-    the current model, compares their smallest relative eigenvalues, and
-    drops the single eigendirection of the side whose spectrum decays deeper
-    (ties go to the reachability side). A snapshot is recorded at every
-    requested rank; requested ranks at or above the exact order return the
-    exact model unchanged.
+    the current model behind one stability check, compares their smallest
+    relative eigenvalues, and drops the single eigendirection of the side
+    whose spectrum decays deeper (ties go to the reachability side). A
+    snapshot is recorded at every requested rank; requested ranks at or
+    above the exact order return the exact model unchanged.
 
     The dropped directions carry no exactness guarantee: this realizes the
     "neglect eigenspaces beyond the numerical zeros" experiment, trading
@@ -328,8 +329,7 @@ def greedy_rank_sweep(exact: ReducedModel, ranks):
 
     for target in targets:
         while cur.n > target:
-            P = solve_algebraic_gramian(cur, "reach")
-            Q = solve_algebraic_gramian(cur, "obs")
+            P, Q = _solve_gramians(cur, ("reach", "obs"))
             wp, Vp = eigh((P.matrix + P.matrix.T) / 2)
             wq, Vq = eigh((Q.matrix + Q.matrix.T) / 2)
             rel_p = wp[0] / wp[-1]

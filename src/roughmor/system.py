@@ -24,19 +24,19 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import eigh, eigvalsh
 
-from .errors import ArgumentError, CapabilityError
+from .errors import ArgumentError, CapabilityError, NumericalError
 from ._lyap import SchurLyapunov
 
 # LyapunovOperator.matrix has n^4 entries: 6.5 MB at this order
 DENSE_MAX_ORDER = 30
-# Arnoldi of is_mean_square_stable stops once the dominant Ritz pair's
-# residual estimate falls to this fraction of the Ritz value
-STABILITY_TOL = 1e-8
+# is_mean_square_stable decides once its bracket clears 1 by this margin. It
+# reads bounds only at X with cond(X) <= 1 / margin, where a relative error u
+# in the iterates moves them by about 2 u / margin (2e-9 at u = 1e-15)
+STABILITY_MARGIN = 1e-6
 # cap on the Lyapunov solves of one stability check
 STABILITY_MAX_ITER = 500
-# the Arnoldi loop restarts after this many steps
-_ARNOLDI_RESTART = 20
 
 
 @dataclass(frozen=True)
@@ -149,15 +149,15 @@ def drift_f(sys: BilinearRoughSystem, x: np.ndarray) -> np.ndarray:
 class StabilityReport:
     """Outcome of a mean-square stability classification.
 
-    ``rho`` is the spectral radius of X -> -L_A^{-1}(Pi(X)) (stable iff
-    rho < 1), or None when A is not Hurwitz and the noise part never enters.
-    ``solves`` counts the Lyapunov solves the estimate took. ``lyap`` is the
-    Schur factorization of A the check built, for the Gramian solve to
-    reuse.
+    ``lower`` <= rho <= ``upper`` for the spectral radius rho of
+    X -> -L_A^{-1}(Pi(X)), stable iff rho < 1 (both None when A is not
+    Hurwitz). ``solves`` counts the Lyapunov solves the check took; ``lyap``
+    is its Schur factorization of A, for the Gramian solve to reuse.
     """
 
     is_mean_square_stable: bool
-    rho: Optional[float]
+    lower: Optional[float]
+    upper: Optional[float]
     solves: int
     lyap: SchurLyapunov = field(compare=False, repr=False)
 
@@ -236,62 +236,51 @@ class LyapunovOperator:
 
 
 def is_mean_square_stable(sys: BilinearRoughSystem) -> StabilityReport:
-    """Classify mean-square asymptotic stability (lambda(L) in the open left
-    half plane).
+    """Decide mean-square asymptotic stability (lambda(L) in the open left
+    half plane) by a proven bracket on the spectral radius rho of
+    T(X) = -L_A^{-1}(Pi(X)), which is < 1 exactly when L is stable.
 
-    Checks that A is Hurwitz, then estimates the spectral radius of
-    X -> -L_A^{-1}(Pi(X)), which is < 1 exactly when L is stable, by
-    Arnoldi with modified Gram-Schmidt on n x n matrices (Stewart, SIMAX
-    2001), started from the positive definite I / sqrt(n). The operator is
-    resolvent positive, so its dominant eigenvalue is real and has a PSD
-    eigenvector (Damm, LNCIS 297, 2004): every _ARNOLDI_RESTART steps the
-    loop restarts from the real part of the dominant Ritz vector. It stops
-    when that Ritz pair's residual estimate h_{k+1,k} |e_k^T s| is at most
-    STABILITY_TOL |theta|, on breakdown, or after STABILITY_MAX_ITER solves.
-    Matrix-free: one cached-Schur Lyapunov solve per step, so the n^2 x n^2
-    representation is never formed.
+    A must be Hurwitz. T then maps the PSD cone into itself (Damm, LNCIS
+    297, 2004), so for X > 0 the pencil (T(X), X) has lambda_min <= rho <=
+    lambda_max (Collatz-Wielandt; Berman & Plemmons, SIAM 1994, ch. 1).
+    Solve k gives P_k = T^k(X_0), X_0 = I / sqrt(n); the bounds are read at
+    the power iterate P_{k-1} and the Neumann sum S_{k-1} = P_0 + ... +
+    P_{k-1}, whose image S_k - X_0 is free, skipping a candidate with
+    cond(X) > 1 / STABILITY_MARGIN. upper < 1 - STABILITY_MARGIN is
+    stable, lower > 1 + STABILITY_MARGIN unstable; a bracket that holds 1
+    after STABILITY_MAX_ITER solves raises NumericalError naming it.
     """
     lyap = SchurLyapunov(sys.A)
-    # The abscissa of L dominates twice the abscissa of A, so a non-Hurwitz
-    # drift settles the question without touching the noise part. LAPACK
-    # returns the real Schur form standardized: each 2x2 block has equal
-    # diagonal entries, which are the real part of its eigenvalue pair, so
-    # the diagonal of T carries Re(lambda(A)).
+    # A non-Hurwitz drift settles it without the noise part (the abscissa of
+    # L dominates twice that of A). LAPACK standardizes each 2x2 Schur block
+    # to equal diagonal entries, so diag(T) carries Re(lambda(A)).
     if float(np.diag(lyap.T).max()) >= 0.0:
-        return StabilityReport(is_mean_square_stable=False, rho=None,
-                               solves=0, lyap=lyap)
+        return StabilityReport(is_mean_square_stable=False, lower=None,
+                               upper=None, solves=0, lyap=lyap)
     op = LyapunovOperator(sys)
-    eps = np.finfo(float).eps
-    v = np.eye(sys.n) / math.sqrt(sys.n)
-    solves = 0
-    done = False
-    while not done:
-        basis = [v]
-        H = np.zeros((_ARNOLDI_RESTART + 1, _ARNOLDI_RESTART))
-        for j in range(_ARNOLDI_RESTART):
-            w = lyap.solve_neg(op.noise(basis[j]))
-            solves += 1
-            w_norm = np.linalg.norm(w)
-            for i, u in enumerate(basis):
-                H[i, j] = np.vdot(u, w)
-                w -= H[i, j] * u
-            H[j + 1, j] = np.linalg.norm(w)
-            # eig returns eigenvectors of unit 2-norm
-            theta, S = np.linalg.eig(H[:j + 1, :j + 1])
-            k = int(np.argmax(np.abs(theta)))
-            rho = float(abs(theta[k]))
-            done = (H[j + 1, j] * abs(S[j, k]) <= STABILITY_TOL * rho
-                    or H[j + 1, j] <= eps * w_norm
-                    or solves == STABILITY_MAX_ITER)
-            if done:
-                break
-            if j + 1 < _ARNOLDI_RESTART:
-                basis.append(w / H[j + 1, j])
-        else:
-            v = sum(s.real * u for s, u in zip(S[:, k], basis))
-            v /= np.linalg.norm(v)
-    return StabilityReport(is_mean_square_stable=rho < 1.0, rho=rho,
-                           solves=solves, lyap=lyap)
+    P = S = X0 = np.eye(sys.n) / math.sqrt(sys.n)
+    lower, upper = 0.0, math.inf
+    for solves in range(1, STABILITY_MAX_ITER + 1):
+        image = lyap.solve_neg(op.noise(P))
+        if not np.all(np.isfinite(image)):
+            break
+        # the two candidates coincide at the first solve
+        pairs = [(image, P)] if solves == 1 else [(image, P),
+                                                  (S + image - X0, S)]
+        for Y, X in pairs:
+            x = eigvalsh(X)
+            if x[0] <= STABILITY_MARGIN * x[-1]:
+                continue
+            w = eigh(Y, X, eigvals_only=True)
+            lower, upper = max(lower, float(w[0])), min(upper, float(w[-1]))
+        P, S = image, S + image
+        stable = upper < 1.0 - STABILITY_MARGIN
+        if stable or lower > 1.0 + STABILITY_MARGIN:
+            return StabilityReport(stable, lower, upper, solves, lyap)
+    raise NumericalError(
+        f"mean-square stability undecided after {solves} Lyapunov solves: "
+        f"the splitting spectral radius lies in [{lower:.6g}, {upper:.6g}], "
+        f"which holds 1 within the margin {STABILITY_MARGIN:.0e}")
 
 
 def positivity_scale(sys: BilinearRoughSystem) -> float:

@@ -56,7 +56,8 @@ class TestReduce:
         assert not summary["error_is_absolute"]
         gramian = summary["gramian"]
         for side in ("p", "q"):
-            assert 0.0 < gramian[f"{side}_gate_rho"] < 1.0
+            assert (0.0 <= gramian[f"{side}_gate_rho_lower"]
+                    <= gramian[f"{side}_gate_rho_upper"] < 1.0)
             assert gramian[f"{side}_gate_solves"] > 0
         for name in ("config.txt", "driver_path.csv", "gramian_spectrum_p.csv",
                      "gramian_spectrum_q.csv", "stage_metadata.csv",
@@ -101,6 +102,24 @@ class TestReduce:
         assert summary["error_type"] == "StabilityError"
         assert not {"residual", "iterations", "step"} & set(summary)
 
+    def test_undecided_gate_exits_2(self, tmp_path):
+        # A = -I and a strictly lower-triangular N: the splitting is
+        # nilpotent, but ||L^{-1}(I)|| near 1e15 keeps the bracket on its
+        # spectral radius around 1, so the gate names it and gives up
+        rng = np.random.default_rng(0)
+        N = 4.0 * np.tril(rng.standard_normal((20, 20)), -1)
+        sys_ = BilinearRoughSystem(A=-np.eye(20), N=(N,), K=np.eye(1),
+                                   C=np.eye(20)[:1], x0=np.ones(20))
+        mfile = tmp_path / "nilpotent.txt"
+        write_system_file(sys_, mfile)
+        out = tmp_path / "run"
+        rc = main(["reduce", "--model", "file", "--model-file", str(mfile),
+                   "--step-exp", "6", "--out", str(out)])
+        assert rc == 2
+        summary = read_summary(out)
+        assert summary["error_type"] == "NumericalError"
+        assert "undecided" in summary["error"]
+
 
 class TestSweep:
     def test_full_rank_and_csv(self, small_model_file, tmp_path):
@@ -140,8 +159,10 @@ class TestGramian:
         assert "numerical rank" in capsys.readouterr().out
         summary = read_summary(out)
         # both sides gate the same system
-        assert summary["reach"]["gate_rho"] == summary["obs"]["gate_rho"]
-        assert 0.0 < summary["reach"]["gate_rho"] < 1.0
+        for key in ("gate_rho_lower", "gate_rho_upper", "gate_solves"):
+            assert summary["reach"][key] == summary["obs"][key]
+        assert (0.0 <= summary["reach"]["gate_rho_lower"]
+                <= summary["reach"]["gate_rho_upper"] < 1.0)
         assert summary["obs"]["gate_solves"] > 0
 
     def test_spectrum_csv_matches_rank(self, tmp_path):

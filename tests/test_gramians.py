@@ -111,6 +111,11 @@ class TestAlgebraicGramian:
     def test_refuses_unstable_system(self):
         with pytest.raises(StabilityError):
             solve_algebraic_gramian(unstable_system(), "reach")
+        # a Hurwitz drift whose splitting radius is 1.011: the message quotes
+        # the lower bound that proves it
+        sys_ = mild_stable_system(8, 2, seed=0, decay=-0.01)
+        with pytest.raises(StabilityError, match=r"spectral radius >= 1\.0"):
+            solve_algebraic_gramian(sys_, "reach")
 
     def test_marginal_system_raises_convergence_error(self, monkeypatch):
         # two GMRES iterations span too little of a 5-state, 2-channel
@@ -161,7 +166,8 @@ class TestAlgebraicGramian:
             res = solve_algebraic_gramian(sys_, side)
             assert len(calls) == 1
             assert res.backward_error <= BACKWARD_ERROR_BOUND
-            assert 0.0 < res.gate_rho < 1.0 and res.gate_solves > 0
+            assert 0.0 <= res.gate_rho_lower <= res.gate_rho_upper < 1.0
+            assert res.gate_solves > 0
 
     def test_rejects_unknown_side(self):
         with pytest.raises(ArgumentError):

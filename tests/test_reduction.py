@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import roughmor.gramians
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
                       EmptyBasisError, PreconditionError, ProjectionBasis,
                       check_kernel_preservation, greedy_rank_sweep,
@@ -242,6 +243,21 @@ class TestGreedySweep:
         entries = greedy_rank_sweep(model, (31,))
         V = entries[0].V
         assert np.linalg.norm(V.T @ V - np.eye(31)) <= 1e-10
+
+    def test_one_gate_per_system(self, heat_pipeline, monkeypatch):
+        # both Gramians of each intermediate system share one stability check
+        model, _ = heat_pipeline
+        gated = []
+        gate = roughmor.gramians.is_mean_square_stable
+
+        def counting(sys_):
+            gated.append(sys_.n)
+            return gate(sys_)
+
+        monkeypatch.setattr(roughmor.gramians, "is_mean_square_stable",
+                            counting)
+        greedy_rank_sweep(model, (5, 10, 20, 30))
+        assert gated == list(range(model.r, 5, -1))
 
     def test_rejects_nonlinearity(self):
         base = mild_stable_system(4, 1, seed=59)

@@ -1,11 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
-import roughmor.system
 from roughmor import (ArgumentError, BilinearRoughSystem, CapabilityError,
-                      DriftNonlinearity, LyapunovOperator, build_heat1d,
-                      default_heat1d_config, drift_f, is_mean_square_stable,
-                      positivity_scale, resolvent_positivity_probe,
+                      DriftNonlinearity, LyapunovOperator, NumericalError,
+                      build_heat1d, default_heat1d_config, drift_f,
+                      is_mean_square_stable, positivity_scale,
+                      resolvent_positivity_probe, solve_algebraic_gramian,
                       solve_algebraic_gramian_dense)
 from roughmor._fixtures import mild_stable_system, scalar_noise_system, \
     unstable_system
@@ -144,13 +146,33 @@ def splitting_radius(sys_):
     return float(np.abs(np.linalg.eigvals(np.linalg.solve(-L_A, Pi))).max())
 
 
+def nilpotent_system(n, c, seed, rotate):
+    # A = -I and N = c times a strictly lower-triangular Gaussian matrix, so
+    # X -> -L_A^{-1}(Pi(X)) = N X N^T / 2 is nilpotent and rho = 0; a random
+    # orthogonal similarity hides the structural zeros
+    rng = np.random.default_rng(seed)
+    A = -np.eye(n)
+    N = c * np.tril(rng.standard_normal((n, n)), -1)
+    if rotate:
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A, N = Q @ A @ Q.T, Q @ N @ Q.T
+    return simple_system(A, [N], np.eye(1))
+
+
+def assert_brackets(report, rho):
+    # the bounds hold rho up to round-off
+    slack = 1e-12 * max(rho, 1.0)
+    assert report.lower - slack <= rho <= report.upper + slack
+
+
 class TestStability:
     def test_scalar_stable_closed_form(self):
         # 2a + nu^2 k = -1, rho = nu^2 k / (2 |a|) = 0.5
         sys_ = scalar_noise_system(a=-1.0, nu=1.0)
         report = is_mean_square_stable(sys_)
         assert report.is_mean_square_stable
-        assert abs(report.rho - 0.5) <= 1e-12
+        assert abs(report.lower - 0.5) <= 1e-12
+        assert abs(report.upper - 0.5) <= 1e-12
         assert abs(dense_abscissa(sys_) - (-1.0)) <= 1e-12
 
     def test_scalar_unstable_closed_form(self):
@@ -158,19 +180,28 @@ class TestStability:
         sys_ = scalar_noise_system(a=0.0, nu=1.0)
         report = is_mean_square_stable(sys_)
         assert not report.is_mean_square_stable
-        assert report.rho is None
+        assert report.lower is None and report.upper is None
         assert abs(dense_abscissa(sys_) - 1.0) <= 1e-12
 
     def test_iterative_agrees_with_dense(self):
-        # the n = 10 operator needs more Arnoldi steps than one restart cycle
         systems = [mild_stable_system(5, 2, seed=seed) for seed in (2, 3, 4, 5)]
         systems.append(mild_stable_system(10, 2, seed=0))
         for sys_ in systems:
-            it = is_mean_square_stable(sys_)
-            assert (dense_abscissa(sys_) < 0.0) == it.is_mean_square_stable
-            assert it.rho is not None and it.rho < 1.0
-            assert abs(it.rho - splitting_radius(sys_)) <= 1e-6 * it.rho
-        assert it.solves > roughmor.system._ARNOLDI_RESTART
+            report = is_mean_square_stable(sys_)
+            assert (dense_abscissa(sys_) < 0.0) == report.is_mean_square_stable
+            assert report.upper < 1.0
+            assert_brackets(report, splitting_radius(sys_))
+
+    def test_decides_near_the_boundary(self):
+        # decay 0.01 and -0.01 put rho at 0.989 and 1.011, both with a
+        # Hurwitz drift: "unstable" needs a lower bound above 1
+        for decay in (0.01, -0.01):
+            sys_ = mild_stable_system(8, 2, seed=0, decay=decay)
+            report = is_mean_square_stable(sys_)
+            stable = dense_abscissa(sys_) < 0.0
+            assert report.is_mean_square_stable is stable
+            assert (report.upper < 1.0) if stable else (report.lower > 1.0)
+            assert_brackets(report, splitting_radius(sys_))
 
     def test_heat_gate_solve_count(self, monkeypatch):
         calls = []
@@ -181,33 +212,87 @@ class TestStability:
             return solve(self, Q)
 
         monkeypatch.setattr(SchurLyapunov, "solve_neg", counting)
-        report = is_mean_square_stable(build_heat1d(default_heat1d_config(100)))
-        assert report.is_mean_square_stable
-        assert report.solves == len(calls) <= 12
+        for n in (100, 200):
+            calls.clear()
+            report = is_mean_square_stable(
+                build_heat1d(default_heat1d_config(n)))
+            assert report.is_mean_square_stable
+            assert report.solves == len(calls) == 1
+
+    def test_overflowing_iterates_end_undecided(self):
+        # rho = 5000 with the singular eigenvector e1 e1^T: no positive
+        # definite candidate proves it, and the power iterates overflow
+        # within the solve cap; the gate gives up with the bracket instead
+        # of failing on non-finite values
+        sys_ = simple_system(-np.eye(2), [np.diag([100.0, 0.0])], np.eye(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="undecided"):
+                is_mean_square_stable(sys_)
 
     def test_iterative_rejects_non_hurwitz_drift(self):
         report = is_mean_square_stable(unstable_system())
         assert not report.is_mean_square_stable
-        assert report.rho is None
+        assert report.lower is None and report.upper is None
 
     def test_complex_pair_drift(self):
         # A = [[eps, 2], [-2, eps]] has eigenvalues eps +- 2i and N = nu I,
-        # so rho = nu^2 / (2 |eps|) when eps < 0. The sheared copy S A S^{-1}
-        # has diagonal eps -+ 1: only the standardized Schur form shows the
-        # real part eps there.
+        # so rho = nu^2 / (2 |eps|) when eps < 0, and T(I) = rho I gives it
+        # exactly on both bounds. The sheared copy S A S^{-1} has diagonal
+        # eps -+ 1: only the standardized Schur form shows the real part eps
+        # there.
         shear = np.array([[1.0, 0.5], [0.0, 1.0]])
         for eps, nu, stable, rho in ((-1e-3, 0.01, True, 0.05),
                                      (-1e-3, 0.1, False, 5.0),
                                      (1e-3, 0.01, False, None)):
             A = np.array([[eps, 2.0], [-2.0, eps]])
-            for drift in (A, shear @ A @ np.linalg.inv(shear)):
+            for sheared, drift in ((False, A),
+                                   (True, shear @ A @ np.linalg.inv(shear))):
                 report = is_mean_square_stable(
                     simple_system(drift, [nu * np.eye(2)], np.eye(1)))
                 assert report.is_mean_square_stable is stable
                 if rho is None:
-                    assert report.rho is None
+                    assert report.lower is None and report.upper is None
+                elif sheared:
+                    assert_brackets(report, rho)
                 else:
-                    assert abs(report.rho - rho) <= 1e-8 * rho
+                    assert abs(report.lower - rho) <= 1e-8 * rho
+                    assert abs(report.upper - rho) <= 1e-8 * rho
+
+
+class TestNilpotentSplitting:
+    # rho = 0, but round-off enters every iterate; none of these systems may
+    # be called unstable
+
+    @pytest.mark.parametrize("rotate", (False, True))
+    def test_order_40_is_stable(self, rotate):
+        report = is_mean_square_stable(nilpotent_system(40, 1.0, 0, rotate))
+        assert report.is_mean_square_stable
+        assert report.upper < 1.0
+
+    @pytest.mark.parametrize("rotate", (False, True))
+    def test_order_20_is_stable_or_undecided(self, rotate):
+        # ||L^{-1}(I)|| is near 1e15 here, so the bracket may stay open
+        try:
+            report = is_mean_square_stable(
+                nilpotent_system(20, 4.0, 0, rotate))
+        except NumericalError as exc:
+            assert re.search(r"\[\S+, \S+\]", str(exc)), str(exc)
+        else:
+            assert report.is_mean_square_stable
+
+    def test_round_off_does_not_lift_the_lower_bound(self):
+        # the Neumann sums of this system reach cond 1e17, where the pencil's
+        # lower bound read 0.67 against the true rho = 0; the gate reads no
+        # bound at such candidates
+        with pytest.raises(NumericalError) as info:
+            is_mean_square_stable(nilpotent_system(20, 8.0, 8, rotate=True))
+        lower = float(re.search(r"\[(\S+),", str(info.value)).group(1))
+        assert lower < 1e-6
+
+    def test_undecided_gramian_solve(self):
+        sys_ = nilpotent_system(20, 4.0, 0, rotate=False)
+        with pytest.raises(NumericalError):
+            solve_algebraic_gramian(sys_, "reach")
 
 
 class TestResolventPositivityProbe:
