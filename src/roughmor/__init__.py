@@ -33,11 +33,10 @@ from .system import (BilinearRoughSystem, DriftNonlinearity,
                      LyapunovOperator, StabilityReport, drift_f,
                      is_mean_square_stable, positivity_scale,
                      resolvent_positivity_probe)
-from .drivers import (DriverKind, DriverPath, coarsen_path,
-                      piecewise_linear_derivative, read_path_csv,
-                      sample_fbm_path, smooth_path_from_function,
-                      write_path_csv)
-from .gramians import (GramianKind, GramianResult, MonteCarloSecondMoment,
+from .drivers import (DriverPath, coarsen_path, piecewise_linear_derivative,
+                      read_path_csv, sample_fbm_path,
+                      smooth_path_from_function, write_path_csv)
+from .gramians import (GramianResult, MonteCarloSecondMoment,
                        gramian_residual, integrate_gramian_ode,
                        monte_carlo_second_moment, solve_algebraic_gramian,
                        solve_algebraic_gramian_dense, write_spectrum_csv)
@@ -64,10 +63,10 @@ __all__ = [
     "BilinearRoughSystem", "DriftNonlinearity", "LyapunovOperator",
     "StabilityReport", "drift_f", "is_mean_square_stable",
     "positivity_scale", "resolvent_positivity_probe",
-    "DriverKind", "DriverPath", "coarsen_path", "piecewise_linear_derivative",
+    "DriverPath", "coarsen_path", "piecewise_linear_derivative",
     "read_path_csv", "sample_fbm_path", "smooth_path_from_function",
     "write_path_csv",
-    "GramianKind", "GramianResult", "MonteCarloSecondMoment",
+    "GramianResult", "MonteCarloSecondMoment",
     "gramian_residual", "integrate_gramian_ode",
     "monte_carlo_second_moment", "solve_algebraic_gramian",
     "solve_algebraic_gramian_dense", "write_spectrum_csv",

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .system import BilinearRoughSystem
+from .system import BilinearRoughSystem, LyapunovOperator
 
 
 def mild_stable_system(n: int, d: int, seed: int,
@@ -21,14 +21,11 @@ def mild_stable_system(n: int, d: int, seed: int,
     N = [0.3 * rng.standard_normal((n, n)) for _ in range(d)]
     x0 = rng.standard_normal(n)
     C = rng.standard_normal((1, n))
-    K = np.eye(d)
-    eye = np.eye(n)
-    M = np.kron(eye, A) + np.kron(A, eye)
-    for i in range(d):
-        M += np.kron(N[i], N[i])
+    raw = BilinearRoughSystem(A=A, N=tuple(N), K=np.eye(d), C=C, x0=x0)
+    M = LyapunovOperator(raw).matrix()
     abscissa = float(np.linalg.eigvals(M).real.max())
-    A = A - (abscissa / 2.0 + decay / 2.0) * eye
-    return BilinearRoughSystem(A=A, N=tuple(N), K=K, C=C, x0=x0)
+    A = A - (abscissa / 2.0 + decay / 2.0) * np.eye(n)
+    return BilinearRoughSystem(A=A, N=tuple(N), K=np.eye(d), C=C, x0=x0)
 
 
 def decoupled_observability_system() -> BilinearRoughSystem:

@@ -10,9 +10,8 @@ standard circulant embedding of the fractional Gaussian noise covariance
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -20,25 +19,16 @@ from .errors import ArgumentError, NumericalError
 from ._util import atomic_write_text, csv_text
 
 
-class DriverKind(str, enum.Enum):
-    FBM = "fbm"
-    SMOOTH_ANALYTIC = "smooth_analytic"
-    PIECEWISE_LINEAR_INTERP = "piecewise_linear_interp"
-
-
 @dataclass(frozen=True)
 class DriverPath:
     """Sampled driver on the uniform grid t_k = t0 + k (T - t0) / M.
 
-    ``values`` is (M+1) x d with values[0] = 0; fbm paths carry their Hurst
-    index as metadata.
+    ``values`` is (M+1) x d with values[0] = 0.
     """
 
     t0: float
     T: float
     values: np.ndarray
-    kind: DriverKind
-    hurst: Optional[float] = None
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -51,13 +41,7 @@ class DriverPath:
             raise ArgumentError("driver paths must start at the origin")
         if not (self.T > self.t0):
             raise ArgumentError(f"need T > t0, got t0={self.t0}, T={self.T}")
-        kind = DriverKind(self.kind)
-        if kind is DriverKind.FBM:
-            if self.hurst is None or not (0.0 < self.hurst < 1.0):
-                raise ArgumentError(
-                    f"fbm paths need a Hurst index in (0, 1), got {self.hurst}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "T", float(self.T))
 
@@ -122,7 +106,7 @@ def sample_fbm_path(H: float, d: int, T: float, M: int, seed: int) -> DriverPath
     for j, child in enumerate(np.random.SeedSequence(seed).spawn(d)):
         rng = np.random.default_rng(child)
         values[1:, j] = np.cumsum(_fgn_circulant(M, H, rng) * scale)
-    return DriverPath(t0=0.0, T=T, values=values, kind=DriverKind.FBM, hurst=H)
+    return DriverPath(t0=0.0, T=T, values=values)
 
 
 def smooth_path_from_function(
@@ -139,23 +123,21 @@ def smooth_path_from_function(
     values = np.stack(rows, axis=0)
     values = values - values[0]
     values[0] = 0.0
-    return DriverPath(t0=0.0, T=T, values=values,
-                      kind=DriverKind.SMOOTH_ANALYTIC)
+    return DriverPath(t0=0.0, T=T, values=values)
 
 
 def coarsen_path(path: DriverPath, factor: int) -> DriverPath:
     """Restrict a path to every ``factor``-th grid node (exact subsampling).
 
-    The result is tagged piecewise_linear_interp: it stands for the smooth
-    approximation W^eps that linearly interpolates the sampled path on the
-    coarser grid.
+    Read through piecewise_linear_derivative, the result stands for the
+    smooth approximation W^eps that linearly interpolates the sampled path on
+    the coarser grid.
     """
     if factor < 1 or path.M % factor != 0:
         raise ArgumentError(
             f"coarsening factor {factor} does not divide M = {path.M}")
     return DriverPath(t0=path.t0, T=path.T,
-                      values=path.values[::factor].copy(),
-                      kind=DriverKind.PIECEWISE_LINEAR_INTERP)
+                      values=path.values[::factor].copy())
 
 
 def piecewise_linear_derivative(path: DriverPath):
@@ -182,9 +164,9 @@ def write_path_csv(path: DriverPath, file) -> None:
 def read_path_csv(file) -> DriverPath:
     """Load a ``t, W1, ..., Wd`` CSV produced by :func:`write_path_csv`.
 
-    The time column must be a uniform grid. The stored file carries no kind
-    metadata, so the result is tagged piecewise_linear_interp: the
-    piecewise-linear record of whatever was sampled.
+    The time column must be a uniform grid. The file holds only the
+    samples, so the result is the piecewise-linear record of whatever was
+    sampled.
     """
     data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] < 2:
@@ -199,5 +181,4 @@ def read_path_csv(file) -> DriverPath:
     dt = (T - t0) / M
     if np.max(np.abs(times - (t0 + np.arange(M + 1) * dt))) > 1e-9 * max(T - t0, 1.0):
         raise ArgumentError("path CSV time column is not a uniform grid")
-    return DriverPath(t0=t0, T=T, values=values,
-                      kind=DriverKind.PIECEWISE_LINEAR_INTERP)
+    return DriverPath(t0=t0, T=T, values=values)

@@ -19,7 +19,6 @@ the operator and shares no arithmetic with the routes.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -46,19 +45,15 @@ GMRES_TOL = 1e-14
 BACKWARD_ERROR_BOUND = 64 * np.finfo(float).eps
 
 
-class GramianKind(str, enum.Enum):
-    REACH_FINITE = "reach_finite"
-    REACH_INFINITE = "reach_infinite"
-    OBS_FINITE = "obs_finite"
-    OBS_INFINITE = "obs_infinite"
-
-
 @dataclass(frozen=True)
 class GramianResult:
     """A computed Gramian with its defining-equation residual.
 
-    ``residual`` is the relative Frobenius residual of the defining equation
-    (for finite horizons: the integrated-ODE identity Z(T) = Z(0) + L(P_T)).
+    ``side`` is "reach" or "obs"; ``horizon`` is the T of a time-integrated
+    Gramian, whose optional ``trajectory`` samples Z at t_k = k T /
+    ``iterations``, or inf for the algebraic one. ``residual`` is the
+    relative Frobenius residual of the defining equation (for finite
+    horizons: the integrated-ODE identity Z(T) = Z(0) + L(P_T)).
     ``backward_error`` is the normwise backward error by which algebraic
     solves are accepted, and ``gate_rho_lower``, ``gate_rho_upper`` and
     ``gate_solves`` the bracket on the splitting spectral radius and the
@@ -68,7 +63,7 @@ class GramianResult:
     """
 
     matrix: np.ndarray
-    kind: GramianKind
+    side: str
     residual: float
     iterations: int
     horizon: float
@@ -78,8 +73,6 @@ class GramianResult:
     gate_solves: Optional[int] = None
     trajectory: Optional[np.ndarray] = field(default=None, repr=False,
                                              compare=False)
-    times: Optional[np.ndarray] = field(default=None, repr=False,
-                                        compare=False)
 
     def __post_init__(self):
         G = np.asarray(self.matrix, dtype=float)
@@ -88,16 +81,13 @@ class GramianResult:
         nG = np.linalg.norm(G)
         if np.linalg.norm(G - G.T) > 1e-12 * max(nG, 1e-300):
             raise ArgumentError("Gramian is not symmetric")
-        kind = GramianKind(self.kind)
-        if kind in (GramianKind.REACH_FINITE, GramianKind.OBS_FINITE):
-            if not (0.0 < self.horizon < math.inf):
-                raise ArgumentError(
-                    f"finite-horizon Gramian needs 0 < horizon < inf, "
-                    f"got {self.horizon}")
-        elif self.horizon != math.inf:
-            raise ArgumentError("infinite-horizon Gramian needs horizon = inf")
+        if self.side not in ("reach", "obs"):
+            raise ArgumentError(
+                f"side must be 'reach' or 'obs', got {self.side!r}")
+        if not (self.horizon > 0.0):
+            raise ArgumentError(
+                f"Gramian horizon must be positive, got {self.horizon}")
         object.__setattr__(self, "matrix", G)
-        object.__setattr__(self, "kind", kind)
 
 
 def integrate_gramian_ode(
@@ -142,10 +132,9 @@ def integrate_gramian_ode(
     residual = float(np.linalg.norm(Z - Z0 - L(integral)) / nZ0) \
         if nZ0 > 0 else float(np.linalg.norm(Z - Z0 - L(integral)))
     return GramianResult(
-        matrix=integral, kind=GramianKind(f"{side}_finite"), residual=residual,
+        matrix=integral, side=side, residual=residual,
         iterations=steps, horizon=float(T),
-        trajectory=np.stack(samples) if return_trajectory else None,
-        times=np.arange(steps + 1) * dt if return_trajectory else None)
+        trajectory=np.stack(samples) if return_trajectory else None)
 
 
 def solve_algebraic_gramian(sys: BilinearRoughSystem,
@@ -187,11 +176,10 @@ def _solve_gramians(sys: BilinearRoughSystem, sides) -> list:
 
 def _gmres_gramian(op: LyapunovOperator, side: str,
                    report: StabilityReport) -> GramianResult:
-    kind = GramianKind(f"{side}_infinite")
     gate = dict(gate_rho_lower=report.lower, gate_rho_upper=report.upper,
                 gate_solves=report.solves)
     if np.linalg.norm(op.rhs) == 0.0:
-        return GramianResult(matrix=np.zeros_like(op.A), kind=kind,
+        return GramianResult(matrix=np.zeros_like(op.A), side=side,
                              residual=0.0, iterations=0, horizon=math.inf,
                              backward_error=0.0, **gate)
     cache = report.lyap if side == "reach" else report.lyap.transposed()
@@ -225,7 +213,7 @@ def _gmres_gramian(op: LyapunovOperator, side: str,
             f"after {iterations} GMRES iterations (bound "
             f"{BACKWARD_ERROR_BOUND:.1e}; relative residual {res:.3e})",
             residual=eta, iterations=iterations)
-    return GramianResult(matrix=P, kind=kind, residual=res,
+    return GramianResult(matrix=P, side=side, residual=res,
                          iterations=iterations, horizon=math.inf,
                          backward_error=eta, **gate)
 
@@ -240,9 +228,8 @@ def solve_algebraic_gramian_dense(
     P = vecP.reshape(sys.n, sys.n, order="F")
     P = (P + P.T) / 2
     res, eta = op.errors(P)
-    return GramianResult(matrix=P, kind=GramianKind(f"{side}_infinite"),
-                         residual=res, iterations=1, horizon=math.inf,
-                         backward_error=eta)
+    return GramianResult(matrix=P, side=side, residual=res, iterations=1,
+                         horizon=math.inf, backward_error=eta)
 
 
 def gramian_residual(sys: BilinearRoughSystem, G, side: str) -> GuardedScalar:

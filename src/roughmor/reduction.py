@@ -11,7 +11,7 @@ its row count is the parent order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -19,8 +19,7 @@ from scipy.linalg import eigh
 
 from .errors import ArgumentError, EmptyBasisError, PreconditionError
 from ._util import atomic_write_text, csv_text
-from .gramians import (GramianKind, GramianResult, _solve_gramians,
-                       solve_algebraic_gramian)
+from .gramians import GramianResult, _solve_gramians, solve_algebraic_gramian
 from .system import BilinearRoughSystem, DriftNonlinearity
 
 DEFAULT_TOL_P = 1e-16
@@ -29,50 +28,45 @@ DEFAULT_TOL_Q = 1e-15
 
 @dataclass(frozen=True)
 class ProjectionBasis:
-    """Orthonormal basis of a retained Gramian eigenspace.
+    """Orthonormal basis of a retained Gramian eigenspace and the descending
+    spectrum it was cut from.
 
-    ``retained_eigenvalues`` are the kept eigenvalues, descending and strictly
-    above tol_rel times the largest; ``discarded_max`` is the largest dropped
-    eigenvalue (0.0 when nothing was dropped).
+    The first r = V.shape[1] entries of ``full_spectrum`` are the retained
+    eigenvalues, strictly above tol_rel times the largest; ``discarded_max``
+    is the largest dropped eigenvalue (0.0 when nothing was dropped).
     """
 
     V: np.ndarray
-    retained_eigenvalues: np.ndarray
-    discarded_max: float
+    full_spectrum: np.ndarray
     tol_rel: float
-    full_spectrum: Optional[np.ndarray] = field(default=None, repr=False,
-                                                compare=False)
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
-        w = np.asarray(self.retained_eigenvalues, dtype=float)
+        w = np.asarray(self.full_spectrum, dtype=float)
         if V.ndim != 2 or V.shape[1] < 1:
             raise ArgumentError(f"basis must be n x r with r >= 1, got {V.shape}")
-        r = V.shape[1]
-        if w.shape != (r,):
+        if w.ndim != 1 or w.size < V.shape[1]:
             raise ArgumentError(
-                f"expected {r} retained eigenvalues, got {w.shape}")
-        if np.any(np.diff(w) > 0) or w[-1] <= 0:
-            raise ArgumentError(
-                "retained eigenvalues must be positive and descending")
-        if not (0.0 < self.tol_rel < 1.0):
-            raise ArgumentError(f"tol_rel must lie in (0, 1), got {self.tol_rel}")
-        if np.linalg.norm(V.T @ V - np.eye(r)) > 1e-10:
+                f"spectrum of shape {w.shape} cannot hold {V.shape[1]} "
+                "retained eigenvalues")
+        if np.linalg.norm(V.T @ V - np.eye(V.shape[1])) > 1e-10:
             raise ArgumentError("basis columns are not orthonormal")
-        if np.any(w <= self.tol_rel * w[0]):
-            raise ArgumentError(
-                "retained eigenvalues dip below the truncation threshold")
-        if self.discarded_max > self.tol_rel * w[0]:
-            raise ArgumentError(
-                "discarded_max lies above the truncation threshold")
         object.__setattr__(self, "V", V)
-        object.__setattr__(self, "retained_eigenvalues", w)
-        object.__setattr__(self, "discarded_max", float(self.discarded_max))
+        object.__setattr__(self, "full_spectrum", w)
         object.__setattr__(self, "tol_rel", float(self.tol_rel))
 
     @property
     def r(self) -> int:
         return self.V.shape[1]
+
+    @property
+    def retained_eigenvalues(self) -> np.ndarray:
+        return self.full_spectrum[:self.r]
+
+    @property
+    def discarded_max(self) -> float:
+        w = self.full_spectrum
+        return float(w[self.r]) if self.r < w.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -124,10 +118,7 @@ def truncate_psd_spectrum(G, tol_rel: float) -> ProjectionBasis:
         i = np.argmax(np.abs(V[:, j]))
         if V[i, j] < 0:
             V[:, j] = -V[:, j]
-    discarded_max = float(w[r]) if r < len(w) else 0.0
-    return ProjectionBasis(V=V, retained_eigenvalues=w[:r],
-                           discarded_max=discarded_max, tol_rel=tol_rel,
-                           full_spectrum=w)
+    return ProjectionBasis(V=V, full_spectrum=w, tol_rel=tol_rel)
 
 
 def _reduced_nonlinearity(nl: DriftNonlinearity, V) -> DriftNonlinearity:
@@ -175,9 +166,9 @@ def reduce_by_observability(sys: BilinearRoughSystem, Q: GramianResult,
         raise PreconditionError(
             "observability-based reduction requires f = 0; the kernel of Q "
             "is only known to be output-irrelevant for the linear case")
-    if Q.kind not in (GramianKind.OBS_FINITE, GramianKind.OBS_INFINITE):
+    if Q.side != "obs":
         raise ArgumentError(
-            f"expected an observability Gramian, got kind {Q.kind.value!r}")
+            f"expected an observability Gramian, got side {Q.side!r}")
     wK = np.linalg.eigvalsh(sys.K)
     if wK[0] <= 1e-12 * max(wK[-1], 0.0):
         raise PreconditionError(
@@ -189,36 +180,44 @@ def reduce_by_observability(sys: BilinearRoughSystem, Q: GramianResult,
 
 @dataclass(frozen=True)
 class TwoStageMetadata:
-    """Orders and Gramian solves of a two-stage run.
+    """The Gramian solve and the cut of each stage of a two-stage run.
 
-    ``P`` and ``Q`` are the Gramian solves of the two stages, with their
-    residuals, backward errors and stability-check diagnostics; ``Q`` is
-    None when stage 2 was skipped. ``p_spectrum`` holds the full descending
-    spectrum of the reachability Gramian; ``q_spectrum`` the spectrum of the
-    stage-2 observability Gramian (None when stage 2 was skipped).
+    ``P`` and ``Q`` are the Gramian solves, with their residuals, backward
+    errors and stability-check diagnostics; ``basis_P`` and ``basis_Q`` are
+    the cuts of their spectra. ``Q`` and ``basis_Q`` are None when stage 2
+    was skipped. ``orders`` (full, stage 1[, stage 2]), the full descending
+    spectra ``p_spectrum`` and ``q_spectrum`` (None when skipped) and the
+    tolerances in ``records()`` are read off the cuts.
     """
 
-    orders: tuple
-    tol_P: float
-    tol_Q: float
     P: GramianResult
+    basis_P: ProjectionBasis
     Q: Optional[GramianResult] = None
+    basis_Q: Optional[ProjectionBasis] = None
     notice: Optional[str] = None
-    p_spectrum: Optional[np.ndarray] = field(default=None, repr=False,
-                                             compare=False)
-    q_spectrum: Optional[np.ndarray] = field(default=None, repr=False,
-                                             compare=False)
 
     @property
     def obs_stage_skipped(self) -> bool:
-        return self.Q is None
+        return self.basis_Q is None
+
+    @property
+    def orders(self) -> tuple:
+        return tuple(order for _, order, _ in self.records())
+
+    @property
+    def p_spectrum(self) -> np.ndarray:
+        return self.basis_P.full_spectrum
+
+    @property
+    def q_spectrum(self) -> Optional[np.ndarray]:
+        return None if self.obs_stage_skipped else self.basis_Q.full_spectrum
 
     def records(self):
         """Rows (stage, order, tolerance) for the metadata CSV."""
-        rows = [("full", self.orders[0], None),
-                ("P_stage", self.orders[1], self.tol_P)]
+        rows = [("full", self.basis_P.V.shape[0], None),
+                ("P_stage", self.basis_P.r, self.basis_P.tol_rel)]
         if not self.obs_stage_skipped:
-            rows.append(("Q_stage", self.orders[2], self.tol_Q))
+            rows.append(("Q_stage", self.basis_Q.r, self.basis_Q.tol_rel))
         return rows
 
 
@@ -244,29 +243,16 @@ def two_stage_reduce(
     stage1 = project_system(sys, basis_P)
 
     if sys.drift_nonlinearity is not None:
-        meta = TwoStageMetadata(
-            orders=(sys.n, stage1.r), tol_P=tol_P, tol_Q=tol_Q, P=P,
+        return stage1, TwoStageMetadata(
+            P=P, basis_P=basis_P,
             notice="observability stage skipped: drift nonlinearity present "
-                   "(stage 2 requires f = 0)",
-            p_spectrum=basis_P.full_spectrum)
-        return stage1, meta
+                   "(stage 2 requires f = 0)")
 
     Q = solve_algebraic_gramian(stage1.system, "obs")
-    stage2 = reduce_by_observability(stage1.system, Q, tol_Q)
-
-    V = basis_P.V @ stage2.basis.V
-    composite = ProjectionBasis(
-        V=V,
-        retained_eigenvalues=stage2.basis.retained_eigenvalues,
-        discarded_max=stage2.basis.discarded_max,
-        tol_rel=tol_Q,
-        full_spectrum=stage2.basis.full_spectrum)
-    final = project_system(sys, composite)
-    meta = TwoStageMetadata(
-        orders=(sys.n, stage1.r, stage2.r), tol_P=tol_P, tol_Q=tol_Q, P=P,
-        Q=Q, p_spectrum=basis_P.full_spectrum,
-        q_spectrum=stage2.basis.full_spectrum)
-    return final, meta
+    basis_Q = reduce_by_observability(stage1.system, Q, tol_Q).basis
+    composite = replace(basis_Q, V=basis_P.V @ basis_Q.V)
+    return project_system(sys, composite), TwoStageMetadata(
+        P=P, basis_P=basis_P, Q=Q, basis_Q=basis_Q)
 
 
 def write_stage_metadata_csv(meta: TwoStageMetadata, file) -> None:

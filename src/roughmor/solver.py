@@ -31,7 +31,7 @@ from scipy.linalg.lapack import dgbtrf as lu_factor, dgbtrs
 from .errors import (ArgumentError, GuardedScalar, IntegrationOverflowError,
                      StepFailureError)
 from ._util import atomic_write_text, csv_text
-from .drivers import DriverKind, DriverPath, piecewise_linear_derivative
+from .drivers import DriverPath, piecewise_linear_derivative
 from .gramians import integrate_gramian_ode
 from .system import BilinearRoughSystem, drift_f
 
@@ -214,19 +214,15 @@ def smooth_quadratic_form_probe(
         M: int) -> SmoothProbeResult:
     """Check x(t) x(t)^T <= exp(int ||W_dot||^2) Z(t) along a smooth driver.
 
-    The driver must carry derivative data (smooth_analytic or
-    piecewise_linear_interp kind): its per-interval slopes drive a classical
-    RK4 for x on a fine grid of M total steps (a multiple of the path grid)
-    over the path's span, Z comes from the Gramian ODE on the same grid, and
-    the exponential factor uses the cumulative squared slope integral.
-    Returns the minimum gap eigenvalue over the path nodes.
+    The driver is read as its piecewise-linear interpolant: the
+    per-interval slopes drive a classical RK4 for x on a fine grid of M
+    total steps (a multiple of the path grid) over the path's span, Z comes
+    from the Gramian ODE on the same grid, and the exponential factor uses
+    the cumulative squared slope integral. A path whose int ||W_dot||^2
+    overflows that factor, as a finely sampled rough path can, raises
+    ArgumentError before anything is integrated. Returns the minimum gap
+    eigenvalue over the path nodes.
     """
-    if path.kind not in (DriverKind.SMOOTH_ANALYTIC,
-                         DriverKind.PIECEWISE_LINEAR_INTERP):
-        raise ArgumentError(
-            "the probe needs a smooth driver with derivative data "
-            f"(smooth_analytic or piecewise_linear_interp), got kind "
-            f"{path.kind.value!r}")
     if path.d != sys.d:
         raise ArgumentError(
             f"path has {path.d} components but the system drives {sys.d}")
@@ -238,7 +234,11 @@ def smooth_quadratic_form_probe(
     sub = M // path.M
     dt = span / path.M
     hh = dt / sub
-    slopes, _ = piecewise_linear_derivative(path)
+    slopes, l2_sq = piecewise_linear_derivative(path)
+    if l2_sq > math.log(np.finfo(float).max):
+        raise ArgumentError(
+            f"the path's int ||W_dot||^2 dt = {l2_sq:.6g} overflows the "
+            "Gronwall factor exp(int ||W_dot||^2 dt)")
     l2cum = np.concatenate(
         [[0.0], np.cumsum(np.sum(slopes ** 2, axis=1) * dt)])
 

@@ -260,23 +260,25 @@ def is_mean_square_stable(sys: BilinearRoughSystem) -> StabilityReport:
     op = LyapunovOperator(sys)
     P = S = X0 = np.eye(sys.n) / math.sqrt(sys.n)
     lower, upper = 0.0, math.inf
-    for solves in range(1, STABILITY_MAX_ITER + 1):
-        image = lyap.solve_neg(op.noise(P))
-        if not np.all(np.isfinite(image)):
-            break
-        # the two candidates coincide at the first solve
-        pairs = [(image, P)] if solves == 1 else [(image, P),
-                                                  (S + image - X0, S)]
-        for Y, X in pairs:
-            x = eigvalsh(X)
-            if x[0] <= STABILITY_MARGIN * x[-1]:
-                continue
-            w = eigh(Y, X, eigvals_only=True)
-            lower, upper = max(lower, float(w[0])), min(upper, float(w[-1]))
-        P, S = image, S + image
-        stable = upper < 1.0 - STABILITY_MARGIN
-        if stable or lower > 1.0 + STABILITY_MARGIN:
-            return StabilityReport(stable, lower, upper, solves, lyap)
+    # overflowing iterates end the loop at its isfinite check, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for solves in range(1, STABILITY_MAX_ITER + 1):
+            image = lyap.solve_neg(op.noise(P))
+            if not np.all(np.isfinite(image)):
+                break
+            # the two candidates coincide at the first solve
+            pairs = [(image, P)] if solves == 1 else [(image, P),
+                                                      (S + image - X0, S)]
+            for Y, X in pairs:
+                x = eigvalsh(X)
+                if x[0] <= STABILITY_MARGIN * x[-1]:
+                    continue
+                w = eigh(Y, X, eigvals_only=True)
+                lower, upper = max(lower, float(w[0])), min(upper, float(w[-1]))
+            P, S = image, S + image
+            stable = upper < 1.0 - STABILITY_MARGIN
+            if stable or lower > 1.0 + STABILITY_MARGIN:
+                return StabilityReport(stable, lower, upper, solves, lyap)
     raise NumericalError(
         f"mean-square stability undecided after {solves} Lyapunov solves: "
         f"the splitting spectral radius lies in [{lower:.6g}, {upper:.6g}], "

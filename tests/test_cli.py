@@ -313,7 +313,7 @@ class TestConfigResolution:
 
 
 class TestProbes:
-    def test_default_suite_passes(self, tmp_path):
+    def test_default_suite_passes(self, tmp_path, cli_oracle):
         out = tmp_path / "run"
         rc = main(["probes", "--out", str(out)])
         assert rc == 0
@@ -326,7 +326,7 @@ class TestProbes:
                          "kernel_preservation", "gronwall_quadratic_form",
                          "mc_gramian_cross_check"]
 
-    def test_unstable_fixture_fails(self, tmp_path):
+    def test_unstable_fixture_fails(self, tmp_path, cli_oracle):
         out = tmp_path / "run"
         rc = main(["probes", "--fixture", "unstable", "--out", str(out)])
         assert rc == 3

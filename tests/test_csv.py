@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from roughmor import (DriverKind, DriverPath, GramianResult, SimulationResult,
-                      TwoStageMetadata, write_error_csv, write_path_csv,
-                      write_spectrum_csv, write_stage_metadata_csv,
-                      write_states_csv, write_trajectory_csv)
+from roughmor import (DriverPath, GramianResult, ProjectionBasis,
+                      SimulationResult, TwoStageMetadata, write_error_csv,
+                      write_path_csv, write_spectrum_csv,
+                      write_stage_metadata_csv, write_states_csv,
+                      write_trajectory_csv)
 
 THIRD = 1 / 3  # repr needs all 16 digits
 THIRD_TEXT = "0.3333333333333333"
@@ -18,16 +19,17 @@ RESULT = SimulationResult(
     states=np.array([[1.0, -2.5e-17], [THIRD, 2.0]]),
     outputs=np.array([[1.0], [THIRD]]),
     max_newton_iterations=0, max_linear_residual=0.0)
-SOLVE = GramianResult(matrix=np.eye(1), kind="reach_infinite",
-                      residual=1e-12, iterations=13, horizon=math.inf)
-META = TwoStageMetadata(orders=(100, 35, 33), tol_P=1e-16, tol_Q=THIRD,
-                        P=SOLVE, Q=SOLVE)
+SOLVE = GramianResult(matrix=np.eye(1), side="reach", residual=1e-12,
+                      iterations=13, horizon=math.inf)
+# the orders 100 -> 35 -> 33 and both tolerances are read off the two cuts
+META = TwoStageMetadata(
+    P=SOLVE, basis_P=ProjectionBasis(np.eye(100)[:, :35], np.ones(100), 1e-16),
+    Q=SOLVE, basis_Q=ProjectionBasis(np.eye(35)[:, :33], np.ones(35), THIRD))
 
 CASES = {
     "path": (
         lambda f: write_path_csv(DriverPath(
-            0.0, THIRD, [[0.0, 0.0], [-1e-17, 2.0]],
-            DriverKind.PIECEWISE_LINEAR_INTERP), f),
+            0.0, THIRD, [[0.0, 0.0], [-1e-17, 2.0]]), f),
         f"t,W1,W2\n0.0,0.0,0.0\n{THIRD_TEXT},-1e-17,2.0\n"),
     "spectrum": (
         lambda f: write_spectrum_csv(np.array([THIRD, -9.5e-17]), f),

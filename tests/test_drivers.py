@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from roughmor import (ArgumentError, DriverKind, DriverPath, coarsen_path,
+from roughmor import (ArgumentError, DriverPath, coarsen_path,
                       piecewise_linear_derivative, read_path_csv,
                       sample_fbm_path, smooth_path_from_function,
                       write_path_csv)
@@ -85,7 +85,6 @@ class TestIncrements:
         path = sample_fbm_path(0.4, 2, 1.0, 16, seed=4)
         c = coarsen_path(path, 4)
         assert c.M == 4
-        assert c.kind is DriverKind.PIECEWISE_LINEAR_INTERP
         assert np.array_equal(c.values[0], path.values[0])
         assert np.array_equal(c.values[-1], path.values[-1])
 
@@ -100,15 +99,13 @@ class TestPiecewiseLinearDerivative:
         v = np.array([0.7, -0.3])
         t = np.linspace(0, 2.0, 11)
         vals = t[:, None] * v[None, :]
-        path = DriverPath(t0=0.0, T=2.0, values=vals,
-                          kind=DriverKind.PIECEWISE_LINEAR_INTERP)
+        path = DriverPath(t0=0.0, T=2.0, values=vals)
         slopes, l2_sq = piecewise_linear_derivative(path)
         np.testing.assert_allclose(slopes, np.tile(v, (10, 1)), atol=1e-13)
         assert abs(l2_sq - float(v @ v) * 2.0) <= 1e-12
 
     def test_zero_path(self):
-        path = DriverPath(t0=0.0, T=1.0, values=np.zeros((5, 1)),
-                          kind=DriverKind.PIECEWISE_LINEAR_INTERP)
+        path = DriverPath(t0=0.0, T=1.0, values=np.zeros((5, 1)))
         slopes, l2_sq = piecewise_linear_derivative(path)
         assert np.all(slopes == 0.0) and l2_sq == 0.0
 
@@ -129,7 +126,6 @@ class TestCsvRoundTrip:
         back = read_path_csv(out)
         assert np.array_equal(back.values, path.values)
         assert back.t0 == path.t0 and back.T == path.T
-        assert back.kind is DriverKind.PIECEWISE_LINEAR_INTERP
 
     def test_header(self, tmp_path):
         path = sample_fbm_path(0.4, 2, 0.5, 4, seed=8)
@@ -147,13 +143,7 @@ class TestCsvRoundTrip:
 class TestDriverPathValidation:
     def test_must_start_at_zero(self):
         with pytest.raises(ArgumentError):
-            DriverPath(t0=0.0, T=1.0, values=np.ones((4, 1)),
-                       kind=DriverKind.PIECEWISE_LINEAR_INTERP)
-
-    def test_fbm_requires_hurst(self):
-        vals = np.zeros((4, 1))
-        with pytest.raises(ArgumentError):
-            DriverPath(t0=0.0, T=1.0, values=vals, kind=DriverKind.FBM)
+            DriverPath(t0=0.0, T=1.0, values=np.ones((4, 1)))
 
     def test_times_grid(self):
         path = sample_fbm_path(0.4, 1, 2.0, 4, seed=0)

@@ -5,7 +5,7 @@ import pytest
 
 import roughmor._lyap
 from roughmor import (DEFAULT_TOL_P, ArgumentError, BilinearRoughSystem,
-                      ConvergenceError, GramianKind, StabilityError,
+                      ConvergenceError, GramianResult, StabilityError,
                       build_heat1d, default_heat1d_config, gramian_residual,
                       integrate_gramian_ode, monte_carlo_second_moment,
                       solve_algebraic_gramian, solve_algebraic_gramian_dense,
@@ -32,7 +32,7 @@ class TestFiniteHorizon:
         res = integrate_gramian_ode(sys_, "reach", T=1.0, steps=64)
         e11 = np.outer([1.0, 0.0], [1.0, 0.0])
         np.testing.assert_allclose(res.matrix, e11, atol=1e-14)
-        assert res.kind is GramianKind.REACH_FINITE
+        assert res.side == "reach"
         assert res.horizon == 1.0
 
     def test_scalar_closed_form(self):
@@ -71,8 +71,19 @@ class TestAlgebraicGramian:
         sys_ = scalar_noise_system(a=-1.0, nu=1.0, x0=1.0)
         res = solve_algebraic_gramian(sys_, "reach")
         assert abs(res.matrix[0, 0] - 1.0) <= 1e-12
-        assert res.kind is GramianKind.REACH_INFINITE
+        assert res.side == "reach"
         assert math.isinf(res.horizon)
+
+    def test_result_validation(self):
+        def result(side, horizon):
+            return GramianResult(matrix=np.eye(1), side=side, residual=0.0,
+                                 iterations=1, horizon=horizon)
+
+        assert result("obs", 2.0).side == "obs"
+        with pytest.raises(ArgumentError, match="side"):
+            result("reach_infinite", math.inf)
+        with pytest.raises(ArgumentError, match="horizon"):
+            result("reach", 0.0)
 
     def test_scalar_obs_closed_form(self):
         # 0 = c^2 + (2a + nu^2) Q gives Q = c^2

@@ -59,8 +59,8 @@ class TestProjection:
     def test_identity_projection(self):
         sys_ = mild_stable_system(3, 2, seed=19)
         basis = ProjectionBasis(V=np.eye(3),
-                                retained_eigenvalues=np.array([3.0, 2.0, 1.0]),
-                                discarded_max=0.0, tol_rel=1e-12)
+                                full_spectrum=np.array([3.0, 2.0, 1.0]),
+                                tol_rel=1e-12)
         red = project_system(sys_, basis)
         np.testing.assert_array_equal(red.system.A, sys_.A)
         np.testing.assert_array_equal(red.system.C, sys_.C)
@@ -71,12 +71,20 @@ class TestProjection:
     def test_coordinate_slice(self):
         sys_ = mild_stable_system(2, 1, seed=23)
         basis = ProjectionBasis(V=np.eye(2)[:, :1],
-                                retained_eigenvalues=np.array([1.0]),
-                                discarded_max=0.0, tol_rel=1e-12)
+                                full_spectrum=np.array([1.0]), tol_rel=1e-12)
         red = project_system(sys_, basis)
         assert red.system.A.shape == (1, 1)
         assert red.system.A[0, 0] == sys_.A[0, 0]
         assert red.system.C[0, 0] == sys_.C[0, 0]
+
+    def test_basis_validation(self):
+        with pytest.raises(ArgumentError, match="orthonormal"):
+            ProjectionBasis(V=np.ones((2, 1)), full_spectrum=[2.0, 1.0],
+                            tol_rel=1e-12)
+        # the spectrum must hold at least the r retained eigenvalues
+        with pytest.raises(ArgumentError, match="spectrum"):
+            ProjectionBasis(V=np.eye(3), full_spectrum=[2.0, 1.0],
+                            tol_rel=1e-12)
 
     def test_lift_shape(self):
         sys_ = mild_stable_system(4, 1, seed=29)
@@ -206,16 +214,15 @@ class TestSubspaceContainment:
 
     def test_identity_basis(self):
         basis = ProjectionBasis(V=np.eye(3),
-                                retained_eigenvalues=np.array([1.0, 1.0, 1.0]),
-                                discarded_max=0.0, tol_rel=1e-12)
+                                full_spectrum=np.array([1.0, 1.0, 1.0]),
+                                tol_rel=1e-12)
         traj = self._Traj(np.random.default_rng(0).standard_normal((10, 3)))
         assert subspace_containment_residual(basis, traj) == 0.0
 
     def test_constant_state_in_span(self):
         V = np.eye(3)[:, :2]
-        basis = ProjectionBasis(V=V,
-                                retained_eigenvalues=np.array([1.0, 0.5]),
-                                discarded_max=0.0, tol_rel=1e-12)
+        basis = ProjectionBasis(V=V, full_spectrum=np.array([1.0, 0.5]),
+                                tol_rel=1e-12)
         traj = self._Traj(np.tile([1.0, -2.0, 0.0], (8, 1)))
         assert subspace_containment_residual(basis, traj) == 0.0
 

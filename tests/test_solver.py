@@ -7,7 +7,7 @@ import scipy.linalg
 
 import roughmor.solver
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
-                      DriverKind, DriverPath, IntegrationOverflowError,
+                      DriverPath, IntegrationOverflowError,
                       StepFailureError, pointwise_relative_error,
                       relative_L2_error, rough_rk_simulate, sample_fbm_path,
                       smooth_path_from_function, smooth_quadratic_form_probe,
@@ -35,8 +35,7 @@ def drift_only_system(a):
 
 
 def zero_path(T, M, d=1):
-    return DriverPath(t0=0.0, T=T, values=np.zeros((M + 1, d)),
-                      kind=DriverKind.PIECEWISE_LINEAR_INTERP)
+    return DriverPath(t0=0.0, T=T, values=np.zeros((M + 1, d)))
 
 
 class TestTableau:
@@ -290,11 +289,27 @@ class TestSmoothProbe:
         probe = smooth_quadratic_form_probe(sys_, path, 512)
         assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm
 
-    def test_rejects_rough_path_kind(self):
+    def test_overflowing_gronwall_factor_raises(self, monkeypatch):
+        # the coarsened H = 0.3 path has int ||W_dot||^2 dt = 1051, above
+        # log(float max) = 709.8: the probe names the value and refuses the
+        # path before it integrates anything
+        def integrate(*args, **kwargs):
+            raise AssertionError("the probe integrated an unusable path")
+
+        monkeypatch.setattr(roughmor.solver, "integrate_gramian_ode",
+                            integrate)
+        path = coarsen_path(sample_fbm_path(0.3, 2, 0.5, 128, seed=2), 2)
+        with pytest.raises(ArgumentError, match=r"= 1051\.1 overflows"):
+            smooth_quadratic_form_probe(mild_stable_system(4, 2, seed=5),
+                                        path, 512)
+
+    def test_raw_fbm_path(self):
+        # an fBm path is read as its piecewise-linear interpolant like any
+        # other path; this one's factor exp(145) stays finite
         sys_ = scalar_noise_system()
         path = sample_fbm_path(0.4, 1, 0.5, 64, seed=1)
-        with pytest.raises(ArgumentError):
-            smooth_quadratic_form_probe(sys_, path, 512)
+        probe = smooth_quadratic_form_probe(sys_, path, 512)
+        assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm
 
 
 class TestErrorNorms:

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -223,10 +224,11 @@ class TestStability:
         # rho = 5000 with the singular eigenvector e1 e1^T: no positive
         # definite candidate proves it, and the power iterates overflow
         # within the solve cap; the gate gives up with the bracket instead
-        # of failing on non-finite values
+        # of failing on non-finite values, and the overflow warns nobody
         sys_ = simple_system(-np.eye(2), [np.diag([100.0, 0.0])], np.eye(1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="undecided"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="undecided after 84"):
                 is_mean_square_stable(sys_)
 
     def test_iterative_rejects_non_hurwitz_drift(self):
