@@ -10,7 +10,7 @@ the covariance weighting, the initial-state forcing).
 
 import numpy as np
 
-from roughmor import (gramian_residual, integrate_gramian_ode,
+from roughmor import (LyapunovOperator, integrate_gramian_ode,
                       monte_carlo_second_moment, solve_algebraic_gramian,
                       solve_algebraic_gramian_dense)
 from roughmor._fixtures import mild_stable_system
@@ -25,8 +25,9 @@ def main():
     gap = np.abs(krylov.matrix - dense.matrix).max()
     print(f"GMRES vs dense Kronecker solve: max entry gap {gap:.3e} "
           f"({krylov.iterations} GMRES iterations)")
-    res = gramian_residual(sys_, krylov.matrix, "reach")
-    print(f"algebraic residual of the GMRES P: {float(res):.3e}")
+    res, eta = LyapunovOperator(sys_, "reach").errors(krylov.matrix)
+    print(f"algebraic residual of the GMRES P: {float(res):.3e} "
+          f"(backward error {eta:.3e})")
 
     T = 1.0
     ode = integrate_gramian_ode(sys_, "reach", T=T, steps=2000)

@@ -37,16 +37,16 @@ from .drivers import (DriverPath, coarsen_path, piecewise_linear_derivative,
                       read_path_csv, sample_fbm_path,
                       smooth_path_from_function, write_path_csv)
 from .gramians import (GramianResult, MonteCarloSecondMoment,
-                       gramian_residual, integrate_gramian_ode,
-                       monte_carlo_second_moment, solve_algebraic_gramian,
-                       solve_algebraic_gramian_dense, write_spectrum_csv)
+                       integrate_gramian_ode, monte_carlo_second_moment,
+                       solve_algebraic_gramian, solve_algebraic_gramian_dense,
+                       write_spectrum_csv)
 from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q, ProjectionBasis,
-                        ReducedModel, SweepEntry, TwoStageMetadata,
+                        ReducedModel, TwoStageMetadata,
                         check_kernel_preservation, greedy_rank_sweep,
-                        kernel_preservation_scale, project_system,
-                        reduce_by_observability,
-                        subspace_containment_residual, truncate_psd_spectrum,
-                        two_stage_reduce, write_stage_metadata_csv)
+                        kernel_preservation_scale, observability_cut,
+                        project_system, subspace_containment_residual,
+                        truncate_psd_spectrum, two_stage_reduce,
+                        write_stage_metadata_csv)
 from .solver import (PointwiseErrorSeries, SimulationResult,
                      SmoothProbeResult, pointwise_relative_error,
                      relative_L2_error, rough_rk_simulate,
@@ -66,15 +66,14 @@ __all__ = [
     "DriverPath", "coarsen_path", "piecewise_linear_derivative",
     "read_path_csv", "sample_fbm_path", "smooth_path_from_function",
     "write_path_csv",
-    "GramianResult", "MonteCarloSecondMoment",
-    "gramian_residual", "integrate_gramian_ode",
+    "GramianResult", "MonteCarloSecondMoment", "integrate_gramian_ode",
     "monte_carlo_second_moment", "solve_algebraic_gramian",
     "solve_algebraic_gramian_dense", "write_spectrum_csv",
     "DEFAULT_TOL_P", "DEFAULT_TOL_Q", "ProjectionBasis", "ReducedModel",
-    "SweepEntry", "TwoStageMetadata", "check_kernel_preservation",
-    "greedy_rank_sweep", "kernel_preservation_scale", "project_system",
-    "reduce_by_observability", "subspace_containment_residual",
-    "truncate_psd_spectrum", "two_stage_reduce", "write_stage_metadata_csv",
+    "TwoStageMetadata", "check_kernel_preservation", "greedy_rank_sweep",
+    "kernel_preservation_scale", "observability_cut", "project_system",
+    "subspace_containment_residual", "truncate_psd_spectrum",
+    "two_stage_reduce", "write_stage_metadata_csv",
     "PointwiseErrorSeries", "SimulationResult", "SmoothProbeResult",
     "pointwise_relative_error", "relative_L2_error", "rough_rk_simulate",
     "smooth_quadratic_form_probe", "write_error_csv", "write_states_csv",

@@ -394,7 +394,7 @@ def run_sweep(cfg: RunConfig) -> int:
     ranks = cfg.ranks
     if not ranks:
         ranks = tuple(range(5, model.r + 1, 2)) or (model.r,)
-    entries = greedy_rank_sweep(model, ranks)
+    models = greedy_rank_sweep(model, ranks)
     t1 = time.perf_counter()
 
     path = resolve_driver(cfg, model_sys.d)
@@ -402,10 +402,10 @@ def run_sweep(cfg: RunConfig) -> int:
     full = rough_rk_simulate(model_sys, path)
 
     rows = []
-    for entry in entries:
-        res = rough_rk_simulate(entry.system, path)
+    for requested, lossy in models.items():
+        res = rough_rk_simulate(lossy.system, path)
         err = relative_L2_error(full.outputs, res.outputs, full.times)
-        rows.append((entry.requested_rank, entry.actual_rank, float(err)))
+        rows.append((requested, lossy.r, float(err)))
     t2 = time.perf_counter()
 
     atomic_write_text(run.path("sweep_errors.csv"), csv_text(

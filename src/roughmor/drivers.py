@@ -19,7 +19,7 @@ from .errors import ArgumentError, NumericalError
 from ._util import atomic_write_text, csv_text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DriverPath:
     """Sampled driver on the uniform grid t_k = t0 + k (T - t0) / M.
 

@@ -25,7 +25,7 @@ class StabilityError(PreconditionError):
     """Operation requires a mean-square asymptotically stable system."""
 
 
-class EmptyBasisError(RoughmorError):
+class EmptyBasisError(PreconditionError):
     """Truncation has nothing to retain (zero matrix input); carries the
     full descending spectrum that was cut."""
 

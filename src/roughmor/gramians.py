@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ArgumentError, ConvergenceError, GuardedScalar,
+from .errors import (ArgumentError, ConvergenceError,
                      IntegrationOverflowError, StabilityError)
 from ._util import atomic_write_text, csv_text
 from .system import (BilinearRoughSystem, LyapunovOperator,
@@ -45,7 +45,7 @@ GMRES_TOL = 1e-14
 BACKWARD_ERROR_BOUND = 64 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GramianResult:
     """A computed Gramian with its defining-equation residual.
 
@@ -71,8 +71,7 @@ class GramianResult:
     gate_rho_lower: Optional[float] = None
     gate_rho_upper: Optional[float] = None
     gate_solves: Optional[int] = None
-    trajectory: Optional[np.ndarray] = field(default=None, repr=False,
-                                             compare=False)
+    trajectory: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
         G = np.asarray(self.matrix, dtype=float)
@@ -179,9 +178,10 @@ def _gmres_gramian(op: LyapunovOperator, side: str,
     gate = dict(gate_rho_lower=report.lower, gate_rho_upper=report.upper,
                 gate_solves=report.solves)
     if np.linalg.norm(op.rhs) == 0.0:
-        return GramianResult(matrix=np.zeros_like(op.A), side=side,
-                             residual=0.0, iterations=0, horizon=math.inf,
-                             backward_error=0.0, **gate)
+        P = np.zeros_like(op.A)
+        res, eta = op.errors(P)
+        return GramianResult(matrix=P, side=side, residual=res, iterations=0,
+                             horizon=math.inf, backward_error=eta, **gate)
     cache = report.lyap if side == "reach" else report.lyap.transposed()
     b = cache.solve_neg(op.rhs)
     beta = np.linalg.norm(b)
@@ -232,27 +232,7 @@ def solve_algebraic_gramian_dense(
                          horizon=math.inf, backward_error=eta)
 
 
-def gramian_residual(sys: BilinearRoughSystem, G, side: str) -> GuardedScalar:
-    """Relative Frobenius residual of the defining algebraic equation.
-
-    Returns ||rhs + L(G)||_F / ||rhs||_F (reach) or the dual (obs). A zero
-    right-hand side trips the division guard: the absolute residual comes
-    back with ``is_absolute`` set.
-    """
-    G = np.asarray(G, dtype=float)
-    if G.shape != (sys.n, sys.n):
-        raise ArgumentError(
-            f"Gramian has shape {G.shape}, expected {(sys.n, sys.n)}")
-    op = LyapunovOperator(sys, side)
-    G = (G + G.T) / 2
-    num = float(np.linalg.norm(op.residual(G)))
-    den = float(np.linalg.norm(op.rhs))
-    if den == 0.0:
-        return GuardedScalar(num, is_absolute=True)
-    return GuardedScalar(num / den, is_absolute=False)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloSecondMoment:
     """Monte-Carlo estimate of t -> E[x(t) x(t)^T] and its time integral.
 

@@ -11,7 +11,7 @@ its row count is the parent order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +26,16 @@ DEFAULT_TOL_P = 1e-16
 DEFAULT_TOL_Q = 1e-15
 
 
-@dataclass(frozen=True)
+def _orthonormal(V) -> np.ndarray:
+    V = np.asarray(V, dtype=float)
+    if V.ndim != 2 or V.shape[1] < 1:
+        raise ArgumentError(f"basis must be n x r with r >= 1, got {V.shape}")
+    if np.linalg.norm(V.T @ V - np.eye(V.shape[1])) > 1e-10:
+        raise ArgumentError("basis columns are not orthonormal")
+    return V
+
+
+@dataclass(frozen=True, eq=False)
 class ProjectionBasis:
     """Orthonormal basis of a retained Gramian eigenspace and the descending
     spectrum it was cut from.
@@ -41,16 +50,12 @@ class ProjectionBasis:
     tol_rel: float
 
     def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
+        V = _orthonormal(self.V)
         w = np.asarray(self.full_spectrum, dtype=float)
-        if V.ndim != 2 or V.shape[1] < 1:
-            raise ArgumentError(f"basis must be n x r with r >= 1, got {V.shape}")
         if w.ndim != 1 or w.size < V.shape[1]:
             raise ArgumentError(
                 f"spectrum of shape {w.shape} cannot hold {V.shape[1]} "
                 "retained eigenvalues")
-        if np.linalg.norm(V.T @ V - np.eye(V.shape[1])) > 1e-10:
-            raise ArgumentError("basis columns are not orthonormal")
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "full_spectrum", w)
         object.__setattr__(self, "tol_rel", float(self.tol_rel))
@@ -69,18 +74,19 @@ class ProjectionBasis:
         return float(w[self.r]) if self.r < w.size else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReducedModel:
-    """A projected system plus the basis that produced it."""
+    """A projected system plus the orthonormal n x r basis V it was
+    projected onto."""
 
     system: BilinearRoughSystem
-    basis: ProjectionBasis
+    V: np.ndarray
 
     def __post_init__(self):
-        if self.system.n != self.basis.r:
+        if self.system.n != self.V.shape[1]:
             raise ArgumentError(
                 f"reduced order {self.system.n} does not match basis rank "
-                f"{self.basis.r}")
+                f"{self.V.shape[1]}")
 
     @property
     def r(self) -> int:
@@ -88,7 +94,7 @@ class ReducedModel:
 
     def lift(self, reduced_states: np.ndarray) -> np.ndarray:
         """Map reduced states (... x r) back to full coordinates (... x n)."""
-        return np.asarray(reduced_states, dtype=float) @ self.basis.V.T
+        return np.asarray(reduced_states, dtype=float) @ self.V.T
 
 
 def truncate_psd_spectrum(G, tol_rel: float) -> ProjectionBasis:
@@ -140,27 +146,26 @@ def _galerkin(sys: BilinearRoughSystem, V) -> BilinearRoughSystem:
         drift_nonlinearity=_reduced_nonlinearity(nl, V) if nl else None)
 
 
-def project_system(sys: BilinearRoughSystem,
-                   basis: ProjectionBasis) -> ReducedModel:
-    """Galerkin projection of the system onto the basis columns.
+def project_system(sys: BilinearRoughSystem, V) -> ReducedModel:
+    """Galerkin projection of the system onto the orthonormal columns of V.
 
     Reduced matrices are V^T A V, V^T N_i V, C V, V^T x0 with K unchanged;
     the drift nonlinearity, when present, becomes x_r g(V x_r).
     """
-    V = basis.V
+    V = _orthonormal(V)
     if V.shape[0] != sys.n:
         raise ArgumentError(
             f"basis has {V.shape[0]} rows but the system has order {sys.n}")
-    return ReducedModel(system=_galerkin(sys, V), basis=basis)
+    return ReducedModel(system=_galerkin(sys, V), V=V)
 
 
-def reduce_by_observability(sys: BilinearRoughSystem, Q: GramianResult,
-                            tol_rel: float) -> ReducedModel:
-    """Remove the numerical kernel of the observability Gramian.
+def observability_cut(sys: BilinearRoughSystem, Q: GramianResult,
+                      tol_rel: float) -> ProjectionBasis:
+    """Cut of the observability Gramian Q that removes its numerical kernel.
 
     Valid only for f = 0 and invertible K: those hypotheses make ker(Q)
-    invariant and output-irrelevant, so the projected model reproduces y
-    exactly.
+    invariant and output-irrelevant, so the model projected onto the cut
+    (project_system(sys, cut.V)) reproduces y exactly.
     """
     if sys.drift_nonlinearity is not None:
         raise PreconditionError(
@@ -174,11 +179,10 @@ def reduce_by_observability(sys: BilinearRoughSystem, Q: GramianResult,
         raise PreconditionError(
             "observability-based reduction requires invertible K "
             f"(min eigenvalue {wK[0]:.3e}, max {wK[-1]:.3e})")
-    basis = truncate_psd_spectrum(Q.matrix, tol_rel)
-    return project_system(sys, basis)
+    return truncate_psd_spectrum(Q.matrix, tol_rel)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoStageMetadata:
     """The Gramian solve and the cut of each stage of a two-stage run.
 
@@ -231,8 +235,8 @@ def two_stage_reduce(
     the observability Gramian of the stage-1 model and truncates that. With a
     drift nonlinearity present, stage 2 is skipped with a notice in the
     metadata (its exactness argument needs f = 0). Returns the final
-    ReducedModel (composite basis, projected from ``sys``) and a
-    TwoStageMetadata.
+    ReducedModel (projected from ``sys`` onto the composite V = V_P V_Q) and
+    a TwoStageMetadata.
 
     Both Gramian solves run GMRES to its round-off floor and are accepted by
     their backward error (solve_algebraic_gramian), so the truncation reads
@@ -240,7 +244,7 @@ def two_stage_reduce(
     """
     P = solve_algebraic_gramian(sys, "reach")
     basis_P = truncate_psd_spectrum(P.matrix, tol_P)
-    stage1 = project_system(sys, basis_P)
+    stage1 = project_system(sys, basis_P.V)
 
     if sys.drift_nonlinearity is not None:
         return stage1, TwoStageMetadata(
@@ -249,9 +253,8 @@ def two_stage_reduce(
                    "(stage 2 requires f = 0)")
 
     Q = solve_algebraic_gramian(stage1.system, "obs")
-    basis_Q = reduce_by_observability(stage1.system, Q, tol_Q).basis
-    composite = replace(basis_Q, V=basis_P.V @ basis_Q.V)
-    return project_system(sys, composite), TwoStageMetadata(
+    basis_Q = observability_cut(stage1.system, Q, tol_Q)
+    return project_system(sys, basis_P.V @ basis_Q.V), TwoStageMetadata(
         P=P, basis_P=basis_P, Q=Q, basis_Q=basis_Q)
 
 
@@ -263,30 +266,15 @@ def write_stage_metadata_csv(meta: TwoStageMetadata, file) -> None:
          for stage, order, tolerance in meta.records()]))
 
 
-@dataclass(frozen=True)
-class SweepEntry:
-    """One lossy model of the rank sweep.
-
-    ``requested_rank`` is what the caller asked for; ``actual_rank`` may be
-    smaller than the exact order only never larger: requests at or above the
-    exact order clamp to the exact model.
-    """
-
-    requested_rank: int
-    actual_rank: int
-    system: BilinearRoughSystem
-    V: np.ndarray
-
-
-def greedy_rank_sweep(exact: ReducedModel, ranks):
+def greedy_rank_sweep(exact: ReducedModel, ranks) -> dict:
     """Lossy models below the exact order by greedy alternating truncation.
 
     Starting from the exact reduced model, each step solves both Gramians of
     the current model behind one stability check, compares their smallest
     relative eigenvalues, and drops the single eigendirection of the side
-    whose spectrum decays deeper (ties go to the reachability side). A
-    snapshot is recorded at every requested rank; requested ranks at or
-    above the exact order return the exact model unchanged.
+    whose spectrum decays deeper (ties go to the reachability side). Returns
+    {requested rank: ReducedModel} in ascending rank order; a requested rank
+    at or above the exact order maps to ``exact`` itself.
 
     The dropped directions carry no exactness guarantee: this realizes the
     "neglect eigenspaces beyond the numerical zeros" experiment, trading
@@ -302,31 +290,20 @@ def greedy_rank_sweep(exact: ReducedModel, ranks):
     if ranks[-1] < 1:
         raise ArgumentError(f"target ranks must be >= 1, got {ranks[-1]}")
 
-    entries = []
-    cur = exact.system
-    V_total = exact.basis.V
-    targets = []
-    for r in ranks:
-        if r >= exact.r:
-            entries.append(SweepEntry(requested_rank=r, actual_rank=exact.r,
-                                      system=cur, V=V_total))
-        else:
-            targets.append(r)
-
-    for target in targets:
-        while cur.n > target:
+    models = {}
+    model = exact
+    for target in ranks:
+        while model.r > target:
+            cur = model.system
             P, Q = _solve_gramians(cur, ("reach", "obs"))
             wp, Vp = eigh((P.matrix + P.matrix.T) / 2)
             wq, Vq = eigh((Q.matrix + Q.matrix.T) / 2)
             rel_p = wp[0] / wp[-1]
             rel_q = wq[0] / wq[-1]
             V_keep = Vp[:, 1:] if rel_p <= rel_q else Vq[:, 1:]
-            cur = _galerkin(cur, V_keep)
-            V_total = V_total @ V_keep
-        entries.append(SweepEntry(requested_rank=target, actual_rank=cur.n,
-                                  system=cur, V=V_total))
-    entries.sort(key=lambda e: e.requested_rank)
-    return entries
+            model = ReducedModel(_galerkin(cur, V_keep), model.V @ V_keep)
+        models[target] = model
+    return dict(reversed(models.items()))
 
 
 def check_kernel_preservation(sys: BilinearRoughSystem, Q, z):

@@ -44,7 +44,7 @@ A21 = -math.sqrt(3.0) / 3.0
 B1 = B2 = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimulationResult:
     """A sampled trajectory with its output and solver diagnostics."""
 
@@ -308,7 +308,7 @@ def relative_L2_error(y_full, y_red, times) -> GuardedScalar:
     return GuardedScalar(num / den, is_absolute=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointwiseErrorSeries:
     """Per-node relative output error; absolute where the reference is 0."""
 

@@ -26,7 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
 
-from .errors import ArgumentError, CapabilityError, NumericalError
+from .errors import (ArgumentError, CapabilityError, GuardedScalar,
+                     NumericalError)
 from ._lyap import SchurLyapunov
 
 # LyapunovOperator.matrix has n^4 entries: 6.5 MB at this order
@@ -58,7 +59,7 @@ def _as_matrix(a, name):
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BilinearRoughSystem:
     """System matrices (A, N_1..N_d, K, C, x0) plus optional drift nonlinearity.
 
@@ -202,18 +203,21 @@ class LyapunovOperator:
     def errors(self, G):
         """(relative residual, backward error) of G in 0 = rhs + L(G).
 
-        With R = residual(G), the relative residual is ||R||_F / ||rhs||_F
-        and the backward error ||R||_F / (||rhs||_F + l ||G||_F), where
-        l = 2 ||A|| + sum_ij |k_ij| ||N_i|| ||N_j|| bounds ||L|| in the
-        Frobenius norm, each 2-norm bounded by sqrt(||M||_1 ||M||_inf) at
-        O(n^2) cost.
+        With R = residual(G), the relative residual is the GuardedScalar
+        ||R||_F / ||rhs||_F, or ||R||_F flagged ``is_absolute`` when rhs = 0.
+        The backward error is ||R||_F / (||rhs||_F + l ||G||_F), 0 when that
+        denominator vanishes (R = 0 then too), where l = 2 ||A|| +
+        sum_ij |k_ij| ||N_i|| ||N_j|| bounds ||L|| in the Frobenius norm,
+        each 2-norm bounded by sqrt(||M||_1 ||M||_inf) at O(n^2) cost.
         """
         nr = np.linalg.norm(self.rhs)
         nR = np.linalg.norm(self.residual(G))
         norms = np.sqrt([np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
                          for M in (self.A, *self.N)])
         ell = 2.0 * norms[0] + norms[1:] @ np.abs(self.K) @ norms[1:]
-        return float(nR / nr), float(nR / (nr + ell * np.linalg.norm(G)))
+        den = nr + ell * np.linalg.norm(G)
+        return (GuardedScalar(nR / nr if nr else nR, is_absolute=not nr),
+                float(nR / den) if den else 0.0)
 
     def matrix(self) -> np.ndarray:
         """Dense n^2 x n^2 matrix M with M vec(X) = vec(L(X)).

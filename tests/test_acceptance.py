@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from roughmor import (BilinearRoughSystem, DEFAULT_TOL_P, DEFAULT_TOL_Q,
-                      DriftNonlinearity, DriverPath, coarsen_path,
-                      gramian_residual, greedy_rank_sweep,
+                      DriftNonlinearity, DriverPath, LyapunovOperator,
+                      coarsen_path, greedy_rank_sweep,
                       integrate_gramian_ode, kernel_preservation_scale,
-                      check_kernel_preservation, positivity_scale,
-                      reduce_by_observability,
+                      check_kernel_preservation, observability_cut,
+                      positivity_scale, project_system,
                       relative_L2_error, resolvent_positivity_probe,
                       rough_rk_simulate, sample_fbm_path,
                       smooth_path_from_function, smooth_quadratic_form_probe,
@@ -58,11 +58,11 @@ def test_criterion_1_exact_reduction(heat_pipeline, heat_path, heat_full_sim):
 
 def test_criterion_2_lossy_sweep(heat_pipeline, heat_path, heat_full_sim):
     model, _ = heat_pipeline
-    entries = greedy_rank_sweep(model, tuple(range(5, 34, 2)))
+    models = greedy_rank_sweep(model, tuple(range(5, 34, 2)))
     errs = {}
-    for entry in entries:
-        res = rough_rk_simulate(entry.system, heat_path)
-        errs[entry.requested_rank] = float(relative_L2_error(
+    for r, lossy in models.items():
+        res = rough_rk_simulate(lossy.system, heat_path)
+        errs[r] = float(relative_L2_error(
             heat_full_sim.outputs, res.outputs, heat_full_sim.times))
     table = ", ".join(f"r={r}: {errs[r]:.2e}" for r in sorted(errs))
     print(f"criterion 2: {table}")
@@ -78,8 +78,8 @@ def test_criterion_3_gramian_correctness(heat100, heat_P, heat_Q,
             (s, solve_algebraic_gramian(s, "reach"),
              solve_algebraic_gramian(s, "obs"))
             for s in random_stable_batch]:
-        rp = float(gramian_residual(sys_, P.matrix, "reach"))
-        rq = float(gramian_residual(sys_, Q.matrix, "obs"))
+        rp = float(LyapunovOperator(sys_, "reach").errors(P.matrix)[0])
+        rq = float(LyapunovOperator(sys_, "obs").errors(Q.matrix)[0])
         worst = max(worst, rp, rq)
     mild = mild_stable_system(3, 1, seed=99)
     ode = integrate_gramian_ode(mild, "reach", T=1.0, steps=1000)
@@ -129,7 +129,8 @@ def test_criterion_5_kernel_preservation(heat100, heat_Q, heat_path,
         triple = check_kernel_preservation(heat100, heat_Q.matrix, z)
         scale = kernel_preservation_scale(heat100, heat_Q.matrix, z)
         worst = max(worst, max(triple) / (1e-8 * scale))
-    model = reduce_by_observability(heat100, heat_Q, DEFAULT_TOL_Q)
+    model = project_system(
+        heat100, observability_cut(heat100, heat_Q, DEFAULT_TOL_Q).V)
     reduced = rough_rk_simulate(model.system, heat_path)
     err = float(relative_L2_error(heat_full_sim.outputs, reduced.outputs,
                                   heat_full_sim.times))

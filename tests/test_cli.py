@@ -121,6 +121,22 @@ class TestReduce:
         assert "undecided" in summary["error"]
 
 
+    def test_zero_initial_state_exits_1(self, tmp_path):
+        # x0 = 0 leaves P = 0 with nothing to keep: a precondition of the
+        # reduction fails, nothing numerical
+        base = mild_stable_system(2, 1, seed=3)
+        mfile = tmp_path / "zero.txt"
+        write_system_file(BilinearRoughSystem(A=base.A, N=base.N, K=base.K,
+                                              C=base.C, x0=np.zeros(2)),
+                          mfile)
+        for command in ("reduce", "sweep"):
+            out = tmp_path / command
+            rc = main([command, "--model", "file", "--model-file",
+                       str(mfile), "--step-exp", "6", "--out", str(out)])
+            assert rc == 1
+            assert read_summary(out)["error_type"] == "EmptyBasisError"
+
+
 class TestSweep:
     def test_full_rank_and_csv(self, small_model_file, tmp_path):
         out = tmp_path / "run"

@@ -1,12 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import roughmor._lyap
 from roughmor import (DEFAULT_TOL_P, ArgumentError, BilinearRoughSystem,
-                      ConvergenceError, GramianResult, StabilityError,
-                      build_heat1d, default_heat1d_config, gramian_residual,
+                      ConvergenceError, GramianResult, LyapunovOperator,
+                      StabilityError, build_heat1d, default_heat1d_config,
                       integrate_gramian_ode, monte_carlo_second_moment,
                       solve_algebraic_gramian, solve_algebraic_gramian_dense,
                       truncate_psd_spectrum)
@@ -186,35 +187,40 @@ class TestAlgebraicGramian:
 
 
 class TestGramianResidual:
+    def residual(self, sys_, G):
+        return LyapunovOperator(sys_, "reach").errors(G)[0]
+
     def test_exact_scalar_solution(self):
         sys_ = scalar_noise_system(a=-1.0, nu=1.0, x0=1.0)
-        P = np.array([[1.0]])
-        assert gramian_residual(sys_, P, "reach") <= 1e-14
+        res = self.residual(sys_, np.array([[1.0]]))
+        assert res <= 1e-14 and not res.is_absolute
 
     def test_zero_matrix(self):
         sys_ = scalar_noise_system(a=-1.0, nu=1.0, x0=1.0)
-        assert gramian_residual(sys_, np.zeros((1, 1)), "reach") == 1.0
+        assert self.residual(sys_, np.zeros((1, 1))) == 1.0
 
     def test_linear_perturbation(self):
         # residual of P + eps is eps |2a + nu^2| / |x0^2| = eps
         sys_ = scalar_noise_system(a=-1.0, nu=1.0, x0=1.0)
-        res = gramian_residual(sys_, np.array([[1.0 + 1e-3]]), "reach")
+        res = self.residual(sys_, np.array([[1.0 + 1e-3]]))
         assert abs(res - 1e-3) <= 1e-12
 
     def test_zero_rhs_flags_absolute(self):
         sys_ = system_from(-np.eye(2), [np.zeros((2, 2))], np.eye(1),
                            [[1.0, 0.0]], [0.0, 0.0])
-        res = gramian_residual(sys_, np.zeros((2, 2)), "reach")
+        res = self.residual(sys_, np.zeros((2, 2)))
         assert res == 0.0 and res.is_absolute
 
-    def test_agrees_with_solve_residual(self):
-        # both routes sum rhs + L(G) in one order, so they agree bitwise
-        for sys_ in (build_heat1d(default_heat1d_config(30)),
-                     mild_stable_system(5, 2, seed=0)):
-            for side in ("reach", "obs"):
-                G = solve_algebraic_gramian(sys_, side)
-                assert float(gramian_residual(sys_, G.matrix, side)) \
-                    == G.residual
+    def test_dense_solve_of_zero_rhs(self):
+        # x0 = 0: P = 0 solves the equation exactly, with no 0/0 on the way
+        sys_ = mild_stable_system(3, 1, seed=1)
+        sys_ = system_from(sys_.A, sys_.N, sys_.K, sys_.C, np.zeros(3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            P = solve_algebraic_gramian_dense(sys_, "reach")
+        np.testing.assert_array_equal(P.matrix, np.zeros((3, 3)))
+        assert P.residual == 0.0 and P.residual.is_absolute
+        assert P.backward_error == 0.0
 
 
 class TestMonteCarlo:

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import roughmor.gramians
+import roughmor.reduction
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
                       EmptyBasisError, PreconditionError, ProjectionBasis,
                       check_kernel_preservation, greedy_rank_sweep,
-                      kernel_preservation_scale, project_system,
-                      reduce_by_observability, relative_L2_error,
+                      kernel_preservation_scale, observability_cut,
+                      project_system, relative_L2_error,
                       rough_rk_simulate, sample_fbm_path,
                       solve_algebraic_gramian, subspace_containment_residual,
                       truncate_psd_spectrum, two_stage_reduce)
@@ -58,10 +59,7 @@ class TestTruncation:
 class TestProjection:
     def test_identity_projection(self):
         sys_ = mild_stable_system(3, 2, seed=19)
-        basis = ProjectionBasis(V=np.eye(3),
-                                full_spectrum=np.array([3.0, 2.0, 1.0]),
-                                tol_rel=1e-12)
-        red = project_system(sys_, basis)
+        red = project_system(sys_, np.eye(3))
         np.testing.assert_array_equal(red.system.A, sys_.A)
         np.testing.assert_array_equal(red.system.C, sys_.C)
         np.testing.assert_array_equal(red.system.x0, sys_.x0)
@@ -70,12 +68,15 @@ class TestProjection:
 
     def test_coordinate_slice(self):
         sys_ = mild_stable_system(2, 1, seed=23)
-        basis = ProjectionBasis(V=np.eye(2)[:, :1],
-                                full_spectrum=np.array([1.0]), tol_rel=1e-12)
-        red = project_system(sys_, basis)
+        red = project_system(sys_, np.eye(2)[:, :1])
         assert red.system.A.shape == (1, 1)
         assert red.system.A[0, 0] == sys_.A[0, 0]
         assert red.system.C[0, 0] == sys_.C[0, 0]
+
+    def test_rejects_non_orthonormal_matrix(self):
+        sys_ = mild_stable_system(2, 1, seed=23)
+        with pytest.raises(ArgumentError, match="orthonormal"):
+            project_system(sys_, 2.0 * np.eye(2))
 
     def test_basis_validation(self):
         with pytest.raises(ArgumentError, match="orthonormal"):
@@ -90,7 +91,7 @@ class TestProjection:
         sys_ = mild_stable_system(4, 1, seed=29)
         P = solve_algebraic_gramian(sys_, "reach")
         basis = truncate_psd_spectrum(P.matrix, 1e-8)
-        red = project_system(sys_, basis)
+        red = project_system(sys_, basis.V)
         states_r = np.ones((7, red.r))
         assert red.lift(states_r).shape == (7, 4)
 
@@ -108,12 +109,26 @@ class TestTwoStage:
 
     def test_composite_basis_orthonormal(self, heat_pipeline):
         model, meta = heat_pipeline
-        V = model.basis.V
+        V = model.V
         assert np.linalg.norm(V.T @ V - np.eye(model.r)) <= 1e-10
 
     def test_heat_orders(self, heat_pipeline):
         model, meta = heat_pipeline
         assert meta.orders == (100, 35, 33)
+
+    def test_two_projections(self, heat100, monkeypatch):
+        # stage 1 and the composite model are projected from the full
+        # system; stage 2 only cuts Q of the stage-1 model
+        shapes = []
+        project = roughmor.reduction.project_system
+
+        def counting(sys_, V):
+            shapes.append(V.shape)
+            return project(sys_, V)
+
+        monkeypatch.setattr(roughmor.reduction, "project_system", counting)
+        two_stage_reduce(heat100)
+        assert shapes == [(100, 35), (100, 33)]
 
     def test_heat_order_at_loose_tolerance(self, heat100):
         # the smooth spectrum has no gap: a 1e-12 relative cut keeps 26
@@ -146,17 +161,16 @@ class TestObservabilityReduction:
         sys_full_C = BilinearRoughSystem(A=sys_.A, N=sys_.N, K=sys_.K,
                                          C=np.eye(3), x0=sys_.x0)
         Q = solve_algebraic_gramian(sys_full_C, "obs")
-        red = reduce_by_observability(sys_full_C, Q, 1e-12)
-        assert red.r == 3
+        assert observability_cut(sys_full_C, Q, 1e-12).r == 3
 
     def test_decoupled_block_removed(self):
         sys_ = decoupled_observability_system()
         Q = solve_algebraic_gramian(sys_, "obs")
-        red = reduce_by_observability(sys_, Q, 1e-12)
-        assert red.r == 2
+        cut = observability_cut(sys_, Q, 1e-12)
+        assert cut.r == 2
         # the removed direction is the third coordinate
         e3 = np.array([0.0, 0.0, 1.0])
-        assert np.linalg.norm(red.basis.V.T @ e3) <= 1e-10
+        assert np.linalg.norm(cut.V.T @ e3) <= 1e-10
 
     def test_rejects_nonlinearity(self):
         base = mild_stable_system(3, 1, seed=47)
@@ -166,13 +180,13 @@ class TestObservabilityReduction:
                                    x0=base.x0, drift_nonlinearity=nl)
         Q = solve_algebraic_gramian(base, "obs")
         with pytest.raises(PreconditionError):
-            reduce_by_observability(sys_, Q, 1e-12)
+            observability_cut(sys_, Q, 1e-12)
 
     def test_rejects_reachability_result(self):
         sys_ = mild_stable_system(3, 1, seed=53)
         P = solve_algebraic_gramian(sys_, "reach")
         with pytest.raises(ArgumentError):
-            reduce_by_observability(sys_, P, 1e-12)
+            observability_cut(sys_, P, 1e-12)
 
     def test_two_stage_compresses_diagonal_system(self):
         # x0 touches two coordinates, C reads one: both Gramians are
@@ -238,17 +252,17 @@ class TestSubspaceContainment:
 class TestGreedySweep:
     def test_requested_ranks_and_clamping(self, heat_pipeline):
         model, _ = heat_pipeline
-        entries = greedy_rank_sweep(model, (5, 33, 50))
-        by_requested = {e.requested_rank: e for e in entries}
-        assert sorted(by_requested) == [5, 33, 50]
-        assert by_requested[5].actual_rank == 5
-        assert by_requested[50].actual_rank == model.r
-        assert by_requested[5].system.n == 5
+        models = greedy_rank_sweep(model, (50, 5, 33))
+        assert list(models) == [5, 33, 50]
+        assert models[5].r == 5
+        assert models[5].V.shape == (100, 5)
+        # a rank at or above the exact order is the exact model itself
+        assert models[50].system is model.system
+        assert models[33].r == model.r
 
     def test_bases_orthonormal(self, heat_pipeline):
         model, _ = heat_pipeline
-        entries = greedy_rank_sweep(model, (31,))
-        V = entries[0].V
+        V = greedy_rank_sweep(model, (31,))[31].V
         assert np.linalg.norm(V.T @ V - np.eye(31)) <= 1e-10
 
     def test_one_gate_per_system(self, heat_pipeline, monkeypatch):
