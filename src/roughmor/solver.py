@@ -10,7 +10,7 @@ with F(Z) = G Z + dt f(Z), G = A dt + sum_m s_m N_m and s = K^{1/2} dW. Both
 stages have the diagonal entry a11, so one band LU factorization of
 I - a11 G per step serves both; its bandwidth is the widest lower and upper
 bandwidth among A and the N_m, so a step of a tridiagonal model costs O(n).
-Newton iteration solves the stages when the drift nonlinearity is present.
+With a drift nonlinearity, Newton solves the stages in the same band storage.
 No iterated integrals of the driver enter: the scheme uses increments only.
 The integrator takes a BilinearRoughSystem; a reduced model enters as its
 ``system``.
@@ -63,10 +63,11 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     stage matrix I - a11 G is kept and factored in band storage, with the
     lower and upper bandwidth of G read once from A and the N_m: a step of
     the tridiagonal heat model costs O(n), a dense model is the full band.
-    Stage systems are solved by that band LU for f = 0 and by Newton with
-    the analytic Jacobian I - a11 (G + dt (g(Z) I + Z grad_g(Z)^T)), a dense
-    matrix, otherwise. Raises StepFailureError on a singular stage matrix
-    or a non-convergent Newton iteration, naming the step.
+    With f(x) = x g(x), Newton runs from the band solution; each iterate
+    factors (1 - a11 dt g) I - a11 G in band storage and solves the rank-one
+    rest of its Jacobian, a11 dt Z grad_g^T, by Sherman-Morrison. Raises
+    StepFailureError on a singular stage or Newton matrix or a
+    non-convergent Newton iteration, naming the step.
     """
     if path.d != model.d:
         raise ArgumentError(
@@ -91,10 +92,24 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     z_pad = np.zeros(n + width - 1)
     windows = sliding_window_view(z_pad, width)
     ab = np.empty((n, ku + width))
+    ab_newton = np.empty_like(ab)
 
     def apply_G(Z):
         z_pad[kl:kl + n] = Z
         return np.vecdot(G_rows, windows)
+
+    def factor(buf, shift, singular):
+        # band LU of (shift I - a11 G)^T, built in buf and overwriting it;
+        # a pivot zero to working precision raises singular(pivot, norm)
+        buf[:, :ku] = 0.0  # fill-in columns
+        np.multiply(G_rows, -A11, out=buf[:, ku:])
+        buf[:, ku + kl] += shift
+        norm = np.abs(buf[:, ku:]).sum(axis=1).max()
+        lu, piv, _ = lu_factor(buf.T, ku, kl, overwrite_ab=1)
+        pivot = np.abs(lu[kl + ku]).min()
+        if pivot <= eps * n * norm:
+            raise singular(pivot, norm)
+        return lu, piv
 
     states = np.empty((M + 1, n))
     states[0] = model.x0
@@ -102,49 +117,61 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     max_lin_res = 0.0
 
     def stage(c):
-        # one stage of step k: solve Z = c + a11 (G Z + dt f(Z)) with the
-        # step's band LU, and return G Z + dt f(Z)
+        # one stage of step k: solve Z = c + a11 (G Z + dt f(Z)) from the
+        # step's band LU, by Newton when f != 0, and return G Z + dt f(Z)
         nonlocal max_newton, max_lin_res
         if not np.all(np.isfinite(c)):
             raise IntegrationOverflowError(
                 f"state overflowed at step {k + 1} of {M}", step=k + 1)
         Z = dgbtrs(lu, ku, kl, c, piv, trans=1)[0]
-        if nl is not None:
-            Z, iters = _newton_stage(model, G, dt, c, Z, k)
-            max_newton = max(max_newton, iters)
-            return G @ Z + dt * drift_f(model, Z)
         GZ = apply_G(Z)
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = np.linalg.norm(Z - A11 * GZ - c)
-            res /= max(1.0, np.linalg.norm(c))
-        if np.isfinite(res):
-            max_lin_res = max(max_lin_res, res)
-        return GZ
+        if nl is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = np.linalg.norm(Z - A11 * GZ - c)
+                res /= max(1.0, np.linalg.norm(c))
+            if np.isfinite(res):
+                max_lin_res = max(max_lin_res, res)
+            return GZ
+
+        def singular(*_):
+            return StepFailureError(f"singular Newton Jacobian at step {k}",
+                                    step=k, residual=res)
+        for it in range(NEWTON_MAX + 1):
+            g = float(nl.g(Z))
+            F = Z - A11 * (GZ + dt * (Z * g)) - c
+            res = float(np.linalg.norm(F))
+            if res <= NEWTON_TOL * max(1.0, np.linalg.norm(Z)):
+                max_newton = max(max_newton, it)
+                return GZ + dt * (Z * g)
+            if it == NEWTON_MAX:
+                break
+            # the Jacobian is B - u v^T, B = (1 - a11 dt g) I - a11 G in
+            # band storage, u = a11 dt Z, v = grad_g(Z): Sherman-Morrison
+            lu_j, piv_j = factor(ab_newton, 1.0 - A11 * dt * g, singular)
+            v = nl.grad_g(Z)
+            y = dgbtrs(lu_j, ku, kl, -F, piv_j, trans=1)[0]
+            w = dgbtrs(lu_j, ku, kl, A11 * dt * Z, piv_j, trans=1)[0]
+            vw = v @ w
+            if abs(1.0 - vw) <= eps * (1.0 + np.abs(v) @ np.abs(w)):
+                raise singular()
+            Z = Z + (y + w * ((v @ y) / (1.0 - vw)))
+            GZ = apply_G(Z)
+        raise StepFailureError(
+            f"Newton did not converge at step {k} (residual {res:.3e} after "
+            f"{NEWTON_MAX} iterations)", step=k, residual=res)
 
     for k in range(M):
         coef[1:] = model.K_sqrt @ dW[k]
         G_rows = (coef @ bands).reshape(n, width)
-        if nl is not None:
-            G = model.A * dt + sum(s * N for s, N in zip(coef[1:], model.N))
-        # a11 = a22, so both stages share the matrix I - a11 G and one LU;
-        # ab.T is its transpose in band storage, whose first ku rows take
-        # the fill-in
-        ab[:, :ku] = 0.0
-        np.multiply(G_rows, -A11, out=ab[:, ku:])
-        ab[:, ku + kl] += 1.0
-        # the 1-norm of the factored (I - a11 G)^T, from its band columns
-        norm = np.abs(ab[:, ku:]).sum(axis=1).max()
-        lu, piv, _ = lu_factor(ab.T, ku, kl, overwrite_ab=1)
-        pivot = np.abs(lu[kl + ku]).min()
-        if pivot <= eps * n * norm:
-            raise StepFailureError(
-                f"singular stage matrix I - a G at step {k} (a = {A11:.6g}, "
-                f"smallest LU pivot {pivot:.3e} against 1-norm {norm:.3e}): "
-                "G = A dt + sum_m s_m N_m has an eigenvalue at 1/a to "
-                "working precision for this step's dt and driver increments "
-                "s_m, and a finer grid need not help: the s_m shrink like "
-                "dt^H, more slowly than dt",
-                step=k)
+        # a11 = a22, so both stages share the matrix I - a11 G and one LU
+        lu, piv = factor(ab, 1.0, lambda pivot, norm: StepFailureError(
+            f"singular stage matrix I - a G at step {k} (a = {A11:.6g}, "
+            f"smallest LU pivot {pivot:.3e} against 1-norm {norm:.3e}): "
+            "G = A dt + sum_m s_m N_m has an eigenvalue at 1/a to "
+            "working precision for this step's dt and driver increments "
+            "s_m, and a finer grid need not help: the s_m shrink like "
+            "dt^H, more slowly than dt",
+            step=k))
         z = states[k]
         F1 = stage(z)
         F2 = stage(z + A21 * F1)
@@ -154,8 +181,8 @@ def rough_rk_simulate(model: BilinearRoughSystem,
                 f"state overflowed at step {k + 1} of {M}", step=k + 1)
         states[k + 1] = z_next
 
-    outputs = states @ model.C.T
-    return SimulationResult(times=path.times, states=states, outputs=outputs,
+    return SimulationResult(times=path.times, states=states,
+                            outputs=states @ model.C.T,
                             max_newton_iterations=max_newton,
                             max_linear_residual=max_lin_res)
 
@@ -168,31 +195,6 @@ def _band_rows(X, kl, ku):
         offset = t - kl
         rows[max(0, -offset):n - max(0, offset), t] = np.diagonal(X, offset)
     return rows
-
-
-def _newton_stage(sys, G, dt, c, Z, k):
-    """Solve Z = c + a11 (G Z + dt f(Z)) by Newton from the linear guess."""
-    nl = sys.drift_nonlinearity
-    eye = np.eye(len(c))
-    for it in range(NEWTON_MAX + 1):
-        g = float(nl.g(Z))
-        F = Z - A11 * (G @ Z + dt * (Z * g)) - c
-        res = float(np.linalg.norm(F))
-        if res <= NEWTON_TOL * max(1.0, np.linalg.norm(Z)):
-            return Z, it
-        if it == NEWTON_MAX:
-            break
-        J = eye - A11 * (G + dt * (g * eye + np.outer(Z, nl.grad_g(Z))))
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError as exc:
-            raise StepFailureError(
-                f"singular Newton Jacobian at step {k}", step=k,
-                residual=res) from exc
-        Z = Z + delta
-    raise StepFailureError(
-        f"Newton did not converge at step {k} (residual {res:.3e} after "
-        f"{NEWTON_MAX} iterations)", step=k, residual=res)
 
 
 @dataclass(frozen=True)
@@ -275,15 +277,23 @@ def smooth_quadratic_form_probe(
         xbar_final_norm=float(np.linalg.norm(xbar_final, 2)))
 
 
-def _as_output_series(y, times):
-    y = np.asarray(y, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
-    if y.ndim != 2 or y.shape[0] != len(times):
+def _output_pair(y_full, y_red, times):
+    # the times and both output series as float arrays of shape (nodes, p)
+    times = np.asarray(times, dtype=float)
+    pair = []
+    for y in (y_full, y_red):
+        y = np.asarray(y, dtype=float)
+        if y.ndim == 1:
+            y = y[:, None]
+        if y.ndim != 2 or y.shape[0] != len(times):
+            raise ArgumentError(
+                f"output series of shape {y.shape} does not match "
+                f"{len(times)} time nodes")
+        pair.append(y)
+    if pair[0].shape != pair[1].shape:
         raise ArgumentError(
-            f"output series of shape {y.shape} does not match {len(times)} "
-            "time nodes")
-    return y
+            f"output series shapes differ: {pair[0].shape} vs {pair[1].shape}")
+    return (times, *pair)
 
 
 def relative_L2_error(y_full, y_red, times) -> GuardedScalar:
@@ -293,12 +303,7 @@ def relative_L2_error(y_full, y_red, times) -> GuardedScalar:
     reference trips the division guard: the absolute L2 error comes back
     with ``is_absolute`` set.
     """
-    times = np.asarray(times, dtype=float)
-    y_full = _as_output_series(y_full, times)
-    y_red = _as_output_series(y_red, times)
-    if y_full.shape != y_red.shape:
-        raise ArgumentError(
-            f"output series shapes differ: {y_full.shape} vs {y_red.shape}")
+    times, y_full, y_red = _output_pair(y_full, y_red, times)
     diff_sq = np.sum((y_full - y_red) ** 2, axis=1)
     ref_sq = np.sum(y_full ** 2, axis=1)
     num = math.sqrt(max(float(np.trapezoid(diff_sq, times)), 0.0))
@@ -322,12 +327,7 @@ def pointwise_relative_error(y_full, y_red, times) -> PointwiseErrorSeries:
 
     Nodes with zero reference norm report the absolute error and are flagged.
     """
-    times = np.asarray(times, dtype=float)
-    y_full = _as_output_series(y_full, times)
-    y_red = _as_output_series(y_red, times)
-    if y_full.shape != y_red.shape:
-        raise ArgumentError(
-            f"output series shapes differ: {y_full.shape} vs {y_red.shape}")
+    times, y_full, y_red = _output_pair(y_full, y_red, times)
     num = np.linalg.norm(y_full - y_red, axis=1)
     den = np.linalg.norm(y_full, axis=1)
     flags = den == 0.0

@@ -154,6 +154,26 @@ class TestTwoStage:
         assert meta.notice is not None
         assert meta.orders == (4, model.r)
 
+    def test_heat_nonlinear_stage1_is_exact(self, heat100):
+        # a dissipative drift f(x) = x g(x), g = -|x|^2 / n, leaves the
+        # reachability stage exact: 100 -> 35 states and a reduced output
+        # that follows the full one to round-off (measured 7.8e-14)
+        n = heat100.n
+        nl = DriftNonlinearity(g=lambda x: -float(x @ x) / n,
+                               grad_g=lambda x: -2.0 * x / n)
+        sys_ = BilinearRoughSystem(A=heat100.A, N=heat100.N, K=heat100.K,
+                                   C=heat100.C, x0=heat100.x0,
+                                   drift_nonlinearity=nl)
+        model, meta = two_stage_reduce(sys_)
+        assert meta.orders == (100, 35)
+        assert meta.obs_stage_skipped and meta.notice is not None
+        path = sample_fbm_path(0.4, 2, 0.5, 512, 2023)
+        full = rough_rk_simulate(sys_, path)
+        rom = rough_rk_simulate(model.system, path)
+        assert full.max_newton_iterations >= 1
+        err = relative_L2_error(full.outputs, rom.outputs, full.times)
+        assert not err.is_absolute and float(err) <= 1e-10
+
 
 class TestObservabilityReduction:
     def test_full_observation_no_reduction(self):

@@ -186,22 +186,80 @@ class TestNoiseAndNonlinearity:
         assert err.value.residual > roughmor.solver.NEWTON_TOL
         assert "Newton did not converge" in str(err.value)
 
+    def test_singular_newton_matrix_raises(self):
+        # A = diag(a, -1), a = (1 + a11 dt) / (a11 dt), and g = -1: the
+        # stage matrix I - a11 dt A = diag(-a11 dt, 1 + a11 dt) is regular,
+        # the first Newton matrix (1 + a11 dt) I - a11 dt A is not
+        dt, a11 = 0.1, roughmor.solver.A11
+        nl = DriftNonlinearity(g=lambda x: -1.0, grad_g=np.zeros_like)
+        sys_ = BilinearRoughSystem(
+            A=np.diag([(1.0 + a11 * dt) / (a11 * dt), -1.0]),
+            N=(np.zeros((2, 2)),), K=np.eye(1), C=np.eye(2)[:1],
+            x0=np.ones(2), drift_nonlinearity=nl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError) as err:
+                rough_rk_simulate(sys_, zero_path(dt, 1))
+        assert err.value.step == 0
+        assert err.value.residual > 0.0
+        assert "Newton Jacobian" in str(err.value)
+
+    def test_singular_rank_one_update_raises(self):
+        # g = -1 with a made-up gradient v that cancels the band part
+        # B = 1 + 2 a11 dt of the Jacobian B - a11 dt Z v at the first
+        # iterate Z: the Sherman-Morrison denominator vanishes
+        dt, a11 = 0.1, roughmor.solver.A11
+        nl = DriftNonlinearity(
+            g=lambda x: -1.0,
+            grad_g=lambda x: (1.0 + 2.0 * a11 * dt) / (a11 * dt * x))
+        sys_ = drift_only_system(-1.0)
+        sys_ = BilinearRoughSystem(A=sys_.A, N=sys_.N, K=sys_.K, C=sys_.C,
+                                   x0=sys_.x0, drift_nonlinearity=nl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError) as err:
+                rough_rk_simulate(sys_, zero_path(dt, 1))
+        assert err.value.step == 0
+        assert "Newton Jacobian" in str(err.value)
+
 
 def dense_crouzeix_states(sys_, path):
-    # the scheme written with dense solves of I - a11 G, no band storage
-    n = sys_.n
+    # the scheme written with dense solves of I - a11 G, no band storage;
+    # with a drift nonlinearity, Newton from the linear solution on the
+    # dense Jacobian I - a11 (G + dt (g I + Z grad_g^T)). Returns the states
+    # and the largest Newton count.
+    a11, nl = roughmor.solver.A11, sys_.drift_nonlinearity
+    eye = np.eye(sys_.n)
     dt = (path.T - path.t0) / path.M
+    max_newton = 0
+
+    def stage(G, c):
+        nonlocal max_newton
+        Z = np.linalg.solve(eye - a11 * G, c)
+        if nl is None:
+            return G @ Z
+        for it in range(roughmor.solver.NEWTON_MAX + 1):
+            g = float(nl.g(Z))
+            F = Z - a11 * (G @ Z + dt * (Z * g)) - c
+            if (np.linalg.norm(F)
+                    <= roughmor.solver.NEWTON_TOL * max(1.0,
+                                                        np.linalg.norm(Z))):
+                max_newton = max(max_newton, it)
+                return G @ Z + dt * (Z * g)
+            J = eye - a11 * (G + dt * (g * eye + np.outer(Z, nl.grad_g(Z))))
+            Z = Z + np.linalg.solve(J, -F)
+        raise AssertionError("dense Newton did not converge")
+
     z = sys_.x0.copy()
     states = [z]
     for dw in np.diff(path.values, axis=0):
         s = sys_.K_sqrt @ dw
         G = sys_.A * dt + sum(s_m * N_m for s_m, N_m in zip(s, sys_.N))
-        stage_matrix = np.eye(n) - roughmor.solver.A11 * G
-        F1 = G @ np.linalg.solve(stage_matrix, z)
-        F2 = G @ np.linalg.solve(stage_matrix, z + roughmor.solver.A21 * F1)
+        F1 = stage(G, z)
+        F2 = stage(G, z + roughmor.solver.A21 * F1)
         z = z + 0.5 * (F1 + F2)
         states.append(z)
-    return np.array(states)
+    return np.array(states), max_newton
 
 
 class TestBandStorage:
@@ -227,7 +285,7 @@ class TestBandStorage:
         assert scipy.linalg.bandwidth(
             sys_.A + sys_.N[0] + sys_.N[1]) == (2, 1)
         path = sample_fbm_path(0.4, 2, 1.0, 64, seed=22)
-        ref = dense_crouzeix_states(sys_, path)
+        ref, _ = dense_crouzeix_states(sys_, path)
         res = rough_rk_simulate(sys_, path)
         assert np.abs(res.states - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -239,11 +297,33 @@ class TestBandStorage:
             A=Q.T @ sys_.A @ Q, N=tuple(Q.T @ N @ Q for N in sys_.N),
             K=sys_.K, C=sys_.C @ Q, x0=Q.T @ sys_.x0)
         path = sample_fbm_path(0.4, 2, 1.0, 64, seed=22)
-        ref = dense_crouzeix_states(dense, path)
+        ref, _ = dense_crouzeix_states(dense, path)
         res = rough_rk_simulate(dense, path)
         assert np.abs(res.states - ref).max() <= 1e-12 * np.abs(ref).max()
         np.testing.assert_allclose(res.outputs, rough_rk_simulate(
             sys_, path).outputs, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", ["cubic3", "banded"])
+    def test_newton_matches_dense_reference(self, case):
+        # both routes stop at the residual NEWTON_TOL, so the states agree
+        # to that tolerance and no tighter
+        if case == "cubic3":
+            base = BilinearRoughSystem(A=-np.eye(3), N=(0.2 * np.eye(3),),
+                                       K=np.eye(1), C=np.eye(3)[:1],
+                                       x0=np.array([1.0, 0.5, -0.5]))
+            path = sample_fbm_path(0.45, 1, 1.0, 128, seed=14)
+        else:
+            base = self.banded_system()
+            path = sample_fbm_path(0.4, 2, 1.0, 64, seed=22)
+        nl = DriftNonlinearity(g=lambda x: -float(x @ x),
+                               grad_g=lambda x: -2.0 * x)
+        sys_ = BilinearRoughSystem(A=base.A, N=base.N, K=base.K, C=base.C,
+                                   x0=base.x0, drift_nonlinearity=nl)
+        ref, ref_newton = dense_crouzeix_states(sys_, path)
+        res = rough_rk_simulate(sys_, path)
+        assert res.max_newton_iterations == ref_newton >= 1
+        assert (np.abs(res.states - ref).max()
+                <= roughmor.solver.NEWTON_TOL * np.abs(ref).max())
 
 
 class TestSelfConvergence:
