@@ -11,7 +11,7 @@ from roughmor import (DEFAULT_TOL_P, ArgumentError, BilinearRoughSystem,
                       integrate_gramian_ode, monte_carlo_second_moment,
                       solve_algebraic_gramian, solve_algebraic_gramian_dense,
                       truncate_psd_spectrum)
-from roughmor.gramians import BACKWARD_ERROR_BOUND
+from roughmor.gramians import BACKWARD_ERROR_BOUND, _euler_chunk
 from roughmor._fixtures import mild_stable_system, scalar_noise_system, \
     unstable_system
 
@@ -223,6 +223,9 @@ class TestGramianResidual:
         assert P.backward_error == 0.0
 
 
+MC_FIELDS = ("trajectory", "trajectory_se", "integral", "integral_se")
+
+
 class TestMonteCarlo:
     def test_noise_free_matches_flow(self):
         # N = 0 collapses the estimator onto e^{At} x0; only Euler bias left
@@ -251,12 +254,63 @@ class TestMonteCarlo:
 
     def test_deterministic_given_seed(self):
         sys_ = mild_stable_system(2, 1, seed=14)
-        a = monte_carlo_second_moment(sys_, "reach", T=0.5, n_paths=500,
-                                      dt=1e-2, seed=9)
-        b = monte_carlo_second_moment(sys_, "reach", T=0.5, n_paths=500,
-                                      dt=1e-2, seed=9)
-        assert np.array_equal(a.integral, b.integral)
-        assert np.array_equal(a.trajectory, b.trajectory)
+        # 10,007 paths: one full 10,000-path chunk plus a 7-path remainder
+        for n_paths, T in ((500, 0.5), (10_007, 0.05)):
+            a, b = (monte_carlo_second_moment(sys_, "reach", T=T,
+                                              n_paths=n_paths, dt=1e-2,
+                                              seed=9)
+                    for _ in range(2))
+            for name in MC_FIELDS:
+                assert np.array_equal(getattr(a, name),
+                                      getattr(b, name)), (n_paths, name)
+
+    def test_step_must_divide_horizon(self):
+        # round(1 / 0.3) = 3 steps would silently run at dt = 1/3
+        sys_ = mild_stable_system(2, 1, seed=14)
+        with pytest.raises(ArgumentError, match="whole number of steps"):
+            monte_carlo_second_moment(sys_, "reach", T=1.0, n_paths=10,
+                                      dt=0.3, seed=0)
+
+    def test_packed_chunk_matches_direct_reference(self):
+        # full (m, n, n) outer products per node, integrated over time by
+        # np.trapezoid: guards the packed upper-triangle rows and the end
+        # weights of the chunk's per-path integral
+        base = mild_stable_system(4, 2, seed=8)
+        sys_ = system_from(base.A, base.N, [[1.0, 0.6], [0.6, 0.5]], base.C,
+                           base.x0)
+        m, steps, T = 7, 20, 0.4
+        got = [np.zeros((steps + 1, 4, 4)), np.zeros((steps + 1, 4, 4)),
+               np.zeros((4, 4)), np.zeros((4, 4))]
+        _euler_chunk(sys_.A, sys_.N, sys_.K_sqrt, sys_.x0, T, steps, m,
+                     np.random.default_rng(3), *got)
+
+        rng = np.random.default_rng(3)
+        dt = T / steps
+        X = np.tile(sys_.x0, (m, 1))
+        nodes = [X]
+        for _ in range(steps):
+            s = rng.standard_normal((m, 2)) * math.sqrt(dt) @ sys_.K_sqrt
+            X = X + dt * X @ sys_.A.T + sum(
+                s[:, j:j + 1] * (X @ Nj.T) for j, Nj in enumerate(sys_.N))
+            nodes.append(X)
+        outer = np.stack([Y[:, :, None] * Y[:, None, :] for Y in nodes])
+        per_path = np.trapezoid(outer, dx=dt, axis=0)
+        expected = [outer.sum(axis=1), (outer ** 2).sum(axis=1),
+                    per_path.sum(axis=0), (per_path ** 2).sum(axis=0)]
+        for name, g, e in zip(("S1", "S2", "I1", "I2"), got, expected):
+            assert np.abs(g - e).max() <= 1e-13 * np.abs(e).max(), name
+
+    def test_observability_matches_ode(self):
+        # one dual-SDE batch per nonzero row of C; the zero row is skipped
+        base = mild_stable_system(3, 2, seed=17)
+        C = [[1.0, -0.5, 0.2], [0.0, 0.0, 0.0], [0.3, 0.8, -1.0]]
+        sys_ = system_from(base.A, base.N, [[1.0, 0.6], [0.6, 0.5]], C,
+                           base.x0)
+        ode = integrate_gramian_ode(sys_, "obs", T=1.0, steps=1000)
+        mc = monte_carlo_second_moment(sys_, "obs", T=1.0, n_paths=20_000,
+                                       dt=1e-3, seed=78)
+        se = np.where(mc.integral_se > 0, mc.integral_se, 1.0)
+        assert np.all(np.abs(mc.integral - ode.matrix) / se <= 4.0)
 
 
 class TestSpectrumHelpers:
