@@ -370,8 +370,6 @@ def run_exact_reduction(cfg: RunConfig) -> int:
         solver={
             "max_newton_iterations_full": full.max_newton_iterations,
             "max_newton_iterations_reduced": reduced.max_newton_iterations,
-            "max_linear_residual_full": full.max_linear_residual,
-            "max_linear_residual_reduced": reduced.max_linear_residual,
         },
         notice=meta.notice)
 
@@ -499,11 +497,8 @@ def run_simulate(cfg: RunConfig) -> int:
     write_trajectory_csv(result, run.path("output_full.csv"))
     if cfg.states:
         write_states_csv(result, run.path("states_full.csv"))
-    run.finish(steps=path.M,
-               solver={
-                   "max_newton_iterations": result.max_newton_iterations,
-                   "max_linear_residual": result.max_linear_residual,
-               })
+    run.finish(steps=path.M, solver={
+        "max_newton_iterations": result.max_newton_iterations})
     print(f"simulated {path.M} steps in {t1 - run.t0:.2f} s; "
           f"artifacts in {cfg.out}")
     return 0

@@ -168,7 +168,10 @@ def read_path_csv(file) -> DriverPath:
     samples, so the result is the piecewise-linear record of whatever was
     sampled.
     """
-    data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ArgumentError(f"cannot read path CSV {file}: {exc}") from exc
     if data.shape[1] < 2:
         raise ArgumentError("path CSV needs a time column and >= 1 component")
     times, values = data[:, 0], data[:, 1:]

@@ -56,6 +56,8 @@ def _as_matrix(a, name):
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ArgumentError(f"{name} must be a 2-d array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ArgumentError(f"{name} contains non-finite entries")
     return a
 
 
@@ -93,7 +95,7 @@ class BilinearRoughSystem:
         C = _as_matrix(self.C, "C")
         if C.shape[1] != n:
             raise ArgumentError(f"C has {C.shape[1]} columns, expected {n}")
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        x0 = _as_matrix(np.reshape(self.x0, (1, -1)), "x0")[0]
         if x0.shape != (n,):
             raise ArgumentError(f"x0 has {len(x0)} entries, expected {n}")
 

@@ -121,6 +121,20 @@ class TestReduce:
         assert "undecided" in summary["error"]
 
 
+    def test_non_finite_model_exits_1(self, tmp_path):
+        # n = d = p = 1 with A = nan, N = 0, K = C = x0 = 1: rejected as bad
+        # input before any Gramian solve or integration
+        mfile = tmp_path / "nan.txt"
+        mfile.write_text("1 1 1\nnan\n0\n1\n1\n1\n")
+        for command in ("reduce", "simulate"):
+            out = tmp_path / command
+            rc = main([command, "--model", "file", "--model-file",
+                       str(mfile), "--step-exp", "6", "--out", str(out)])
+            assert rc == 1
+            summary = read_summary(out)
+            assert summary["status"] == "failed"
+            assert summary["error_type"] == "ArgumentError"
+
     def test_zero_initial_state_exits_1(self, tmp_path):
         # x0 = 0 leaves P = 0 with nothing to keep: a precondition of the
         # reduction fails, nothing numerical
@@ -237,6 +251,20 @@ class TestSimulateAndPathReuse:
                 == (second / "driver_path.csv").read_bytes())
         assert ((first / "output_full.csv").read_bytes()
                 == (second / "output_full.csv").read_bytes())
+
+    def test_unreadable_path_file_exits_1(self, tmp_path, small_model_file):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("t,W1\n0.0,0.0\n0.5,oops\n")
+        for path_file in (tmp_path / "missing.csv", bad):
+            out = tmp_path / path_file.stem
+            rc = main(["simulate", "--model", "file", "--model-file",
+                       small_model_file, "--step-exp", "6", "--path-file",
+                       str(path_file), "--out", str(out)])
+            assert rc == 1
+            summary = read_summary(out)
+            assert summary["status"] == "failed"
+            assert summary["error_type"] == "ArgumentError"
+            assert str(path_file) in summary["error"]
 
     def test_path_dimension_mismatch(self, tmp_path, small_model_file):
         wide = tmp_path / "w"

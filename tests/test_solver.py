@@ -128,13 +128,21 @@ class TestNoiseAndNonlinearity:
 
     def test_overflow_raises(self):
         # z = a dt = 0.25 keeps R(z) ~ e^z > 1, so 1e300 blows past float
-        # range within ~100 steps and the stage rhs goes non-finite
-        sys_ = BilinearRoughSystem(A=np.array([[100.0]]),
-                                   N=(np.zeros((1, 1)),), K=np.eye(1),
-                                   C=np.eye(1), x0=np.array([1e300]))
-        with pytest.raises(IntegrationOverflowError) as err:
-            rough_rk_simulate(sys_, zero_path(1.0, 400))
-        assert err.value.step >= 1
+        # range within ~100 steps and the stage rhs goes non-finite. With
+        # g = 0 attached, the Newton route integrates the same states and
+        # must report the same step, with no warning and no Newton failure
+        zero = DriftNonlinearity(g=lambda x: 0.0, grad_g=np.zeros_like)
+        steps = []
+        for nl in (None, zero):
+            sys_ = BilinearRoughSystem(A=np.array([[100.0]]),
+                                       N=(np.zeros((1, 1)),), K=np.eye(1),
+                                       C=np.eye(1), x0=np.array([1e300]),
+                                       drift_nonlinearity=nl)
+            with pytest.raises(IntegrationOverflowError) as err:
+                rough_rk_simulate(sys_, zero_path(1.0, 400))
+            steps.append(err.value.step)
+        assert steps[0] >= 1
+        assert steps[1] == steps[0]
 
     def test_singular_stage_matrix_raises(self):
         # I - a11 dt A = diag(0, 1 + a11 dt): the first step cannot be solved;

@@ -332,6 +332,18 @@ class TestSystemValidation:
             simple_system(np.zeros((2, 2)), [np.zeros((2, 2))] * 2,
                           [[1.0, 0.0], [0.0, -1.0]])
 
+    @pytest.mark.parametrize("field", ["A", "N", "K", "C", "x0"])
+    def test_non_finite_entry_rejected(self, field):
+        data = dict(A=-np.eye(2), N=(np.zeros((2, 2)), np.zeros((2, 2))),
+                    K=np.eye(2), C=np.eye(2)[:1], x0=np.ones(2))
+        if field == "N":
+            # the second noise matrix, so the check covers every N_i
+            data["N"][1][0, 1] = np.inf
+        else:
+            data[field][-1, ...] = np.inf
+        with pytest.raises(ArgumentError, match="non-finite"):
+            BilinearRoughSystem(**data)
+
     def test_covariance_square_root(self):
         sys_ = mild_stable_system(3, 2, seed=6)
         np.testing.assert_allclose(sys_.K_sqrt @ sys_.K_sqrt.T, sys_.K,
