@@ -14,7 +14,7 @@ to round-off. The pieces:
   accepted by their backward error, finite horizon Gramians by integrating
   the moment ODE, and a Monte Carlo cross-check.
 - ``reduction``: spectral truncation, the two-stage exact pipeline, the
-  lossy rank sweep, and kernel/subspace diagnostics.
+  lossy rank sweep by one balancing, and kernel/subspace diagnostics.
 - ``solver``: Crouzeix's two-stage diagonally implicit Runge-Kutta scheme
   driven by path increments, plus error norms and a smooth-path comparison
   probe.
@@ -42,7 +42,7 @@ from .gramians import (GramianResult, MonteCarloSecondMoment,
                        write_spectrum_csv)
 from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q, ProjectionBasis,
                         ReducedModel, TwoStageMetadata,
-                        check_kernel_preservation, greedy_rank_sweep,
+                        balanced_rank_sweep, check_kernel_preservation,
                         kernel_preservation_scale, observability_cut,
                         project_system, subspace_containment_residual,
                         truncate_psd_spectrum, two_stage_reduce,
@@ -70,7 +70,7 @@ __all__ = [
     "monte_carlo_second_moment", "solve_algebraic_gramian",
     "solve_algebraic_gramian_dense", "write_spectrum_csv",
     "DEFAULT_TOL_P", "DEFAULT_TOL_Q", "ProjectionBasis", "ReducedModel",
-    "TwoStageMetadata", "check_kernel_preservation", "greedy_rank_sweep",
+    "TwoStageMetadata", "balanced_rank_sweep", "check_kernel_preservation",
     "kernel_preservation_scale", "observability_cut", "project_system",
     "subspace_containment_residual", "truncate_psd_spectrum",
     "two_stage_reduce", "write_stage_metadata_csv",

@@ -41,7 +41,7 @@ from .gramians import (_solve_gramians, integrate_gramian_ode,
                        write_spectrum_csv)
 from .heat import build_heat1d, default_heat1d_config
 from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q,
-                        check_kernel_preservation, greedy_rank_sweep,
+                        balanced_rank_sweep, check_kernel_preservation,
                         kernel_preservation_scale, truncate_psd_spectrum,
                         two_stage_reduce, write_stage_metadata_csv)
 from .solver import (pointwise_relative_error, relative_L2_error,
@@ -215,6 +215,9 @@ def read_system_file(path) -> BilinearRoughSystem:
         n, d, p = (int(tokens[i]) for i in range(3))
     except ValueError as exc:
         raise ArgumentError(f"{path}: malformed 'n d p' header") from exc
+    if n < 1 or d < 0 or p < 0:
+        raise ArgumentError(f"{path}: header 'n d p' = {n} {d} {p} needs "
+                            "n >= 1 and d, p >= 0")
     need = n * n * (1 + d) + d * d + p * n + n
     body = tokens[3:]
     if len(body) != need:
@@ -389,10 +392,8 @@ def run_sweep(cfg: RunConfig) -> int:
     model_sys = build_model(cfg)
     model, meta = two_stage_reduce(model_sys, tol_P=cfg.tol_p,
                                    tol_Q=cfg.tol_q)
-    ranks = cfg.ranks
-    if not ranks:
-        ranks = tuple(range(5, model.r + 1, 2)) or (model.r,)
-    models = greedy_rank_sweep(model, ranks)
+    models = balanced_rank_sweep(
+        model, cfg.ranks or tuple(range(5, model.r + 1, 2)) or (model.r,))
     t1 = time.perf_counter()
 
     path = resolve_driver(cfg, model_sys.d)

@@ -6,7 +6,8 @@ Stage 2 recomputes the observability Gramian Q on the stage-1 model (the
 orders only compose correctly this way) and removes its numerical kernel,
 which is invisible to the output for f = 0 and invertible K. The composite
 basis V = V_P V_Q' is recorded so full-order states can be lifted back;
-its row count is the parent order.
+its row count is the parent order. The lossy rank sweep below the exact
+order projects onto nested bases from one balancing of the exact model.
 """
 
 from __future__ import annotations
@@ -175,7 +176,8 @@ def observability_cut(sys: BilinearRoughSystem, Q: GramianResult,
         raise ArgumentError(
             f"expected an observability Gramian, got side {Q.side!r}")
     wK = np.linalg.eigvalsh(sys.K)
-    if wK[0] <= 1e-12 * max(wK[-1], 0.0):
+    # with no noise channels (d = 0) K is empty and counts as invertible
+    if wK.size and wK[0] <= 1e-12 * max(wK[-1], 0.0):
         raise PreconditionError(
             "observability-based reduction requires invertible K "
             f"(min eigenvalue {wK[0]:.3e}, max {wK[-1]:.3e})")
@@ -266,15 +268,17 @@ def write_stage_metadata_csv(meta: TwoStageMetadata, file) -> None:
          for stage, order, tolerance in meta.records()]))
 
 
-def greedy_rank_sweep(exact: ReducedModel, ranks) -> dict:
-    """Lossy models below the exact order by greedy alternating truncation.
+def balanced_rank_sweep(exact: ReducedModel, ranks) -> dict:
+    """Lossy models below the exact order by one square-root balancing.
 
-    Starting from the exact reduced model, each step solves both Gramians of
-    the current model behind one stability check, compares their smallest
-    relative eigenvalues, and drops the single eigendirection of the side
-    whose spectrum decays deeper (ties go to the reachability side). Returns
-    {requested rank: ReducedModel} in ascending rank order; a requested rank
-    at or above the exact order maps to ``exact`` itself.
+    Gates the exact model once and solves P = R R^T and Q = L L^T once, R
+    and L from eigh with eigenvalues clipped at 0 (Cholesky can fail on
+    these semidefinite Gramians). With L^T R = U S W^T and B the QR factor
+    of R W, rank k projects the exact model onto B[:, :k]. Benner & Damm
+    (SIAM J. Control Optim. 49, 2011) justify balancing with these Gramians
+    for bilinear and stochastic systems. Returns {requested rank:
+    ReducedModel} in ascending rank order; a requested rank at or above the
+    exact order maps to ``exact`` itself.
 
     The dropped directions carry no exactness guarantee: this realizes the
     "neglect eigenspaces beyond the numerical zeros" experiment, trading
@@ -284,26 +288,19 @@ def greedy_rank_sweep(exact: ReducedModel, ranks) -> dict:
         raise PreconditionError(
             "the rank sweep drops observability directions and therefore "
             "requires f = 0")
-    ranks = sorted(set(int(r) for r in ranks), reverse=True)
+    ranks = sorted(set(int(r) for r in ranks))
     if not ranks:
         raise ArgumentError("no target ranks given")
-    if ranks[-1] < 1:
-        raise ArgumentError(f"target ranks must be >= 1, got {ranks[-1]}")
+    if ranks[0] < 1:
+        raise ArgumentError(f"target ranks must be >= 1, got {ranks[0]}")
 
-    models = {}
-    model = exact
-    for target in ranks:
-        while model.r > target:
-            cur = model.system
-            P, Q = _solve_gramians(cur, ("reach", "obs"))
-            wp, Vp = eigh((P.matrix + P.matrix.T) / 2)
-            wq, Vq = eigh((Q.matrix + Q.matrix.T) / 2)
-            rel_p = wp[0] / wp[-1]
-            rel_q = wq[0] / wq[-1]
-            V_keep = Vp[:, 1:] if rel_p <= rel_q else Vq[:, 1:]
-            model = ReducedModel(_galerkin(cur, V_keep), model.V @ V_keep)
-        models[target] = model
-    return dict(reversed(models.items()))
+    R, L = (V * np.sqrt(np.clip(w, 0.0, None)) for w, V in (
+        eigh((G.matrix + G.matrix.T) / 2)
+        for G in _solve_gramians(exact.system, ("reach", "obs"))))
+    B = np.linalg.qr(R @ np.linalg.svd(L.T @ R)[2].T)[0]
+    return {k: exact if k >= exact.r else ReducedModel(
+        _galerkin(exact.system, B[:, :k]), exact.V @ B[:, :k])
+        for k in ranks}
 
 
 def check_kernel_preservation(sys: BilinearRoughSystem, Q, z):

@@ -13,7 +13,7 @@ import pytest
 
 from roughmor import (BilinearRoughSystem, DEFAULT_TOL_P, DEFAULT_TOL_Q,
                       DriftNonlinearity, DriverPath, LyapunovOperator,
-                      coarsen_path, greedy_rank_sweep,
+                      balanced_rank_sweep, coarsen_path,
                       integrate_gramian_ode, kernel_preservation_scale,
                       check_kernel_preservation, observability_cut,
                       positivity_scale, project_system,
@@ -58,7 +58,7 @@ def test_criterion_1_exact_reduction(heat_pipeline, heat_path, heat_full_sim):
 
 def test_criterion_2_lossy_sweep(heat_pipeline, heat_path, heat_full_sim):
     model, _ = heat_pipeline
-    models = greedy_rank_sweep(model, tuple(range(5, 34, 2)))
+    models = balanced_rank_sweep(model, tuple(range(5, 34, 2)))
     errs = {}
     for r, lossy in models.items():
         res = rough_rk_simulate(lossy.system, heat_path)
@@ -212,14 +212,19 @@ def test_criterion_8_scheme_order():
 
 
 def test_criterion_9_determinism(tmp_path):
-    out = tmp_path / "run"
-    argv = ["reduce", "--n", "16", "--step-exp", "8", "--seed", "11",
-            "--out", str(out)]
-    assert main(argv) == 0
-    first = {f.name: f.read_bytes() for f in out.iterdir()}
-    assert main(argv) == 0
-    second = {f.name: f.read_bytes() for f in out.iterdir()}
-    same = sorted(first) == sorted(second) and all(
-        first[name] == second[name] for name in first)
-    print(f"criterion 9: {len(first)} artifacts, byte-identical: {same}")
-    assert same
+    # heat n = 16 reduces 16 -> 16 -> 16, so both sweep ranks are lossy and
+    # the balancing's SVD and QR must rerun bit for bit
+    runs = {"reduce": [], "sweep": ["--ranks", "3,5"]}
+    for command, extra in runs.items():
+        out = tmp_path / command
+        argv = [command, "--n", "16", "--step-exp", "8", "--seed", "11",
+                *extra, "--out", str(out)]
+        assert main(argv) == 0
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert main(argv) == 0
+        second = {f.name: f.read_bytes() for f in out.iterdir()}
+        same = sorted(first) == sorted(second) and all(
+            first[name] == second[name] for name in first)
+        print(f"criterion 9: {command}, {len(first)} artifacts, "
+              f"byte-identical: {same}")
+        assert same, command

@@ -38,6 +38,13 @@ class TestSystemFileRoundTrip:
         assert np.array_equal(back.C, sys_.C)
         assert np.array_equal(back.x0, sys_.x0)
 
+    @pytest.mark.parametrize("header", ["0 1 1", "2 -1 1", "2 1 -1"])
+    def test_header_out_of_range(self, tmp_path, header):
+        path = tmp_path / "m.txt"
+        path.write_text(header + "\n1\n")
+        with pytest.raises(roughmor.ArgumentError, match="n >= 1"):
+            read_system_file(path)
+
     def test_missing_file(self):
         rc = main(["simulate", "--model", "file", "--model-file",
                    "/nonexistent/m.txt", "--out", "/tmp/never-used"])
@@ -149,6 +156,21 @@ class TestReduce:
                        str(mfile), "--step-exp", "6", "--out", str(out)])
             assert rc == 1
             assert read_summary(out)["error_type"] == "EmptyBasisError"
+
+    def test_no_noise_channels_exits_1(self, tmp_path):
+        # header "2 0 1": no noise channels and an empty K. The reduction
+        # runs; the fBm driver then needs d >= 1, a bad-input failure
+        mfile = tmp_path / "d0.txt"
+        mfile.write_text("2 0 1\n-1 0.5\n0 -2\n1 1\n1 0\n")
+        for command in ("reduce", "sweep"):
+            out = tmp_path / command
+            rc = main([command, "--model", "file", "--model-file",
+                       str(mfile), "--step-exp", "6", "--out", str(out)])
+            assert rc == 1
+            summary = read_summary(out)
+            assert summary["status"] == "failed"
+            assert summary["error_type"] == "ArgumentError"
+            assert "d >= 1" in summary["error"]
 
 
 class TestSweep:

@@ -5,7 +5,7 @@ import roughmor.gramians
 import roughmor.reduction
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
                       EmptyBasisError, PreconditionError, ProjectionBasis,
-                      check_kernel_preservation, greedy_rank_sweep,
+                      balanced_rank_sweep, check_kernel_preservation,
                       kernel_preservation_scale, observability_cut,
                       project_system, relative_L2_error,
                       rough_rk_simulate, sample_fbm_path,
@@ -183,6 +183,18 @@ class TestObservabilityReduction:
         Q = solve_algebraic_gramian(sys_full_C, "obs")
         assert observability_cut(sys_full_C, Q, 1e-12).r == 3
 
+    def test_no_noise_channels(self):
+        # d = 0 leaves K empty, which counts as invertible: the cut and the
+        # two-stage pipeline run instead of failing on the missing spectrum
+        base = mild_stable_system(3, 1, seed=43)
+        sys_ = BilinearRoughSystem(A=base.A, N=(), K=np.zeros((0, 0)),
+                                   C=base.C, x0=base.x0)
+        Q = solve_algebraic_gramian(sys_, "obs")
+        assert observability_cut(sys_, Q, 1e-12).r >= 1
+        model, meta = two_stage_reduce(sys_)
+        assert not meta.obs_stage_skipped
+        assert model.system.d == 0
+
     def test_decoupled_block_removed(self):
         sys_ = decoupled_observability_system()
         Q = solve_algebraic_gramian(sys_, "obs")
@@ -269,10 +281,10 @@ class TestSubspaceContainment:
         assert res <= 1e-5
 
 
-class TestGreedySweep:
+class TestBalancedSweep:
     def test_requested_ranks_and_clamping(self, heat_pipeline):
         model, _ = heat_pipeline
-        models = greedy_rank_sweep(model, (50, 5, 33))
+        models = balanced_rank_sweep(model, (50, 5, 33))
         assert list(models) == [5, 33, 50]
         assert models[5].r == 5
         assert models[5].V.shape == (100, 5)
@@ -282,23 +294,39 @@ class TestGreedySweep:
 
     def test_bases_orthonormal(self, heat_pipeline):
         model, _ = heat_pipeline
-        V = greedy_rank_sweep(model, (31,))[31].V
+        V = balanced_rank_sweep(model, (31,))[31].V
         assert np.linalg.norm(V.T @ V - np.eye(31)) <= 1e-10
 
-    def test_one_gate_per_system(self, heat_pipeline, monkeypatch):
-        # both Gramians of each intermediate system share one stability check
+    def test_one_gate_and_two_solves(self, heat_pipeline, monkeypatch):
+        # the whole sweep balances the exact model once: one stability
+        # check and one solve per Gramian, whatever the ranks
         model, _ = heat_pipeline
-        gated = []
+        gated, solved = [], []
         gate = roughmor.gramians.is_mean_square_stable
+        solve = roughmor.gramians._gmres_gramian
 
-        def counting(sys_):
+        def counting_gate(sys_):
             gated.append(sys_.n)
             return gate(sys_)
 
+        def counting_solve(op, side, report):
+            solved.append(side)
+            return solve(op, side, report)
+
         monkeypatch.setattr(roughmor.gramians, "is_mean_square_stable",
-                            counting)
-        greedy_rank_sweep(model, (5, 10, 20, 30))
-        assert gated == list(range(model.r, 5, -1))
+                            counting_gate)
+        monkeypatch.setattr(roughmor.gramians, "_gmres_gramian",
+                            counting_solve)
+        balanced_rank_sweep(model, (5, 10, 20, 30))
+        assert gated == [model.r]
+        assert solved == ["reach", "obs"]
+
+    def test_nested_bases(self, heat_pipeline):
+        # every rank's basis is a prefix of one balancing basis
+        model, _ = heat_pipeline
+        models = balanced_rank_sweep(model, (5, 12, 20, 31))
+        for k, k2 in [(5, 12), (12, 20), (5, 31), (20, 31)]:
+            assert np.abs(models[k].V - models[k2].V[:, :k]).max() <= 1e-14
 
     def test_rejects_nonlinearity(self):
         base = mild_stable_system(4, 1, seed=59)
@@ -308,4 +336,4 @@ class TestGreedySweep:
                                    x0=base.x0, drift_nonlinearity=nl)
         model, _ = two_stage_reduce(sys_)
         with pytest.raises(PreconditionError):
-            greedy_rank_sweep(model, (2,))
+            balanced_rank_sweep(model, (2,))

@@ -112,6 +112,23 @@ class TestNoiseAndNonlinearity:
         assert res.max_newton_iterations >= 1
         assert np.all(np.isfinite(res.states))
 
+    def test_newton_norms_past_overflow_of_squares(self):
+        # at x0 = 1e200 the squared norms overflow; the Newton test must
+        # still iterate and give the ratio x(1)/x0 of the x0 = 1e100 run
+        nl = DriftNonlinearity(g=lambda x: -abs(x[0]) / (1.0 + abs(x[0])),
+                               grad_g=lambda x: -np.sign(x)
+                               / (1.0 + np.abs(x)) ** 2)
+        ratios = []
+        for x0 in (1e100, 1e200):
+            sys_ = BilinearRoughSystem(A=-np.eye(1), N=(np.zeros((1, 1)),),
+                                       K=np.eye(1), C=np.eye(1),
+                                       x0=np.array([x0]),
+                                       drift_nonlinearity=nl)
+            res = rough_rk_simulate(sys_, zero_path(1.0, 10))
+            assert res.max_newton_iterations >= 1
+            ratios.append(res.states[-1, 0] / x0)
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+
     def test_cubic_drift_is_contractive(self):
         # compared to the linear system, -x ||x||^2 only pulls inward
         nl = DriftNonlinearity(g=lambda x: -float(x @ x),
