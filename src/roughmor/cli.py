@@ -77,20 +77,15 @@ class RunConfig:
 
     # set by the subcommand; a config file may repeat it but not change it
     mode: Optional[str] = _key(None)
-    model: str = _key("heat1d", help="builtin heat model 'heat1d' or "
-                                     "matrices from a 'file'")
     model_file: Optional[str] = _key(
         None, help="matrix file ('n d p' header, then A, N_1..N_d, K, C, x0 "
-                   "row-major)")
-    n: int = _key(100, int, "interior grid size (heat1d)")
+                   "row-major); without it, the builtin heat model")
+    n: int = _key(100, int, "interior grid size of the builtin heat model "
+                            "(unused with --model-file)")
     hurst: float = _key(0.4, float, "Hurst index of the fBm driver")
     horizon: float = _key(0.5, float, "time horizon T")
     step_exp: int = _key(10, int, "step exponent m, step = 2^-m")
     seed: int = _key(2023, int, "driver seed")
-    tol_p: float = _key(DEFAULT_TOL_P, float,
-                        "relative truncation threshold, reach stage")
-    tol_q: float = _key(DEFAULT_TOL_Q, float,
-                        "relative truncation threshold, obs stage")
     ranks: Optional[tuple] = _key(
         None, _parse_ranks, "comma-separated target ranks (sweep), e.g. 5,7,9")
     out: str = _key("roughmor-run", help="output directory")
@@ -103,11 +98,6 @@ class RunConfig:
                         action="store_const", const="true")
 
     def __post_init__(self):
-        if self.model not in ("heat1d", "file"):
-            raise ArgumentError(
-                f"model must be 'heat1d' or 'file', got {self.model!r}")
-        if self.model == "file" and not self.model_file:
-            raise ArgumentError("--model file requires --model-file")
         if self.n < 2:
             raise ArgumentError(f"need n >= 2, got {self.n}")
         if not (0.0 < self.hurst < 1.0):
@@ -115,14 +105,12 @@ class RunConfig:
                 f"Hurst index must lie in (0, 1), got {self.hurst}")
         if not (self.horizon > 0.0):
             raise ArgumentError(f"need horizon > 0, got {self.horizon}")
-        if self.step_exp < 0 or 2.0 ** (-self.step_exp) > self.horizon:
+        # past 2^53 steps, k T / M is no longer a uniform grid of doubles
+        if not (self.step_exp >= 0 and 2.0 ** -self.step_exp <= self.horizon
+                <= 2.0 ** (53 - self.step_exp)):
             raise ArgumentError(
-                f"step 2^-{self.step_exp} exceeds the horizon "
-                f"{self.horizon}")
-        for name, tol in (("tol-p", self.tol_p), ("tol-q", self.tol_q)):
-            if not (0.0 < tol < 1.0):
-                raise ArgumentError(
-                    f"{name} must lie in (0, 1), got {tol}")
+                f"step 2^-{self.step_exp} must cut the horizon "
+                f"{self.horizon} into 1 to 2^53 steps")
         if self.fixture not in ("stable", "unstable"):
             raise ArgumentError(
                 f"fixture must be 'stable' or 'unstable', got {self.fixture!r}")
@@ -263,7 +251,7 @@ def write_system_file(model_sys: BilinearRoughSystem, path) -> None:
 
 
 def build_model(cfg: RunConfig) -> BilinearRoughSystem:
-    if cfg.model == "file":
+    if cfg.model_file:
         return read_system_file(cfg.model_file)
     return build_heat1d(default_heat1d_config(cfg.n))
 
@@ -337,8 +325,7 @@ def run_exact_reduction(cfg: RunConfig) -> int:
     run = _Run(cfg)
     model_sys = build_model(cfg)
     t1 = time.perf_counter()
-    model, meta = two_stage_reduce(model_sys, tol_P=cfg.tol_p,
-                                   tol_Q=cfg.tol_q)
+    model, meta = two_stage_reduce(model_sys)
     t2 = time.perf_counter()
     if meta.notice:
         print(f"notice: {meta.notice}")
@@ -353,9 +340,11 @@ def run_exact_reduction(cfg: RunConfig) -> int:
     rel = relative_L2_error(full.outputs, reduced.outputs, full.times)
     pw = pointwise_relative_error(full.outputs, reduced.outputs, full.times)
 
-    write_spectrum_csv(meta.p_spectrum, run.path("gramian_spectrum_p.csv"))
-    if meta.q_spectrum is not None:
-        write_spectrum_csv(meta.q_spectrum, run.path("gramian_spectrum_q.csv"))
+    write_spectrum_csv(meta.basis_P.full_spectrum,
+                       run.path("gramian_spectrum_p.csv"))
+    if not meta.obs_stage_skipped:
+        write_spectrum_csv(meta.basis_Q.full_spectrum,
+                           run.path("gramian_spectrum_q.csv"))
     write_stage_metadata_csv(meta, run.path("stage_metadata.csv"))
     write_trajectory_csv(full, run.path("output_full.csv"))
     write_trajectory_csv(reduced, run.path("output_reduced.csv"))
@@ -390,8 +379,7 @@ def run_exact_reduction(cfg: RunConfig) -> int:
 def run_sweep(cfg: RunConfig) -> int:
     run = _Run(cfg)
     model_sys = build_model(cfg)
-    model, meta = two_stage_reduce(model_sys, tol_P=cfg.tol_p,
-                                   tol_Q=cfg.tol_q)
+    model, meta = two_stage_reduce(model_sys)
     models = balanced_rank_sweep(
         model, cfg.ranks or tuple(range(5, model.r + 1, 2)) or (model.r,))
     t1 = time.perf_counter()
@@ -511,7 +499,7 @@ def run_gramian(cfg: RunConfig) -> int:
     report = {}
     results = _solve_gramians(model_sys, ("reach", "obs"))
     for G, side, suffix, tol in zip(results, ("reach", "obs"), ("p", "q"),
-                                    (cfg.tol_p, cfg.tol_q)):
+                                    (DEFAULT_TOL_P, DEFAULT_TOL_Q)):
         # one eigendecomposition gives both the CSV and the rank, so the
         # file and numerical_rank agree at the cut
         try:
@@ -565,17 +553,17 @@ def build_parser() -> argparse.ArgumentParser:
                     "differential equations")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    sub.add_parser("reduce", parents=[common],
-                   help="two-stage exact reduction with shared-path "
-                        "verification")
-    sub.add_parser("sweep", parents=[common],
-                   help="lossy rank sweep below the exact order")
-    sub.add_parser("probes", parents=[common],
-                   help="run the verification probe suite")
-    sub.add_parser("simulate", parents=[common],
-                   help="integrate the full model along a driver path")
-    sub.add_parser("gramian", parents=[common],
-                   help="solve both algebraic Gramians and dump spectra")
+    # no abbreviated flags, so a removed flag such as --model cannot
+    # resolve to --model-file
+    for command, text in (
+            ("reduce", "two-stage exact reduction with shared-path "
+                       "verification"),
+            ("sweep", "lossy rank sweep below the exact order"),
+            ("probes", "run the verification probe suite"),
+            ("simulate", "integrate the full model along a driver path"),
+            ("gramian", "solve both algebraic Gramians and dump spectra")):
+        sub.add_parser(command, parents=[common], help=text,
+                       allow_abbrev=False)
     return parser
 
 
@@ -583,10 +571,11 @@ def _mark_incomplete(cfg: Optional[RunConfig], exc: Exception) -> None:
     if cfg is None or not os.path.isdir(cfg.out):
         return
     # ConvergenceError carries residual and iterations, the step failures
-    # carry the failing step
-    details = {name: getattr(exc, name)
-               for name in ("residual", "iterations", "step")
-               if getattr(exc, name, None) is not None}
+    # carry the failing step; a non-finite residual stays out, since JSON
+    # has no nan or inf
+    details = {name: value for name in ("residual", "iterations", "step")
+               if (value := getattr(exc, name, None)) is not None
+               and math.isfinite(value)}
     try:
         _write_summary(cfg.out, _summary(
             cfg, "failed", error=str(exc), error_type=type(exc).__name__,

@@ -35,8 +35,8 @@ GMRES_MAX_ITER = 500
 # GMRES stops when its residual estimate falls to this fraction of the
 # preconditioned right-hand side. It sits just above the round-off floor:
 # stopping earlier leaves P's smallest eigenvalues, which the exact cut at
-# tol_P = 1e-16 reads, short of converged, and a target below the floor is
-# never met.
+# DEFAULT_TOL_P = 1e-16 reads, short of converged, and a target below the
+# floor is never met.
 GMRES_TOL = 1e-14
 # A solve is accepted when its normwise backward error is at most this small
 # multiple of machine epsilon: unlike the relative residual, whose round-off
@@ -170,7 +170,10 @@ def _solve_gramians(sys: BilinearRoughSystem, sides) -> list:
         raise StabilityError(
             f"system is not mean-square asymptotically stable ({detail}); "
             "the algebraic Gramian equation has no PSD solution")
-    return [_gmres_gramian(op, side, report) for op, side in zip(ops, sides)]
+    # an overflow reaches the backward-error check as inf or nan, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [_gmres_gramian(op, side, report)
+                for op, side in zip(ops, sides)]
 
 
 def _gmres_gramian(op: LyapunovOperator, side: str,
@@ -207,7 +210,7 @@ def _gmres_gramian(op: LyapunovOperator, side: str,
         P += coeff * v
     P = (P + P.T) / 2
     res, eta = op.errors(P)
-    if eta > BACKWARD_ERROR_BOUND:
+    if not eta <= BACKWARD_ERROR_BOUND:
         raise ConvergenceError(
             f"algebraic Gramian solve reached backward error {eta:.3e} "
             f"after {iterations} GMRES iterations (bound "

@@ -190,10 +190,10 @@ class TwoStageMetadata:
 
     ``P`` and ``Q`` are the Gramian solves, with their residuals, backward
     errors and stability-check diagnostics; ``basis_P`` and ``basis_Q`` are
-    the cuts of their spectra. ``Q`` and ``basis_Q`` are None when stage 2
-    was skipped. ``orders`` (full, stage 1[, stage 2]), the full descending
-    spectra ``p_spectrum`` and ``q_spectrum`` (None when skipped) and the
-    tolerances in ``records()`` are read off the cuts.
+    the cuts of their spectra, which hold the full descending spectra.
+    ``Q`` and ``basis_Q`` are None when stage 2 was skipped. ``orders``
+    (full, stage 1[, stage 2]) and the tolerances in ``records()`` are read
+    off the cuts.
     """
 
     P: GramianResult
@@ -210,14 +210,6 @@ class TwoStageMetadata:
     def orders(self) -> tuple:
         return tuple(order for _, order, _ in self.records())
 
-    @property
-    def p_spectrum(self) -> np.ndarray:
-        return self.basis_P.full_spectrum
-
-    @property
-    def q_spectrum(self) -> Optional[np.ndarray]:
-        return None if self.obs_stage_skipped else self.basis_Q.full_spectrum
-
     def records(self):
         """Rows (stage, order, tolerance) for the metadata CSV."""
         rows = [("full", self.basis_P.V.shape[0], None),
@@ -227,14 +219,12 @@ class TwoStageMetadata:
         return rows
 
 
-def two_stage_reduce(
-        sys: BilinearRoughSystem,
-        tol_P: float = DEFAULT_TOL_P,
-        tol_Q: float = DEFAULT_TOL_Q):
+def two_stage_reduce(sys: BilinearRoughSystem):
     """Reachability truncation followed by observability truncation.
 
-    Stage 1 truncates the reachability Gramian of ``sys``; stage 2 computes
-    the observability Gramian of the stage-1 model and truncates that. With a
+    Stage 1 cuts the reachability Gramian of ``sys`` at DEFAULT_TOL_P; stage
+    2 computes the observability Gramian of the stage-1 model and cuts it at
+    DEFAULT_TOL_Q. Both cuts sit at the Gramians' numerical zeros. With a
     drift nonlinearity present, stage 2 is skipped with a notice in the
     metadata (its exactness argument needs f = 0). Returns the final
     ReducedModel (projected from ``sys`` onto the composite V = V_P V_Q) and
@@ -245,7 +235,7 @@ def two_stage_reduce(
     Gramians that are correct to round-off at every order.
     """
     P = solve_algebraic_gramian(sys, "reach")
-    basis_P = truncate_psd_spectrum(P.matrix, tol_P)
+    basis_P = truncate_psd_spectrum(P.matrix, DEFAULT_TOL_P)
     stage1 = project_system(sys, basis_P.V)
 
     if sys.drift_nonlinearity is not None:
@@ -255,7 +245,7 @@ def two_stage_reduce(
                    "(stage 2 requires f = 0)")
 
     Q = solve_algebraic_gramian(stage1.system, "obs")
-    basis_Q = observability_cut(stage1.system, Q, tol_Q)
+    basis_Q = observability_cut(stage1.system, Q, DEFAULT_TOL_Q)
     return project_system(sys, basis_P.V @ basis_Q.V), TwoStageMetadata(
         P=P, basis_P=basis_P, Q=Q, basis_Q=basis_Q)
 

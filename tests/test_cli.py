@@ -45,17 +45,23 @@ class TestSystemFileRoundTrip:
         with pytest.raises(roughmor.ArgumentError, match="n >= 1"):
             read_system_file(path)
 
-    def test_missing_file(self):
-        rc = main(["simulate", "--model", "file", "--model-file",
-                   "/nonexistent/m.txt", "--out", "/tmp/never-used"])
+    def test_missing_file(self, tmp_path):
+        # a model file that cannot be read fails the run; it does not fall
+        # back to the builtin heat model
+        out = tmp_path / "run"
+        rc = main(["simulate", "--model-file", str(tmp_path / "missing.txt"),
+                   "--out", str(out)])
         assert rc == 1
+        summary = read_summary(out)
+        assert summary["status"] == "failed"
+        assert summary["error_type"] == "ArgumentError"
 
 
 class TestReduce:
     def test_small_model_exact(self, small_model_file, tmp_path, capsys):
         out = tmp_path / "run"
-        rc = main(["reduce", "--model", "file", "--model-file",
-                   small_model_file, "--step-exp", "7", "--out", str(out)])
+        rc = main(["reduce", "--model-file", small_model_file,
+                   "--step-exp", "7", "--out", str(out)])
         assert rc == 0
         summary = read_summary(out)
         assert summary["status"] == "ok"
@@ -75,7 +81,7 @@ class TestReduce:
 
     def test_rerun_is_byte_identical(self, small_model_file, tmp_path):
         out = tmp_path / "run"
-        argv = ["reduce", "--model", "file", "--model-file", small_model_file,
+        argv = ["reduce", "--model-file", small_model_file,
                 "--step-exp", "7", "--out", str(out)]
         assert main(argv) == 0
         kept = {name: (out / name).read_bytes()
@@ -87,9 +93,8 @@ class TestReduce:
 
     def test_states_flag(self, small_model_file, tmp_path):
         out = tmp_path / "run"
-        rc = main(["reduce", "--model", "file", "--model-file",
-                   small_model_file, "--step-exp", "6", "--states",
-                   "--out", str(out)])
+        rc = main(["reduce", "--model-file", small_model_file,
+                   "--step-exp", "6", "--states", "--out", str(out)])
         assert rc == 0
         assert (out / "states_full.csv").exists()
 
@@ -100,7 +105,7 @@ class TestReduce:
         mfile = tmp_path / "unstable.txt"
         write_system_file(sys_, mfile)
         out = tmp_path / "run"
-        rc = main(["reduce", "--model", "file", "--model-file", str(mfile),
+        rc = main(["reduce", "--model-file", str(mfile),
                    "--step-exp", "6", "--out", str(out)])
         assert rc == 1
         summary = read_summary(out)
@@ -120,7 +125,7 @@ class TestReduce:
         mfile = tmp_path / "nilpotent.txt"
         write_system_file(sys_, mfile)
         out = tmp_path / "run"
-        rc = main(["reduce", "--model", "file", "--model-file", str(mfile),
+        rc = main(["reduce", "--model-file", str(mfile),
                    "--step-exp", "6", "--out", str(out)])
         assert rc == 2
         summary = read_summary(out)
@@ -135,8 +140,8 @@ class TestReduce:
         mfile.write_text("1 1 1\nnan\n0\n1\n1\n1\n")
         for command in ("reduce", "simulate"):
             out = tmp_path / command
-            rc = main([command, "--model", "file", "--model-file",
-                       str(mfile), "--step-exp", "6", "--out", str(out)])
+            rc = main([command, "--model-file", str(mfile),
+                       "--step-exp", "6", "--out", str(out)])
             assert rc == 1
             summary = read_summary(out)
             assert summary["status"] == "failed"
@@ -152,8 +157,8 @@ class TestReduce:
                           mfile)
         for command in ("reduce", "sweep"):
             out = tmp_path / command
-            rc = main([command, "--model", "file", "--model-file",
-                       str(mfile), "--step-exp", "6", "--out", str(out)])
+            rc = main([command, "--model-file", str(mfile),
+                       "--step-exp", "6", "--out", str(out)])
             assert rc == 1
             assert read_summary(out)["error_type"] == "EmptyBasisError"
 
@@ -164,8 +169,8 @@ class TestReduce:
         mfile.write_text("2 0 1\n-1 0.5\n0 -2\n1 1\n1 0\n")
         for command in ("reduce", "sweep"):
             out = tmp_path / command
-            rc = main([command, "--model", "file", "--model-file",
-                       str(mfile), "--step-exp", "6", "--out", str(out)])
+            rc = main([command, "--model-file", str(mfile),
+                       "--step-exp", "6", "--out", str(out)])
             assert rc == 1
             summary = read_summary(out)
             assert summary["status"] == "failed"
@@ -176,9 +181,8 @@ class TestReduce:
 class TestSweep:
     def test_full_rank_and_csv(self, small_model_file, tmp_path):
         out = tmp_path / "run"
-        rc = main(["sweep", "--model", "file", "--model-file",
-                   small_model_file, "--step-exp", "7", "--ranks", "2,4",
-                   "--out", str(out)])
+        rc = main(["sweep", "--model-file", small_model_file,
+                   "--step-exp", "7", "--ranks", "2,4", "--out", str(out)])
         assert rc == 0
         lines = (out / "sweep_errors.csv").read_text().splitlines()
         assert lines[0] == "r,rel_L2_error"
@@ -203,8 +207,8 @@ class TestSweep:
 class TestGramian:
     def test_spectra_and_ranks(self, small_model_file, tmp_path, capsys):
         out = tmp_path / "run"
-        rc = main(["gramian", "--model", "file", "--model-file",
-                   small_model_file, "--out", str(out)])
+        rc = main(["gramian", "--model-file", small_model_file,
+                   "--out", str(out)])
         assert rc == 0
         assert (out / "gramian_spectrum_p.csv").exists()
         assert (out / "gramian_spectrum_q.csv").exists()
@@ -227,8 +231,7 @@ class TestGramian:
                                               C=base.C, x0=np.zeros(4)),
                           tmp_path / "zero.txt")
         runs = {"heat": ["--n", "200"],
-                "zero": ["--model", "file", "--model-file",
-                         str(tmp_path / "zero.txt")]}
+                "zero": ["--model-file", str(tmp_path / "zero.txt")]}
         for name, args in runs.items():
             out = tmp_path / name
             assert main(["gramian", *args, "--out", str(out)]) == 0
@@ -241,6 +244,25 @@ class TestGramian:
                 assert sum(v > tol * w[0] for v in w) \
                     == summary[key]["numerical_rank"]
         assert summary["reach"]["numerical_rank"] == 0
+
+    def test_overflowing_solve_exits_2(self, tmp_path):
+        # x0 = (1e150, 1) overflows the norm of x0 x0^T: the solve's backward
+        # error is nan, which fails the acceptance, and summary.json stays
+        # strict JSON without the nan residual
+        mfile = tmp_path / "huge.txt"
+        write_system_file(BilinearRoughSystem(
+            A=-np.eye(2), N=(0.1 * np.eye(2),), K=np.eye(1),
+            C=np.array([[1.0, 0.0]]), x0=np.array([1e150, 1.0])), mfile)
+        for command in ("reduce", "gramian"):
+            out = tmp_path / command
+            rc = main([command, "--model-file", str(mfile),
+                       "--step-exp", "6", "--out", str(out)])
+            assert rc == 2
+            summary = json.loads((out / "summary.json").read_text(),
+                                 parse_constant=pytest.fail)
+            assert summary["status"] == "failed"
+            assert summary["error_type"] == "ConvergenceError"
+            assert "residual" not in summary
 
     def test_marginal_system_exits_2(self, tmp_path, monkeypatch):
         # a backward-error bound below the solver's round-off floor cannot
@@ -261,12 +283,12 @@ class TestGramian:
 class TestSimulateAndPathReuse:
     def test_stored_path_reused_bitwise(self, small_model_file, tmp_path):
         first = tmp_path / "a"
-        rc = main(["simulate", "--model", "file", "--model-file",
-                   small_model_file, "--step-exp", "6", "--out", str(first)])
+        rc = main(["simulate", "--model-file", small_model_file,
+                   "--step-exp", "6", "--out", str(first)])
         assert rc == 0
         second = tmp_path / "b"
-        rc = main(["simulate", "--model", "file", "--model-file",
-                   small_model_file, "--step-exp", "6", "--path-file",
+        rc = main(["simulate", "--model-file", small_model_file,
+                   "--step-exp", "6", "--path-file",
                    str(first / "driver_path.csv"), "--out", str(second)])
         assert rc == 0
         assert ((first / "driver_path.csv").read_bytes()
@@ -279,8 +301,8 @@ class TestSimulateAndPathReuse:
         bad.write_text("t,W1\n0.0,0.0\n0.5,oops\n")
         for path_file in (tmp_path / "missing.csv", bad):
             out = tmp_path / path_file.stem
-            rc = main(["simulate", "--model", "file", "--model-file",
-                       small_model_file, "--step-exp", "6", "--path-file",
+            rc = main(["simulate", "--model-file", small_model_file,
+                       "--step-exp", "6", "--path-file",
                        str(path_file), "--out", str(out)])
             assert rc == 1
             summary = read_summary(out)
@@ -294,8 +316,8 @@ class TestSimulateAndPathReuse:
                    "--out", str(wide)])
         assert rc == 0
         out = tmp_path / "run"
-        rc = main(["simulate", "--model", "file", "--model-file",
-                   small_model_file, "--step-exp", "6", "--path-file",
+        rc = main(["simulate", "--model-file", small_model_file,
+                   "--step-exp", "6", "--path-file",
                    str(wide / "driver_path.csv"), "--out", str(out)])
         assert rc == 1
 
@@ -305,7 +327,6 @@ class TestConfigResolution:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(
             "# comment line\n"
-            "model=file\n"
             f"model_file={small_model_file}\n"
             "seed=7\n"
             "hurst=0.45\n"
@@ -321,8 +342,8 @@ class TestConfigResolution:
 
     def test_replay_echoed_config(self, small_model_file, tmp_path):
         first = tmp_path / "a"
-        rc = main(["simulate", "--model", "file", "--model-file",
-                   small_model_file, "--step-exp", "6", "--seed", "11",
+        rc = main(["simulate", "--model-file", small_model_file,
+                   "--step-exp", "6", "--seed", "11",
                    "--states", "--out", str(first)])
         assert rc == 0
         second = tmp_path / "b"
@@ -341,6 +362,9 @@ class TestConfigResolution:
         assert [(a, b) for a, b in zip(old, new) if a != b] == [
             (f"out={first}", f"out={second}")]
         assert len(old) == len(new)
+        assert [line.partition("=")[0] for line in old] == [
+            "fixture", "horizon", "hurst", "mode", "model_file", "n", "out",
+            "path_file", "ranks", "seed", "states", "step_exp"]
         # the echoed mode must match the subcommand that replays it
         third = tmp_path / "c"
         rc = main(["reduce", "--config", str(first / "config.txt"),
@@ -354,23 +378,32 @@ class TestConfigResolution:
         assert main(["simulate", "--config", str(cfgfile)]) == 1
 
     def test_heat_coefficient_keys_rejected(self, tmp_path):
-        # the heat model's coefficients are fixed; any other model comes in
-        # through --model file
+        # the heat model's coefficients and the cut levels are fixed, and a
+        # model file alone selects the model: any other model comes in
+        # through --model-file
         out = tmp_path / "run"
-        with pytest.raises(SystemExit) as exc:
-            main(["reduce", "--n", "4", "--beta", "constant:0.4", "--gamma",
-                  "constant:0.1", "--out", str(out)])
-        assert exc.value.code == 1
+        for flags in (["--beta", "constant:0.4", "--gamma", "constant:0.1"],
+                      ["--model", "heat1d"], ["--tol-p", "1e-14"],
+                      ["--tol-q", "1e-14"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["reduce", "--n", "4", *flags, "--out", str(out)])
+            assert exc.value.code == 1
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("n=4\nbeta=\n")
-        assert main(["reduce", "--config", str(cfgfile),
-                     "--out", str(out)]) == 1
+        for line in ("beta=", "model=file", "tol_p=1e-16"):
+            cfgfile.write_text(f"n=4\n{line}\n")
+            assert main(["reduce", "--config", str(cfgfile),
+                         "--out", str(out)]) == 1
         assert not out.exists()
 
     def test_invalid_hurst_flag(self, tmp_path):
-        rc = main(["simulate", "--n", "4", "--hurst", "2.0",
-                   "--out", str(tmp_path / "run")])
-        assert rc == 1
+        # also step counts past 2^53, where k T / M stops being a uniform
+        # grid of doubles
+        out = tmp_path / "run"
+        for flags in (["--hurst", "2.0"], ["--step-exp", "100"],
+                      ["--horizon", "1e300", "--step-exp", "0"]):
+            rc = main(["simulate", "--n", "4", *flags, "--out", str(out)])
+            assert rc == 1
+        assert not out.exists()
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -411,8 +444,8 @@ class TestEntryPoint:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "roughmor.cli", "simulate", "--model",
-             "file", "--model-file", small_model_file, "--step-exp", "6",
+            [sys.executable, "-m", "roughmor.cli", "simulate",
+             "--model-file", small_model_file, "--step-exp", "6",
              "--out", str(out)],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
@@ -425,7 +458,7 @@ class TestEntryPoint:
             pytest.skip("console script not on PATH")
         out = tmp_path / "run"
         proc = subprocess.run(
-            [exe, "simulate", "--model", "file", "--model-file",
-             small_model_file, "--step-exp", "6", "--out", str(out)],
+            [exe, "simulate", "--model-file", small_model_file,
+             "--step-exp", "6", "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

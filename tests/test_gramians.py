@@ -139,6 +139,15 @@ class TestAlgebraicGramian:
         assert err.value.residual > BACKWARD_ERROR_BOUND
         assert err.value.iterations == 2
 
+    def test_overflow_raises_convergence_error(self):
+        # ||x0 x0^T|| overflows at x0 = (1e150, 1), where P_11 is about
+        # 5e299: the backward error is nan, which is no acceptance, and the
+        # overflow raises no RuntimeWarning on the way
+        sys_ = system_from(-np.eye(2), [0.1 * np.eye(2)], np.eye(1),
+                           [[1.0, 0.0]], [1e150, 1.0])
+        with pytest.raises(ConvergenceError, match="backward error nan"):
+            solve_algebraic_gramian(sys_, "reach")
+
     def test_heat_300_accepted_by_backward_error(self):
         # the relative residual of this solve, about 3e-10, is its round-off
         # floor at cond(A) ~ 1e4 and fails any fixed 1e-10 test; the
