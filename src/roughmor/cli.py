@@ -362,6 +362,8 @@ def run_exact_reduction(cfg: RunConfig) -> int:
         solver={
             "max_newton_iterations_full": full.max_newton_iterations,
             "max_newton_iterations_reduced": reduced.max_newton_iterations,
+            "min_pivot_ratio_full": full.min_pivot_ratio,
+            "min_pivot_ratio_reduced": reduced.min_pivot_ratio,
         },
         notice=meta.notice)
 
@@ -487,7 +489,8 @@ def run_simulate(cfg: RunConfig) -> int:
     if cfg.states:
         write_states_csv(result, run.path("states_full.csv"))
     run.finish(steps=path.M, solver={
-        "max_newton_iterations": result.max_newton_iterations})
+        "max_newton_iterations": result.max_newton_iterations,
+        "min_pivot_ratio": result.min_pivot_ratio})
     print(f"simulated {path.M} steps in {t1 - run.t0:.2f} s; "
           f"artifacts in {cfg.out}")
     return 0

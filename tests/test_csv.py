@@ -18,7 +18,7 @@ RESULT = SimulationResult(
     times=np.array([0.0, THIRD]),
     states=np.array([[1.0, -2.5e-17], [THIRD, 2.0]]),
     outputs=np.array([[1.0], [THIRD]]),
-    max_newton_iterations=0)
+    max_newton_iterations=0, min_pivot_ratio=1.0)
 SOLVE = GramianResult(matrix=np.eye(1), side="reach", residual=1e-12,
                       iterations=13, horizon=math.inf)
 # the orders 100 -> 35 -> 33 and both tolerances are read off the two cuts

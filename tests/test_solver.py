@@ -8,7 +8,8 @@ import scipy.linalg
 import roughmor.solver
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
                       DriverPath, IntegrationOverflowError,
-                      StepFailureError, pointwise_relative_error,
+                      StepFailureError, build_heat1d, default_heat1d_config,
+                      pointwise_relative_error,
                       relative_L2_error, rough_rk_simulate, sample_fbm_path,
                       smooth_path_from_function, smooth_quadratic_form_probe,
                       coarsen_path)
@@ -349,6 +350,101 @@ class TestBandStorage:
         assert res.max_newton_iterations == ref_newton >= 1
         assert (np.abs(res.states - ref).max()
                 <= roughmor.solver.NEWTON_TOL * np.abs(ref).max())
+
+
+def stage_matrices(sys_, path):
+    # each step's I - a11 (A dt + sum_m s_m N_m), s = K^{1/2} dW, dense
+    dt = (path.T - path.t0) / path.M
+    for dw in np.diff(path.values, axis=0):
+        s = sys_.K_sqrt @ dw
+        G = sys_.A * dt + sum(s_m * N_m for s_m, N_m in zip(s, sys_.N))
+        yield np.eye(sys_.n) - roughmor.solver.A11 * G
+
+
+def norm_bounds(sys_, path):
+    # 1 + a11 (dt ||A|| + sum_m |s_m| ||N_m||) per step, row-sum norms
+    dt = (path.T - path.t0) / path.M
+
+    def norm(X):
+        return np.abs(X).sum(axis=1).max()
+    return np.array([1.0 + roughmor.solver.A11 * (
+        dt * norm(sys_.A)
+        + sum(abs(s_m) * norm(N_m)
+              for s_m, N_m in zip(sys_.K_sqrt @ dw, sys_.N)))
+        for dw in np.diff(path.values, axis=0)])
+
+
+class TestStageMatrixBounds:
+    @staticmethod
+    def cases():
+        # the stiff heat model at n = 100 on the shared heat path, and a
+        # dense random model
+        heat = build_heat1d(default_heat1d_config(100))
+        yield heat, sample_fbm_path(0.4, 2, 0.5, 512, 24)
+        yield (mild_stable_system(12, 2, seed=31),
+               sample_fbm_path(0.4, 2, 1.0, 64, seed=32))
+
+    def test_norm_bound_covers_every_stage_matrix(self):
+        for sys_, path in self.cases():
+            _, bounds = roughmor.solver._step_coefficients(sys_, path)
+            np.testing.assert_allclose(bounds, norm_bounds(sys_, path),
+                                       rtol=1e-14, atol=0)
+            norms = [np.abs(S).sum(axis=1).max()
+                     for S in stage_matrices(sys_, path)]
+            assert np.all(bounds >= norms)
+
+    def test_min_pivot_ratio_matches_dense_lu(self):
+        # the band LU of each transposed stage matrix has the pivots of
+        # the dense partially pivoted LU of the same matrix
+        sys_ = TestBandStorage.banded_system()
+        path = sample_fbm_path(0.4, 2, 1.0, 64, seed=22)
+        ratios = [np.abs(np.diag(scipy.linalg.lu(S.T)[2])).min() / bound
+                  for S, bound in zip(stage_matrices(sys_, path),
+                                      norm_bounds(sys_, path))]
+        res = rough_rk_simulate(sys_, path)
+        assert res.min_pivot_ratio == pytest.approx(min(ratios), rel=1e-12)
+
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_fill_in_columns_are_not_read(self, transpose):
+        # dgbtrf does not read the fill-in rows of LAPACK band storage on
+        # entry: NaN there leaves the pivots and a solve bitwise unchanged.
+        # Only the entries above the matrix's first columns, which no
+        # routine touches, keep the NaN
+        sys_ = TestBandStorage.banded_system()
+        S = next(stage_matrices(sys_, sample_fbm_path(0.4, 2, 1.0, 64,
+                                                      seed=22)))
+        if transpose:
+            S = S.T
+        kl, ku = scipy.linalg.bandwidth(S)
+        assert ku >= 1
+        rows = roughmor.solver._band_rows(S, kl, ku)
+        b = np.random.default_rng(33).standard_normal(sys_.n)
+        runs = []
+        for fill in (0.0, np.nan):
+            ab = np.full((sys_.n, ku + rows.shape[1]), fill)
+            ab[:, ku:] = rows
+            lu, piv, info = roughmor.solver.lu_factor(ab.T, ku, kl)
+            assert info == 0
+            x = scipy.linalg.lapack.dgbtrs(lu, ku, kl, b, piv, trans=1)[0]
+            runs.append((lu, piv, x))
+        (lu0, piv0, x0), (lu1, piv1, x1) = runs
+        untouched = np.isnan(lu1)
+        assert not untouched[ku:].any()
+        np.testing.assert_array_equal(lu0[~untouched], lu1[~untouched])
+        np.testing.assert_array_equal(piv0, piv1)
+        np.testing.assert_array_equal(x0, x1)
+        np.testing.assert_allclose(S @ x0, b, atol=1e-13)
+
+    def test_stiff_heat_matches_dense_reference(self):
+        # at n = 200 and step 2^-10, dt ||A|| is 158: the stage
+        # values give F = (Z - c) / a11 without the stiff product G Z
+        sys_ = build_heat1d(default_heat1d_config(200))
+        path = sample_fbm_path(0.4, 2, 0.5, 512, seed=34)
+        dt = (path.T - path.t0) / path.M
+        assert dt * np.abs(sys_.A).sum(axis=1).max() >= 50.0
+        ref, _ = dense_crouzeix_states(sys_, path)
+        res = rough_rk_simulate(sys_, path)
+        assert np.abs(res.states - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestSelfConvergence:
