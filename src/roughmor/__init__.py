@@ -24,9 +24,8 @@ to round-off. The pieces:
 - ``cli``: the ``roughmor`` command wrapping all of the above.
 """
 
-from .errors import (ArgumentError, CapabilityError, ConvergenceError,
-                     EmptyBasisError, GuardedScalar,
-                     IntegrationOverflowError, NumericalError,
+from .errors import (ArgumentError, ConvergenceError, EmptyBasisError,
+                     GuardedScalar, IntegrationOverflowError, NumericalError,
                      PreconditionError, RoughmorError, StabilityError,
                      StepFailureError)
 from .system import (BilinearRoughSystem, DriftNonlinearity,
@@ -47,19 +46,18 @@ from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q, ProjectionBasis,
                         project_system, subspace_containment_residual,
                         truncate_psd_spectrum, two_stage_reduce,
                         write_stage_metadata_csv)
-from .solver import (PointwiseErrorSeries, SimulationResult,
-                     SmoothProbeResult, pointwise_relative_error,
-                     relative_L2_error, rough_rk_simulate,
-                     smooth_quadratic_form_probe, write_error_csv,
-                     write_states_csv, write_trajectory_csv)
+from .solver import (SimulationResult, SmoothProbeResult,
+                     pointwise_relative_error, relative_L2_error,
+                     rough_rk_simulate, smooth_quadratic_form_probe,
+                     write_error_csv, write_states_csv, write_trajectory_csv)
 from .heat import Heat1dConfig, build_heat1d, default_heat1d_config
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArgumentError", "CapabilityError", "ConvergenceError", "EmptyBasisError",
-    "GuardedScalar", "IntegrationOverflowError", "NumericalError",
-    "PreconditionError", "RoughmorError", "StabilityError", "StepFailureError",
+    "ArgumentError", "ConvergenceError", "EmptyBasisError", "GuardedScalar",
+    "IntegrationOverflowError", "NumericalError", "PreconditionError",
+    "RoughmorError", "StabilityError", "StepFailureError",
     "BilinearRoughSystem", "DriftNonlinearity", "LyapunovOperator",
     "StabilityReport", "drift_f", "is_mean_square_stable",
     "positivity_scale", "resolvent_positivity_probe",
@@ -74,10 +72,9 @@ __all__ = [
     "kernel_preservation_scale", "observability_cut", "project_system",
     "subspace_containment_residual", "truncate_psd_spectrum",
     "two_stage_reduce", "write_stage_metadata_csv",
-    "PointwiseErrorSeries", "SimulationResult", "SmoothProbeResult",
-    "pointwise_relative_error", "relative_L2_error", "rough_rk_simulate",
-    "smooth_quadratic_form_probe", "write_error_csv", "write_states_csv",
-    "write_trajectory_csv",
+    "SimulationResult", "SmoothProbeResult", "pointwise_relative_error",
+    "relative_L2_error", "rough_rk_simulate", "smooth_quadratic_form_probe",
+    "write_error_csv", "write_states_csv", "write_trajectory_csv",
     "Heat1dConfig", "build_heat1d", "default_heat1d_config",
     "__version__",
 ]

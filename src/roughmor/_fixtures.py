@@ -48,7 +48,7 @@ def decoupled_observability_system() -> BilinearRoughSystem:
 
 def unstable_system() -> BilinearRoughSystem:
     """2-state system with a positive drift eigenvalue (not mean-square
-    stable); the probe suite's negative control."""
+    stable); the stability tests' negative control."""
     A = np.array([[0.5, 0.0],
                   [0.0, -1.0]])
     N1 = 0.1 * np.eye(2)

@@ -29,10 +29,10 @@ from typing import Optional
 import numpy as np
 import scipy.linalg
 
-from .errors import (ArgumentError, CapabilityError, EmptyBasisError,
-                     PreconditionError, RoughmorError)
+from .errors import (ArgumentError, EmptyBasisError, PreconditionError,
+                     RoughmorError)
 from ._fixtures import (decoupled_observability_system, mild_stable_system,
-                        scalar_noise_system, unstable_system)
+                        scalar_noise_system)
 from ._util import atomic_write_text, csv_text, fmt
 from .drivers import (DriverPath, read_path_csv, sample_fbm_path,
                       smooth_path_from_function, write_path_csv)
@@ -91,8 +91,6 @@ class RunConfig:
     out: str = _key("roughmor-run", help="output directory")
     path_file: Optional[str] = _key(None,
                                     help="reuse a stored driver path CSV")
-    fixture: str = _key("stable", help="probe fixture 'stable' or "
-                                       "'unstable' (probes)")
     states: bool = _key(False, lambda text: _BOOLS[text.lower()],
                         "also dump the state trajectory",
                         action="store_const", const="true")
@@ -111,9 +109,6 @@ class RunConfig:
             raise ArgumentError(
                 f"step 2^-{self.step_exp} must cut the horizon "
                 f"{self.horizon} into 1 to 2^53 steps")
-        if self.fixture not in ("stable", "unstable"):
-            raise ArgumentError(
-                f"fixture must be 'stable' or 'unstable', got {self.fixture!r}")
 
     def echo_lines(self):
         """Flat key=value lines of the resolved configuration, sorted."""
@@ -263,10 +258,9 @@ def resolve_driver(cfg: RunConfig, d: int) -> DriverPath:
             raise ArgumentError(
                 f"stored path has {path.d} components but the model "
                 f"drives {d}")
-        span = path.T - path.t0
-        if abs(span - cfg.horizon) > 1e-9 * max(cfg.horizon, 1.0):
+        if abs(path.T - cfg.horizon) > 1e-9 * max(cfg.horizon, 1.0):
             raise ArgumentError(
-                f"stored path spans {span} but the horizon is {cfg.horizon}")
+                f"stored path spans {path.T} but the horizon is {cfg.horizon}")
         return path
     # step exponent m means step 2^-m, so the count is horizon / 2^-m
     steps = cfg.horizon * 2.0 ** cfg.step_exp
@@ -348,7 +342,7 @@ def run_exact_reduction(cfg: RunConfig) -> int:
     write_stage_metadata_csv(meta, run.path("stage_metadata.csv"))
     write_trajectory_csv(full, run.path("output_full.csv"))
     write_trajectory_csv(reduced, run.path("output_reduced.csv"))
-    write_error_csv(pw.times, pw.values, run.path("pointwise_error.csv"))
+    write_error_csv(full.times, pw, run.path("pointwise_error.csv"))
     if cfg.states:
         write_states_csv(full, run.path("states_full.csv"))
 
@@ -420,11 +414,8 @@ def run_probes(cfg: RunConfig) -> int:
     checks = []
 
     mild = mild_stable_system(3, 1, seed=99)
-    stability_target = unstable_system() if cfg.fixture == "unstable" \
-        else mild
-    report = is_mean_square_stable(stability_target)
-    upper = report.upper if report.upper is not None else math.inf
-    checks.append(("mean_square_stability", upper, 1.0,
+    report = is_mean_square_stable(mild)
+    checks.append(("mean_square_stability", report.upper, 1.0,
                    report.is_mean_square_stable))
 
     value = resolvent_positivity_probe(mild, trials=10_000, seed=7)
@@ -465,7 +456,6 @@ def run_probes(cfg: RunConfig) -> int:
 
     all_passed = all(passed for _, _, _, passed in checks)
     run.finish("ok" if all_passed else "probe_failure",
-               fixture=cfg.fixture,
                checks=[{"name": name, "value": value, "bound": bound,
                         "passed": passed}
                        for name, value, bound, passed in checks])
@@ -594,7 +584,7 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(args)
         return _RUNNERS[cfg.mode](cfg)
-    except (ArgumentError, PreconditionError, CapabilityError) as exc:
+    except (ArgumentError, PreconditionError) as exc:
         _mark_incomplete(cfg, exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,12 +21,11 @@ from ._util import atomic_write_text, csv_text
 
 @dataclass(frozen=True, eq=False)
 class DriverPath:
-    """Sampled driver on the uniform grid t_k = t0 + k (T - t0) / M.
+    """Sampled driver on the uniform grid t_k = k T / M.
 
     ``values`` is (M+1) x d with values[0] = 0.
     """
 
-    t0: float
     T: float
     values: np.ndarray
 
@@ -39,10 +38,9 @@ class DriverPath:
             raise ArgumentError("driver path contains non-finite entries")
         if np.any(values[0] != 0.0):
             raise ArgumentError("driver paths must start at the origin")
-        if not (self.T > self.t0):
-            raise ArgumentError(f"need T > t0, got t0={self.t0}, T={self.T}")
+        if not (self.T > 0.0):
+            raise ArgumentError(f"need T > 0, got {self.T}")
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "t0", float(self.t0))
         object.__setattr__(self, "T", float(self.T))
 
     @property
@@ -54,8 +52,12 @@ class DriverPath:
         return self.values.shape[1]
 
     @property
+    def dt(self) -> float:
+        return self.T / self.M
+
+    @property
     def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.M + 1) * ((self.T - self.t0) / self.M)
+        return np.arange(self.M + 1) * self.dt
 
 
 def _fgn_circulant(M: int, H: float, rng) -> np.ndarray:
@@ -106,7 +108,7 @@ def sample_fbm_path(H: float, d: int, T: float, M: int, seed: int) -> DriverPath
     for j, child in enumerate(np.random.SeedSequence(seed).spawn(d)):
         rng = np.random.default_rng(child)
         values[1:, j] = np.cumsum(_fgn_circulant(M, H, rng) * scale)
-    return DriverPath(t0=0.0, T=T, values=values)
+    return DriverPath(T=T, values=values)
 
 
 def smooth_path_from_function(
@@ -123,7 +125,7 @@ def smooth_path_from_function(
     values = np.stack(rows, axis=0)
     values = values - values[0]
     values[0] = 0.0
-    return DriverPath(t0=0.0, T=T, values=values)
+    return DriverPath(T=T, values=values)
 
 
 def coarsen_path(path: DriverPath, factor: int) -> DriverPath:
@@ -136,8 +138,7 @@ def coarsen_path(path: DriverPath, factor: int) -> DriverPath:
     if factor < 1 or path.M % factor != 0:
         raise ArgumentError(
             f"coarsening factor {factor} does not divide M = {path.M}")
-    return DriverPath(t0=path.t0, T=path.T,
-                      values=path.values[::factor].copy())
+    return DriverPath(T=path.T, values=path.values[::factor].copy())
 
 
 def piecewise_linear_derivative(path: DriverPath):
@@ -148,7 +149,7 @@ def piecewise_linear_derivative(path: DriverPath):
     derivative samples dW_k / dt on (t_k, t_{k+1}], and
     l2_sq = sum_k ||dW_k||^2 / dt = int ||W_dot||^2 dt for that interpolant.
     """
-    dt = (path.T - path.t0) / path.M
+    dt = path.dt
     slopes = np.diff(path.values, axis=0) / dt
     l2_sq = float(np.sum(slopes ** 2) * dt)
     return slopes, l2_sq
@@ -164,9 +165,9 @@ def write_path_csv(path: DriverPath, file) -> None:
 def read_path_csv(file) -> DriverPath:
     """Load a ``t, W1, ..., Wd`` CSV produced by :func:`write_path_csv`.
 
-    The time column must be a uniform grid. The file holds only the
-    samples, so the result is the piecewise-linear record of whatever was
-    sampled.
+    The time column must be the uniform grid t_k = k T / M, which starts
+    at 0. The file holds only the samples, so the result is the
+    piecewise-linear record of whatever was sampled.
     """
     try:
         data = np.loadtxt(file, delimiter=",", skiprows=1, ndmin=2)
@@ -178,10 +179,10 @@ def read_path_csv(file) -> DriverPath:
     M = len(times) - 1
     if M < 1:
         raise ArgumentError("path CSV needs at least two rows")
-    t0, T = float(times[0]), float(times[-1])
-    if not (T > t0):
-        raise ArgumentError("path CSV time column must increase")
-    dt = (T - t0) / M
-    if np.max(np.abs(times - (t0 + np.arange(M + 1) * dt))) > 1e-9 * max(T - t0, 1.0):
-        raise ArgumentError("path CSV time column is not a uniform grid")
-    return DriverPath(t0=t0, T=T, values=values)
+    T = float(times[-1])
+    # written so that a nan or inf time fails too
+    if not (0.0 < T < np.inf and np.max(np.abs(
+            times - np.arange(M + 1) * (T / M))) <= 1e-9 * max(T, 1.0)):
+        raise ArgumentError(f"path CSV {file}: time column is not a uniform "
+                            "grid from t = 0 to some T > 0")
+    return DriverPath(T=T, values=values)

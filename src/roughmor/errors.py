@@ -13,10 +13,6 @@ class ArgumentError(RoughmorError, ValueError):
     """Invalid argument: dimension mismatch, out-of-range parameter, bad file."""
 
 
-class CapabilityError(RoughmorError):
-    """Requested operation exceeds a configured size/capability limit."""
-
-
 class PreconditionError(RoughmorError):
     """A mathematical precondition of the operation is violated."""
 

@@ -49,11 +49,11 @@ BACKWARD_ERROR_BOUND = 64 * np.finfo(float).eps
 class GramianResult:
     """A computed Gramian with its defining-equation residual.
 
-    ``side`` is "reach" or "obs"; ``horizon`` is the T of a time-integrated
-    Gramian, whose optional ``trajectory`` samples Z at t_k = k T /
-    ``iterations``, or inf for the algebraic one. ``residual`` is the
-    relative Frobenius residual of the defining equation (for finite
-    horizons: the integrated-ODE identity Z(T) = Z(0) + L(P_T)).
+    ``side`` is "reach" or "obs". A time-integrated Gramian on [0, T] may
+    carry a ``trajectory`` that samples Z at t_k = k T / ``iterations``.
+    ``residual`` is the relative Frobenius residual of the defining
+    equation (for finite horizons: the integrated-ODE identity
+    Z(T) = Z(0) + L(P_T)).
     ``backward_error`` is the normwise backward error by which algebraic
     solves are accepted, and ``gate_rho_lower``, ``gate_rho_upper`` and
     ``gate_solves`` the bracket on the splitting spectral radius and the
@@ -66,7 +66,6 @@ class GramianResult:
     side: str
     residual: float
     iterations: int
-    horizon: float
     backward_error: Optional[float] = None
     gate_rho_lower: Optional[float] = None
     gate_rho_upper: Optional[float] = None
@@ -83,9 +82,6 @@ class GramianResult:
         if self.side not in ("reach", "obs"):
             raise ArgumentError(
                 f"side must be 'reach' or 'obs', got {self.side!r}")
-        if not (self.horizon > 0.0):
-            raise ArgumentError(
-                f"Gramian horizon must be positive, got {self.horizon}")
         object.__setattr__(self, "matrix", G)
 
 
@@ -132,7 +128,7 @@ def integrate_gramian_ode(
         if nZ0 > 0 else float(np.linalg.norm(Z - Z0 - L(integral)))
     return GramianResult(
         matrix=integral, side=side, residual=residual,
-        iterations=steps, horizon=float(T),
+        iterations=steps,
         trajectory=np.stack(samples) if return_trajectory else None)
 
 
@@ -184,7 +180,7 @@ def _gmres_gramian(op: LyapunovOperator, side: str,
         P = np.zeros_like(op.A)
         res, eta = op.errors(P)
         return GramianResult(matrix=P, side=side, residual=res, iterations=0,
-                             horizon=math.inf, backward_error=eta, **gate)
+                             backward_error=eta, **gate)
     cache = report.lyap if side == "reach" else report.lyap.transposed()
     b = cache.solve_neg(op.rhs)
     beta = np.linalg.norm(b)
@@ -217,8 +213,7 @@ def _gmres_gramian(op: LyapunovOperator, side: str,
             f"{BACKWARD_ERROR_BOUND:.1e}; relative residual {res:.3e})",
             residual=eta, iterations=iterations)
     return GramianResult(matrix=P, side=side, residual=res,
-                         iterations=iterations, horizon=math.inf,
-                         backward_error=eta, **gate)
+                         iterations=iterations, backward_error=eta, **gate)
 
 
 def solve_algebraic_gramian_dense(
@@ -232,7 +227,7 @@ def solve_algebraic_gramian_dense(
     P = (P + P.T) / 2
     res, eta = op.errors(P)
     return GramianResult(matrix=P, side=side, residual=res, iterations=1,
-                         horizon=math.inf, backward_error=eta)
+                         backward_error=eta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +243,6 @@ class MonteCarloSecondMoment:
     trajectory_se: np.ndarray
     integral: np.ndarray
     integral_se: np.ndarray
-    n_paths: int
 
 
 _MC_CHUNK = 10_000
@@ -321,9 +315,7 @@ def monte_carlo_second_moment(
     bitwise deterministic for a fixed (seed, n_paths, dt). Each chunk holds
     its paths on the contiguous axis and its per-path integrals as the
     n(n+1)/2 upper-triangle entries, n(n+1)/2 x 10 000 floats (404 MB at
-    n = 100; the earlier (10 000, n, n) buffers took 2.4 GB). That layout
-    sums in another order than the earlier one, so estimates agree with it
-    to round-off, not bitwise. T must be a whole number of steps dt.
+    n = 100). T must be a whole number of steps dt.
     """
     if n_paths < 2:
         raise ArgumentError(f"need n_paths >= 2, got {n_paths}")
@@ -367,8 +359,7 @@ def monte_carlo_second_moment(
         trajectory=traj,
         trajectory_se=np.sqrt(np.clip(traj_var, 0.0, None)),
         integral=integral,
-        integral_se=np.sqrt(np.clip(integral_var, 0.0, None)),
-        n_paths=n_paths)
+        integral_se=np.sqrt(np.clip(integral_var, 0.0, None)))
 
 
 def write_spectrum_csv(eigenvalues, file) -> None:

@@ -66,10 +66,6 @@ class ProjectionBasis:
         return self.V.shape[1]
 
     @property
-    def retained_eigenvalues(self) -> np.ndarray:
-        return self.full_spectrum[:self.r]
-
-    @property
     def discarded_max(self) -> float:
         w = self.full_spectrum
         return float(w[self.r]) if self.r < w.size else 0.0

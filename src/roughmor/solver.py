@@ -90,7 +90,7 @@ def rough_rk_simulate(model: BilinearRoughSystem,
             f"path has {path.d} components but the system drives {model.d}")
     n = model.n
     M = path.M
-    dt = (path.T - path.t0) / M
+    dt = path.dt
     nl = model.drift_nonlinearity
     eps = np.finfo(float).eps
 
@@ -207,7 +207,7 @@ def _step_coefficients(model, path):
     1 + a11 (dt ||A|| + sum_m |s_m| ||N_m||) >= ||I - a11 G|| in the row-sum
     norm, by the triangle inequality."""
     coefs = np.empty((path.M, model.d + 1))
-    coefs[:, 0] = (path.T - path.t0) / path.M
+    coefs[:, 0] = path.dt
     np.matmul(np.diff(path.values, axis=0), model.K_sqrt.T, out=coefs[:, 1:])
     norms = [A11 * np.abs(X).sum(axis=1).max() for X in (model.A, *model.N)]
     return coefs, 1.0 + np.abs(coefs) @ norms
@@ -254,13 +254,12 @@ def smooth_quadratic_form_probe(
     if path.d != sys.d:
         raise ArgumentError(
             f"path has {path.d} components but the system drives {sys.d}")
-    span = path.T - path.t0
     if M < path.M or M % path.M != 0:
         raise ArgumentError(
             f"fine step count {M} must be a positive multiple of the path "
             f"grid M = {path.M}")
     sub = M // path.M
-    dt = span / path.M
+    dt = path.dt
     hh = dt / sub
     slopes, l2_sq = piecewise_linear_derivative(path)
     if l2_sq > math.log(np.finfo(float).max):
@@ -270,7 +269,7 @@ def smooth_quadratic_form_probe(
     l2cum = np.concatenate(
         [[0.0], np.cumsum(np.sum(slopes ** 2, axis=1) * dt)])
 
-    zres = integrate_gramian_ode(sys, "reach", span, M,
+    zres = integrate_gramian_ode(sys, "reach", path.T, M,
                                  return_trajectory=True)
     Ztraj = zres.trajectory
 
@@ -339,27 +338,16 @@ def relative_L2_error(y_full, y_red, times) -> GuardedScalar:
     return GuardedScalar(num / den, is_absolute=False)
 
 
-@dataclass(frozen=True, eq=False)
-class PointwiseErrorSeries:
-    """Per-node relative output error; absolute where the reference is 0."""
-
-    times: np.ndarray
-    values: np.ndarray
-    absolute_flags: np.ndarray
-
-
-def pointwise_relative_error(y_full, y_red, times) -> PointwiseErrorSeries:
+def pointwise_relative_error(y_full, y_red, times) -> np.ndarray:
     """|y(t_k) - y_r(t_k)| / |y(t_k)| per node (Euclidean over components).
 
-    Nodes with zero reference norm report the absolute error and are flagged.
+    Nodes with zero reference norm report the absolute error.
     """
-    times, y_full, y_red = _output_pair(y_full, y_red, times)
+    _, y_full, y_red = _output_pair(y_full, y_red, times)
     num = np.linalg.norm(y_full - y_red, axis=1)
     den = np.linalg.norm(y_full, axis=1)
-    flags = den == 0.0
-    values = np.where(flags, num, num / np.where(flags, 1.0, den))
-    return PointwiseErrorSeries(times=times, values=values,
-                                absolute_flags=flags)
+    zero = den == 0.0
+    return np.where(zero, num, num / np.where(zero, 1.0, den))
 
 
 def write_trajectory_csv(result: SimulationResult, file) -> None:

@@ -26,8 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
 
-from .errors import (ArgumentError, CapabilityError, GuardedScalar,
-                     NumericalError)
+from .errors import ArgumentError, GuardedScalar, NumericalError
 from ._lyap import SchurLyapunov
 
 # LyapunovOperator.matrix has n^4 entries: 6.5 MB at this order
@@ -225,11 +224,11 @@ class LyapunovOperator:
         """Dense n^2 x n^2 matrix M with M vec(X) = vec(L(X)).
 
         Column-major vectorization throughout: vec(X) = X.reshape(-1,
-        order="F"). Raises CapabilityError when n exceeds DENSE_MAX_ORDER.
+        order="F"). Raises ArgumentError when n exceeds DENSE_MAX_ORDER.
         """
         n = self.A.shape[0]
         if n > DENSE_MAX_ORDER:
-            raise CapabilityError(
+            raise ArgumentError(
                 f"the dense operator matrix is limited to n <= "
                 f"{DENSE_MAX_ORDER}, got n = {n}")
         eye = np.eye(n)

@@ -155,7 +155,7 @@ def test_criterion_6_gronwall_probe():
         nodes = np.vstack([np.zeros(sys_.d),
                            np.cumsum(rng.normal(0, 0.2, (8, sys_.d)),
                                      axis=0)])
-        pl = DriverPath(t0=0.0, T=0.5, values=nodes)
+        pl = DriverPath(T=0.5, values=nodes)
         sine = smooth_path_from_function(
             lambda t: np.full(sys_.d, math.sin(2 * t)), 0.5, 64)
         for driver, path in (("piecewise", pl), ("sine", sine)):
@@ -202,7 +202,7 @@ def test_criterion_8_scheme_order():
                  * sympy.ones(2, 1))[0, 0]), "math")
     det = BilinearRoughSystem(A=np.array([[-1.0]]), N=(np.zeros((1, 1)),),
                               K=np.eye(1), C=np.eye(1), x0=np.ones(1))
-    still = DriverPath(t0=0.0, T=0.1, values=np.zeros((2, 1)))
+    still = DriverPath(T=0.1, values=np.zeros((2, 1)))
     one_step = rough_rk_simulate(det, still).states[1, 0]
     gap = abs(one_step - R(-0.1))
     print(f"criterion 8: self-convergence slope {slope:.3f} (need >= 0.3); "

@@ -22,8 +22,9 @@ def small_model_file(tmp_path):
 
 
 def read_summary(outdir):
+    # strict JSON: a NaN or Infinity in the file fails the test
     with open(outdir / "summary.json") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_constant=pytest.fail)
 
 
 class TestSystemFileRoundTrip:
@@ -261,8 +262,7 @@ class TestGramian:
             rc = main([command, "--model-file", str(mfile),
                        "--step-exp", "6", "--out", str(out)])
             assert rc == 2
-            summary = json.loads((out / "summary.json").read_text(),
-                                 parse_constant=pytest.fail)
+            summary = read_summary(out)
             assert summary["status"] == "failed"
             assert summary["error_type"] == "ConvergenceError"
             assert "residual" not in summary
@@ -309,7 +309,10 @@ class TestSimulateAndPathReuse:
     def test_unreadable_path_file_exits_1(self, tmp_path, small_model_file):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,W1\n0.0,0.0\n0.5,oops\n")
-        for path_file in (tmp_path / "missing.csv", bad):
+        # a uniform grid of the right span that starts at t = 1.0, not 0
+        late = tmp_path / "late.csv"
+        late.write_text("t,W1\n1.0,0.0\n1.25,0.5\n1.5,1.0\n")
+        for path_file in (tmp_path / "missing.csv", bad, late):
             out = tmp_path / path_file.stem
             rc = main(["simulate", "--model-file", small_model_file,
                        "--step-exp", "6", "--path-file",
@@ -373,7 +376,7 @@ class TestConfigResolution:
             (f"out={first}", f"out={second}")]
         assert len(old) == len(new)
         assert [line.partition("=")[0] for line in old] == [
-            "fixture", "horizon", "hurst", "mode", "model_file", "n", "out",
+            "horizon", "hurst", "mode", "model_file", "n", "out",
             "path_file", "ranks", "seed", "states", "step_exp"]
         # the echoed mode must match the subcommand that replays it
         third = tmp_path / "c"
@@ -388,18 +391,18 @@ class TestConfigResolution:
         assert main(["simulate", "--config", str(cfgfile)]) == 1
 
     def test_heat_coefficient_keys_rejected(self, tmp_path):
-        # the heat model's coefficients and the cut levels are fixed, and a
-        # model file alone selects the model: any other model comes in
-        # through --model-file
+        # the heat model's coefficients, the cut levels and the probe suite
+        # are fixed, and a model file alone selects the model: any other
+        # model comes in through --model-file
         out = tmp_path / "run"
         for flags in (["--beta", "constant:0.4", "--gamma", "constant:0.1"],
                       ["--model", "heat1d"], ["--tol-p", "1e-14"],
-                      ["--tol-q", "1e-14"]):
+                      ["--tol-q", "1e-14"], ["--fixture", "unstable"]):
             with pytest.raises(SystemExit) as exc:
                 main(["reduce", "--n", "4", *flags, "--out", str(out)])
             assert exc.value.code == 1
         cfgfile = tmp_path / "run.cfg"
-        for line in ("beta=", "model=file", "tol_p=1e-16"):
+        for line in ("beta=", "model=file", "tol_p=1e-16", "fixture=stable"):
             cfgfile.write_text(f"n=4\n{line}\n")
             assert main(["reduce", "--config", str(cfgfile),
                          "--out", str(out)]) == 1
@@ -434,15 +437,21 @@ class TestProbes:
         assert names == ["mean_square_stability", "resolvent_positivity",
                          "kernel_preservation", "gronwall_quadratic_form",
                          "mc_gramian_cross_check"]
+        summary = read_summary(out)
+        assert summary["status"] == "ok"
+        assert all(check["passed"] for check in summary["checks"])
 
-    def test_unstable_fixture_fails(self, tmp_path, cli_oracle):
+    def test_failing_probe_exits_3(self, tmp_path, cli_oracle, monkeypatch):
+        # a value below the positivity bound fails that probe alone
+        monkeypatch.setattr(roughmor.cli, "resolvent_positivity_probe",
+                            lambda *args, **kwargs: -1.0)
         out = tmp_path / "run"
-        rc = main(["probes", "--fixture", "unstable", "--out", str(out)])
+        rc = main(["probes", "--out", str(out)])
         assert rc == 3
         summary = read_summary(out)
         assert summary["status"] == "probe_failure"
         failed = [c["name"] for c in summary["checks"] if not c["passed"]]
-        assert failed == ["mean_square_stability"]
+        assert failed == ["resolvent_positivity"]
 
 
 class TestEntryPoint:

@@ -1,8 +1,6 @@
 """Exact text of each CSV writer: float cells as the shortest repr that
 round-trips, int cells and labels as plain text, stage tolerances in %g."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ RESULT = SimulationResult(
     outputs=np.array([[1.0], [THIRD]]),
     max_newton_iterations=0, min_pivot_ratio=1.0)
 SOLVE = GramianResult(matrix=np.eye(1), side="reach", residual=1e-12,
-                      iterations=13, horizon=math.inf)
+                      iterations=13)
 # the orders 100 -> 35 -> 33 and both tolerances are read off the two cuts
 META = TwoStageMetadata(
     P=SOLVE, basis_P=ProjectionBasis(np.eye(100)[:, :35], np.ones(100), 1e-16),
@@ -29,7 +27,7 @@ META = TwoStageMetadata(
 CASES = {
     "path": (
         lambda f: write_path_csv(DriverPath(
-            0.0, THIRD, [[0.0, 0.0], [-1e-17, 2.0]]), f),
+            THIRD, [[0.0, 0.0], [-1e-17, 2.0]]), f),
         f"t,W1,W2\n0.0,0.0,0.0\n{THIRD_TEXT},-1e-17,2.0\n"),
     "spectrum": (
         lambda f: write_spectrum_csv(np.array([THIRD, -9.5e-17]), f),

@@ -99,13 +99,13 @@ class TestPiecewiseLinearDerivative:
         v = np.array([0.7, -0.3])
         t = np.linspace(0, 2.0, 11)
         vals = t[:, None] * v[None, :]
-        path = DriverPath(t0=0.0, T=2.0, values=vals)
+        path = DriverPath(T=2.0, values=vals)
         slopes, l2_sq = piecewise_linear_derivative(path)
         np.testing.assert_allclose(slopes, np.tile(v, (10, 1)), atol=1e-13)
         assert abs(l2_sq - float(v @ v) * 2.0) <= 1e-12
 
     def test_zero_path(self):
-        path = DriverPath(t0=0.0, T=1.0, values=np.zeros((5, 1)))
+        path = DriverPath(T=1.0, values=np.zeros((5, 1)))
         slopes, l2_sq = piecewise_linear_derivative(path)
         assert np.all(slopes == 0.0) and l2_sq == 0.0
 
@@ -125,7 +125,7 @@ class TestCsvRoundTrip:
         write_path_csv(path, out)
         back = read_path_csv(out)
         assert np.array_equal(back.values, path.values)
-        assert back.t0 == path.t0 and back.T == path.T
+        assert back.T == path.T
 
     def test_header(self, tmp_path):
         path = sample_fbm_path(0.4, 2, 0.5, 4, seed=8)
@@ -139,13 +139,25 @@ class TestCsvRoundTrip:
         with pytest.raises(ArgumentError):
             read_path_csv(out)
 
+    @pytest.mark.parametrize("times", [
+        ("1.0", "1.5", "2.0"),  # uniform, but paths start at t = 0
+        ("0.0", "nan", "1.0"),
+        ("0.0", "0.5", "inf")])
+    def test_rejects_time_column_off_the_grid(self, tmp_path, times):
+        out = tmp_path / "path.csv"
+        out.write_text("t,W1\n" + "".join(
+            f"{t},{k}\n" for k, t in enumerate(times)))
+        with pytest.raises(ArgumentError, match="path.csv"):
+            read_path_csv(out)
+
 
 class TestDriverPathValidation:
     def test_must_start_at_zero(self):
         with pytest.raises(ArgumentError):
-            DriverPath(t0=0.0, T=1.0, values=np.ones((4, 1)))
+            DriverPath(T=1.0, values=np.ones((4, 1)))
 
     def test_times_grid(self):
         path = sample_fbm_path(0.4, 1, 2.0, 4, seed=0)
         np.testing.assert_allclose(path.times, [0.0, 0.5, 1.0, 1.5, 2.0],
                                    atol=1e-15)
+        assert path.dt == 0.5

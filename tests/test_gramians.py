@@ -34,7 +34,6 @@ class TestFiniteHorizon:
         e11 = np.outer([1.0, 0.0], [1.0, 0.0])
         np.testing.assert_allclose(res.matrix, e11, atol=1e-14)
         assert res.side == "reach"
-        assert res.horizon == 1.0
 
     def test_scalar_closed_form(self):
         # a=-1, nu=0: Z(t) = x0^2 e^{-2t}, integral = x0^2 (1-e^{-2T})/2
@@ -73,18 +72,15 @@ class TestAlgebraicGramian:
         res = solve_algebraic_gramian(sys_, "reach")
         assert abs(res.matrix[0, 0] - 1.0) <= 1e-12
         assert res.side == "reach"
-        assert math.isinf(res.horizon)
 
     def test_result_validation(self):
-        def result(side, horizon):
+        def result(side):
             return GramianResult(matrix=np.eye(1), side=side, residual=0.0,
-                                 iterations=1, horizon=horizon)
+                                 iterations=1)
 
-        assert result("obs", 2.0).side == "obs"
+        assert result("obs").side == "obs"
         with pytest.raises(ArgumentError, match="side"):
-            result("reach_infinite", math.inf)
-        with pytest.raises(ArgumentError, match="horizon"):
-            result("reach", 0.0)
+            result("reach_infinite")
 
     def test_scalar_obs_closed_form(self):
         # 0 = c^2 + (2a + nu^2) Q gives Q = c^2

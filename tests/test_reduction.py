@@ -45,9 +45,9 @@ class TestTruncation:
         sys_ = mild_stable_system(6, 1, seed=17)
         P = solve_algebraic_gramian(sys_, "reach")
         basis = truncate_psd_spectrum(P.matrix, 1e-10)
-        assert np.all(np.diff(basis.retained_eigenvalues) <= 0)
-        assert basis.retained_eigenvalues[-1] > \
-            1e-10 * basis.retained_eigenvalues[0]
+        retained = basis.full_spectrum[:basis.r]
+        assert np.all(np.diff(retained) <= 0)
+        assert retained[-1] > 1e-10 * retained[0]
 
     def test_full_spectrum_recorded(self):
         G = np.diag([3.0, 2.0, 1.0])

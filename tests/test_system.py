@@ -4,9 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from roughmor import (ArgumentError, BilinearRoughSystem, CapabilityError,
-                      DriftNonlinearity, LyapunovOperator, NumericalError,
-                      build_heat1d, default_heat1d_config, drift_f,
+from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
+                      LyapunovOperator, NumericalError, build_heat1d,
+                      default_heat1d_config, drift_f,
                       is_mean_square_stable, positivity_scale,
                       resolvent_positivity_probe, solve_algebraic_gramian,
                       solve_algebraic_gramian_dense)
@@ -128,9 +128,9 @@ class TestMatrixRepresentation:
         # n = 31 crosses DENSE_MAX_ORDER; the guard fires before any
         # Kronecker product is formed, also for the dense Gramian solve
         sys_ = simple_system(-np.eye(31), [np.zeros((31, 31))], np.eye(1))
-        with pytest.raises(CapabilityError):
+        with pytest.raises(ArgumentError, match="limited to n <= 30"):
             LyapunovOperator(sys_).matrix()
-        with pytest.raises(CapabilityError):
+        with pytest.raises(ArgumentError, match="limited to n <= 30"):
             solve_algebraic_gramian_dense(sys_, "reach")
 
 
