@@ -7,9 +7,10 @@ simulation of full and reduced models), ``sweep`` (lossy rank sweep),
 dump spectra).
 
 Configuration comes from a flat key=value file plus command-line overrides;
-every run echoes the resolved config into the output directory. All artifacts
-are CSV or JSON, written atomically, and bitwise deterministic given (config,
-seed); wall-clock timings go to stdout only.
+a subcommand takes only the keys it reads (``_COMMANDS``), less those that a
+given file replaces (``_REPLACED_BY``), and echoes them into the output
+directory. All artifacts are CSV or JSON, written atomically, and bitwise
+deterministic given (config, seed); wall-clock timings go to stdout only.
 
 Exit codes: 0 success, 1 argument/precondition/stability failure,
 2 numerical failure, 3 probe failure.
@@ -61,8 +62,7 @@ _BOOLS = {"true": True, "1": True, "yes": True,
 
 def _key(default, parse=str, help=None, **flag):
     """One config key: its default, the parser of its text (config file and
-    flag alike), and the help and extra argparse settings of its --flag.
-    A key without help gets no flag."""
+    flag alike), and the help and extra argparse settings of its --flag."""
     return field(default=default,
                  metadata={"parse": parse, "help": help, "flag": flag})
 
@@ -80,8 +80,7 @@ class RunConfig:
     model_file: Optional[str] = _key(
         None, help="matrix file ('n d p' header, then A, N_1..N_d, K, C, x0 "
                    "row-major); without it, the builtin heat model")
-    n: int = _key(100, int, "interior grid size of the builtin heat model "
-                            "(unused with --model-file)")
+    n: int = _key(100, int, "interior grid size of the builtin heat model")
     hurst: float = _key(0.4, float, "Hurst index of the fBm driver")
     horizon: float = _key(0.5, float, "time horizon T")
     step_exp: int = _key(10, int, "step exponent m, step = 2^-m")
@@ -89,29 +88,39 @@ class RunConfig:
     ranks: Optional[tuple] = _key(
         None, _parse_ranks, "comma-separated target ranks (sweep), e.g. 5,7,9")
     out: str = _key("roughmor-run", help="output directory")
-    path_file: Optional[str] = _key(None,
-                                    help="reuse a stored driver path CSV")
+    path_file: Optional[str] = _key(
+        None, help="reuse a stored driver path CSV, which fixes the horizon, "
+                   "Hurst index, seed and step")
     states: bool = _key(False, lambda text: _BOOLS[text.lower()],
                         "also dump the state trajectory",
                         action="store_const", const="true")
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ArgumentError(f"need n >= 2, got {self.n}")
         if not (0.0 < self.hurst < 1.0):
             raise ArgumentError(
                 f"Hurst index must lie in (0, 1), got {self.hurst}")
-        if not (self.horizon > 0.0):
-            raise ArgumentError(f"need horizon > 0, got {self.horizon}")
-        # past 2^53 steps, k T / M is no longer a uniform grid of doubles
-        if not (self.step_exp >= 0 and 2.0 ** -self.step_exp <= self.horizon
-                <= 2.0 ** (53 - self.step_exp)):
+        # the fBm sampler needs 2 to 2^53 whole steps: past 2^53, k T / M is
+        # no longer a uniform grid of doubles
+        if "step_exp" in self.keys and not (
+                0 <= self.step_exp < 1024 and 2 <= self.steps <= 2.0 ** 53
+                and self.steps.is_integer()):
             raise ArgumentError(
                 f"step 2^-{self.step_exp} must cut the horizon "
-                f"{self.horizon} into 1 to 2^53 steps")
+                f"{self.horizon} into 2 to 2^53 whole steps")
+
+    @property
+    def keys(self) -> tuple:
+        """The keys this run reads: its subcommand's, less those replaced."""
+        return tuple(key for key in _COMMANDS[self.mode][2] if not (
+            key in _REPLACED_BY and getattr(self, _REPLACED_BY[key])))
+
+    @property
+    def steps(self) -> float:
+        """The sampler's step count, horizon / 2^-step_exp."""
+        return self.horizon * 2.0 ** self.step_exp
 
     def echo_lines(self):
-        """Flat key=value lines of the resolved configuration, sorted."""
+        """Flat key=value lines of the mode and the keys read, sorted."""
         def render(value):
             if value is None:
                 return ""
@@ -123,10 +132,14 @@ class RunConfig:
                 return ",".join(str(v) for v in value)
             return str(value)
 
-        return [f"{key}={render(getattr(self, key))}" for key in sorted(_KEYS)]
+        return [f"{key}={render(getattr(self, key))}"
+                for key in sorted(("mode",) + self.keys)]
 
 
 _KEYS = {key.name: key for key in fields(RunConfig)}
+# a key and the file key that replaces it: that file holds its value
+_REPLACED_BY = {"n": "model_file", **dict.fromkeys(
+    ("horizon", "hurst", "seed", "step_exp"), "path_file")}
 
 
 def _parse(key, text):
@@ -141,7 +154,7 @@ def _parse(key, text):
             f"could not parse config value {key}={text!r}") from exc
 
 
-def _parse_config_file(path):
+def _parse_config_file(path, command):
     entries = {}
     try:
         with open(path) as handle:
@@ -154,9 +167,9 @@ def _parse_config_file(path):
                         f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in _KEYS:
+                if key not in ("mode", *_COMMANDS[command][2]):
                     raise ArgumentError(
-                        f"{path}:{lineno}: unknown config key {key!r}")
+                        f"{path}:{lineno}: {command} takes no key {key!r}")
                 entries[key] = _parse(key, value.strip())
     except OSError as exc:
         raise ArgumentError(f"cannot read config file {path}: {exc}") from exc
@@ -164,9 +177,10 @@ def _parse_config_file(path):
 
 
 def resolve_config(args) -> RunConfig:
-    resolved = _parse_config_file(args.config) if args.config else {}
-    for key in _KEYS:
-        text = getattr(args, key, None)
+    resolved = (_parse_config_file(args.config, args.command) if args.config
+                else {})
+    for key in _COMMANDS[args.command][2]:
+        text = getattr(args, key)
         if text is not None:
             resolved[key] = _parse(key, text)
     # a run's config.txt echoes its mode, so replaying it must accept one
@@ -174,6 +188,10 @@ def resolve_config(args) -> RunConfig:
         raise ArgumentError(
             f"config file sets mode={resolved['mode']}, but the subcommand "
             f"is {args.command!r}")
+    for key, file_key in _REPLACED_BY.items():
+        if key in resolved and resolved.get(file_key):
+            raise ArgumentError(
+                f"{file_key} replaces {key}: set one or the other")
     return RunConfig(**resolved)
 
 
@@ -253,22 +271,8 @@ def build_model(cfg: RunConfig) -> BilinearRoughSystem:
 
 def resolve_driver(cfg: RunConfig, d: int) -> DriverPath:
     if cfg.path_file:
-        path = read_path_csv(cfg.path_file)
-        if path.d != d:
-            raise ArgumentError(
-                f"stored path has {path.d} components but the model "
-                f"drives {d}")
-        if abs(path.T - cfg.horizon) > 1e-9 * max(cfg.horizon, 1.0):
-            raise ArgumentError(
-                f"stored path spans {path.T} but the horizon is {cfg.horizon}")
-        return path
-    # step exponent m means step 2^-m, so the count is horizon / 2^-m
-    steps = cfg.horizon * 2.0 ** cfg.step_exp
-    if abs(steps - round(steps)) > 1e-9:
-        raise ArgumentError(
-            f"horizon {cfg.horizon} is not a multiple of the step "
-            f"2^-{cfg.step_exp}")
-    return sample_fbm_path(cfg.hurst, d, cfg.horizon, int(round(steps)),
+        return read_path_csv(cfg.path_file)
+    return sample_fbm_path(cfg.hurst, d, cfg.horizon, int(cfg.steps),
                            cfg.seed)
 
 
@@ -281,11 +285,6 @@ def _echo_config(cfg: RunConfig, outdir) -> str:
 def _write_summary(outdir, payload) -> None:
     atomic_write_text(os.path.join(outdir, "summary.json"),
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _summary(cfg: RunConfig, status, **payload) -> dict:
-    return {"status": status, "command": cfg.mode, **payload,
-            "config": cfg.echo_lines()}
 
 
 class _Run:
@@ -306,8 +305,9 @@ class _Run:
 
     def finish(self, status="ok", **payload) -> None:
         self.artifacts.append("summary.json")
-        _write_summary(self.cfg.out, _summary(
-            self.cfg, status, artifacts=self.artifacts, **payload))
+        _write_summary(self.cfg.out, {
+            "status": status, "command": self.cfg.mode,
+            "artifacts": self.artifacts, **payload})
 
 
 # the GramianResult attributes that summary.json reports for each solve
@@ -513,12 +513,20 @@ def run_gramian(cfg: RunConfig) -> int:
     return 0
 
 
-_RUNNERS = {
-    "reduce": run_exact_reduction,
-    "sweep": run_sweep,
-    "probes": run_probes,
-    "simulate": run_simulate,
-    "gramian": run_gramian,
+# the keys of every subcommand that drives a model along a path
+_RUN_KEYS = ("model_file", "n", "horizon", "hurst", "seed", "step_exp", "out",
+             "path_file")
+# subcommand: (runner, help text, the config keys it reads)
+_COMMANDS = {
+    "reduce": (run_exact_reduction, "two-stage exact reduction with "
+               "shared-path verification", _RUN_KEYS + ("states",)),
+    "sweep": (run_sweep, "lossy rank sweep below the exact order",
+              _RUN_KEYS + ("ranks",)),
+    "probes": (run_probes, "run the verification probe suite", ("out",)),
+    "simulate": (run_simulate, "integrate the full model along a driver path",
+                 _RUN_KEYS + ("states",)),
+    "gramian": (run_gramian, "solve both algebraic Gramians and dump spectra",
+                ("model_file", "n", "out")),
 }
 
 
@@ -532,31 +540,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", help="flat key=value configuration file")
-    for key in fields(RunConfig):
-        if key.metadata["help"] is not None:
-            common.add_argument("--" + key.name.replace("_", "-"),
-                                dest=key.name, help=key.metadata["help"],
-                                **key.metadata["flag"])
-
     parser = _Parser(
         prog="roughmor",
         description="Gramian-based dimension reduction of bilinear rough "
                     "differential equations")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    # no abbreviated flags, so a removed flag such as --model cannot
-    # resolve to --model-file
-    for command, text in (
-            ("reduce", "two-stage exact reduction with shared-path "
-                       "verification"),
-            ("sweep", "lossy rank sweep below the exact order"),
-            ("probes", "run the verification probe suite"),
-            ("simulate", "integrate the full model along a driver path"),
-            ("gramian", "solve both algebraic Gramians and dump spectra")):
-        sub.add_parser(command, parents=[common], help=text,
-                       allow_abbrev=False)
+    for command, (_run, text, keys) in _COMMANDS.items():
+        # no abbreviated flags, so a removed flag such as --model cannot
+        # resolve to --model-file
+        cmd = sub.add_parser(command, help=text, allow_abbrev=False)
+        cmd.add_argument("--config", help="flat key=value configuration file")
+        for key in keys:
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key,
+                             help=_KEYS[key].metadata["help"],
+                             **_KEYS[key].metadata["flag"])
     return parser
 
 
@@ -570,9 +568,9 @@ def _mark_incomplete(cfg: Optional[RunConfig], exc: Exception) -> None:
                if (value := getattr(exc, name, None)) is not None
                and math.isfinite(value)}
     try:
-        _write_summary(cfg.out, _summary(
-            cfg, "failed", error=str(exc), error_type=type(exc).__name__,
-            **details))
+        _write_summary(cfg.out, {
+            "status": "failed", "command": cfg.mode, "error": str(exc),
+            "error_type": type(exc).__name__, **details})
     except OSError:
         pass
 
@@ -583,7 +581,7 @@ def main(argv=None) -> int:
     cfg = None
     try:
         cfg = resolve_config(args)
-        return _RUNNERS[cfg.mode](cfg)
+        return _COMMANDS[cfg.mode][0](cfg)
     except (ArgumentError, PreconditionError) as exc:
         _mark_incomplete(cfg, exc)
         print(f"error: {exc}", file=sys.stderr)

@@ -38,8 +38,8 @@ class DriverPath:
             raise ArgumentError("driver path contains non-finite entries")
         if np.any(values[0] != 0.0):
             raise ArgumentError("driver paths must start at the origin")
-        if not (self.T > 0.0):
-            raise ArgumentError(f"need T > 0, got {self.T}")
+        if not (0.0 < self.T < np.inf):
+            raise ArgumentError(f"need 0 < T < inf, got {self.T}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "T", float(self.T))
 
@@ -101,8 +101,8 @@ def sample_fbm_path(H: float, d: int, T: float, M: int, seed: int) -> DriverPath
         raise ArgumentError(f"need M >= 2 steps, got {M}")
     if d < 1:
         raise ArgumentError(f"need d >= 1 components, got {d}")
-    if not (T > 0.0):
-        raise ArgumentError(f"need T > 0, got {T}")
+    if not (0.0 < T < np.inf):
+        raise ArgumentError(f"need 0 < T < inf, got {T}")
     scale = (T / M) ** H
     values = np.zeros((M + 1, d))
     for j, child in enumerate(np.random.SeedSequence(seed).spawn(d)):
@@ -118,8 +118,9 @@ def smooth_path_from_function(
     The value at t = 0 is subtracted so the path starts at the origin; only
     increments matter to the dynamics.
     """
-    if M < 1:
-        raise ArgumentError(f"need M >= 1 steps, got {M}")
+    # checked here, not left to DriverPath: the times below need a finite T
+    if M < 1 or not (0.0 < T < np.inf):
+        raise ArgumentError(f"need M >= 1 and 0 < T < inf, got M={M}, T={T}")
     times = np.arange(M + 1) * (T / M)
     rows = [np.atleast_1d(np.asarray(fn(t), dtype=float)) for t in times]
     values = np.stack(rows, axis=0)

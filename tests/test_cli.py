@@ -1,8 +1,11 @@
 import json
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,13 @@ import roughmor
 from roughmor import (DEFAULT_TOL_P, DEFAULT_TOL_Q, BilinearRoughSystem,
                       read_path_csv, rough_rk_simulate)
 from roughmor._fixtures import mild_stable_system
-from roughmor.cli import main, read_system_file, write_system_file
+from roughmor.cli import (build_parser, main, read_system_file,
+                          resolve_config, write_system_file)
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# the flags of every subcommand that drives a model along a path
+RUN_FLAGS = {"--model-file", "--n", "--horizon", "--hurst", "--seed",
+             "--step-exp", "--out", "--path-file"}
 
 
 @pytest.fixture()
@@ -259,8 +268,7 @@ class TestGramian:
             C=np.array([[1.0, 0.0]]), x0=np.array([1e150, 1.0])), mfile)
         for command in ("reduce", "gramian"):
             out = tmp_path / command
-            rc = main([command, "--model-file", str(mfile),
-                       "--step-exp", "6", "--out", str(out)])
+            rc = main([command, "--model-file", str(mfile), "--out", str(out)])
             assert rc == 2
             summary = read_summary(out)
             assert summary["status"] == "failed"
@@ -291,8 +299,8 @@ class TestSimulateAndPathReuse:
         assert rc == 0
         second = tmp_path / "b"
         rc = main(["simulate", "--model-file", small_model_file,
-                   "--step-exp", "6", "--path-file",
-                   str(first / "driver_path.csv"), "--out", str(second)])
+                   "--path-file", str(first / "driver_path.csv"),
+                   "--out", str(second)])
         assert rc == 0
         assert ((first / "driver_path.csv").read_bytes()
                 == (second / "driver_path.csv").read_bytes())
@@ -315,8 +323,7 @@ class TestSimulateAndPathReuse:
         for path_file in (tmp_path / "missing.csv", bad, late):
             out = tmp_path / path_file.stem
             rc = main(["simulate", "--model-file", small_model_file,
-                       "--step-exp", "6", "--path-file",
-                       str(path_file), "--out", str(out)])
+                       "--path-file", str(path_file), "--out", str(out)])
             assert rc == 1
             summary = read_summary(out)
             assert summary["status"] == "failed"
@@ -330,9 +337,11 @@ class TestSimulateAndPathReuse:
         assert rc == 0
         out = tmp_path / "run"
         rc = main(["simulate", "--model-file", small_model_file,
-                   "--step-exp", "6", "--path-file",
-                   str(wide / "driver_path.csv"), "--out", str(out)])
+                   "--path-file", str(wide / "driver_path.csv"),
+                   "--out", str(out)])
         assert rc == 1
+        # heat n = 4 drives two components, the model file one
+        assert "2 components" in read_summary(out)["error"]
 
 
 class TestConfigResolution:
@@ -376,8 +385,8 @@ class TestConfigResolution:
             (f"out={first}", f"out={second}")]
         assert len(old) == len(new)
         assert [line.partition("=")[0] for line in old] == [
-            "horizon", "hurst", "mode", "model_file", "n", "out",
-            "path_file", "ranks", "seed", "states", "step_exp"]
+            "horizon", "hurst", "mode", "model_file", "out", "path_file",
+            "seed", "states", "step_exp"]
         # the echoed mode must match the subcommand that replays it
         third = tmp_path / "c"
         rc = main(["reduce", "--config", str(first / "config.txt"),
@@ -410,13 +419,66 @@ class TestConfigResolution:
 
     def test_invalid_hurst_flag(self, tmp_path):
         # also step counts past 2^53, where k T / M stops being a uniform
-        # grid of doubles
+        # grid of doubles, below the sampler's 2, or not whole
         out = tmp_path / "run"
         for flags in (["--hurst", "2.0"], ["--step-exp", "100"],
-                      ["--horizon", "1e300", "--step-exp", "0"]):
+                      ["--horizon", "1e300", "--step-exp", "0"],
+                      ["--step-exp", "1"], ["--horizon", "0.3"]):
             rc = main(["simulate", "--n", "4", *flags, "--out", str(out)])
             assert rc == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flags", [
+        ("reduce", RUN_FLAGS | {"--states"}),
+        ("simulate", RUN_FLAGS | {"--states"}),
+        ("sweep", RUN_FLAGS | {"--ranks"}),
+        ("gramian", {"--model-file", "--n", "--out"}),
+        ("probes", {"--out"})])
+    def test_help_lists_the_keys_read(self, capsys, command, flags):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == {"--help", "--config", *flags}
+
+    def test_unread_keys_rejected(self, tmp_path):
+        out = tmp_path / "run"
+        for argv in (["probes", "--n", "7"], ["gramian", "--hurst", "0.3"],
+                     ["sweep", "--states"], ["reduce", "--ranks", "3"]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--out", str(out)])
+            assert exc.value.code == 1
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("ranks=3\n")
+        assert main(["reduce", "--config", str(cfgfile),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_file_with_a_key_it_replaces(self, small_model_file, tmp_path,
+                                         capsys):
+        # the clash fails before any file is read
+        out = tmp_path / "run"
+        for flags in (["--model-file", small_model_file, "--n", "4"],
+                      ["--path-file", "path.csv", "--seed", "3"],
+                      ["--path-file", "path.csv", "--horizon", "0.25"]):
+            assert main(["simulate", *flags, "--out", str(out)]) == 1
+            assert "replaces" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_short_path_replays_without_its_step(self, tmp_path):
+        # 8 steps of 2^-14 over 2^-11: the stored path alone sets the grid
+        first = tmp_path / "a"
+        assert main(["simulate", "--n", "4", "--horizon", "0.00048828125",
+                     "--step-exp", "14", "--out", str(first)]) == 0
+        second = tmp_path / "b"
+        assert main(["simulate", "--n", "4",
+                     "--path-file", str(first / "driver_path.csv"),
+                     "--out", str(second)]) == 0
+        assert ((first / "output_full.csv").read_bytes()
+                == (second / "output_full.csv").read_bytes())
+        echoed = (second / "config.txt").read_text().splitlines()
+        assert [line.partition("=")[0] for line in echoed] == [
+            "mode", "model_file", "n", "out", "path_file", "states"]
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -481,3 +543,15 @@ class TestEntryPoint:
              "--step-exp", "6", "--out", str(out)],
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_cli_quick_start_parses():
+    # every command of README's CLI quick start parses and resolves, so a
+    # flag change cannot leave the README stale
+    section = README.read_text().split("## Quick start (CLI)")[1]
+    lines = section.split("\n## ")[0].replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines
+                if line.startswith("roughmor ")]
+    assert commands
+    for argv in commands:
+        resolve_config(build_parser().parse_args(argv))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,3 +162,15 @@ class TestDriverPathValidation:
         np.testing.assert_allclose(path.times, [0.0, 0.5, 1.0, 1.5, 2.0],
                                    atol=1e-15)
         assert path.dt == 0.5
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan, 0.0])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        # an infinite T would give dt = inf and times [nan, inf, inf]; the
+        # smooth sampler refuses it before it evaluates the function
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ArgumentError, match="T < inf"):
+                DriverPath(T, np.zeros((3, 1)))
+            with pytest.raises(ArgumentError, match="T < inf"):
+                smooth_path_from_function(
+                    lambda t: pytest.fail(f"sampled at t = {t}"), T, 4)
