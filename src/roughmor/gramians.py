@@ -1,8 +1,9 @@
 """Reachability and observability Gramians of the associated Ito dynamics.
 
-Finite-horizon Gramians integrate the matrix ODE dZ/dt = L(Z) (or the dual
-equation) with classical RK4 and accumulate the time integral by composite
-trapezoid on the same grid. Infinite-horizon Gramians solve
+Finite-horizon Gramians P_T = int_0^T Z dt of the matrix ODE dZ/dt = L(Z)
+(or the dual equation) come in closed form from one matrix exponential of
+the dense operator augmented by Z(0), so they are limited to n <=
+DENSE_MAX_ORDER. Infinite-horizon Gramians solve
 
     0 = x0 x0^T + L(P),        0 = C^T C + L*(Q)
 
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import expm
 
 from .errors import (ArgumentError, ConvergenceError,
                      IntegrationOverflowError, StabilityError)
@@ -49,11 +51,11 @@ BACKWARD_ERROR_BOUND = 64 * np.finfo(float).eps
 class GramianResult:
     """A computed Gramian with its defining-equation residual.
 
-    ``side`` is "reach" or "obs". A time-integrated Gramian on [0, T] may
-    carry a ``trajectory`` that samples Z at t_k = k T / ``iterations``.
+    ``side`` is "reach" or "obs". A finite-horizon Gramian on [0, T]
+    carries a ``trajectory`` that samples Z at t_k = k T / ``iterations``.
     ``residual`` is the relative Frobenius residual of the defining
     equation (for finite horizons: the integrated-ODE identity
-    Z(T) = Z(0) + L(P_T)).
+    Z(T) = Z(0) + L(P_T), which holds up to round-off).
     ``backward_error`` is the normwise backward error by which algebraic
     solves are accepted, and ``gate_rho_lower``, ``gate_rho_upper`` and
     ``gate_solves`` the bracket on the splitting spectral radius and the
@@ -86,50 +88,41 @@ class GramianResult:
 
 
 def integrate_gramian_ode(
-        sys: BilinearRoughSystem, side: str, T: float, steps: int,
-        return_trajectory: bool = False) -> GramianResult:
-    """Finite-horizon Gramian P_T = int_0^T Z(t) dt via RK4 on dZ/dt = L(Z).
+        sys: BilinearRoughSystem, side: str, T: float,
+        steps: int) -> GramianResult:
+    """Finite-horizon Gramian P_T = int_0^T Z(t) dt of dZ/dt = L(Z), exactly.
 
-    Z(0) is x0 x0^T (reach) or C^T C (obs); the integral accumulates by
-    composite trapezoid on the RK4 grid. With ``return_trajectory`` the
-    sampled Z(t_k) stack rides along on the result.
+    Z(0) is x0 x0^T (reach) or C^T C (obs). With M the dense matrix of L
+    (LyapunovOperator.matrix, so n <= DENSE_MAX_ORDER), vec P_T is the top
+    of the last column of expm(T [[M, vec Z(0)], [0, 0]]) (Van Loan, IEEE
+    TAC 23, 1978). The trajectory samples Z(t_k) = expm(T M / steps)^k
+    vec Z(0) at t_k = k T / steps.
     """
-    L = LyapunovOperator(sys, side)
-    Z0 = L.rhs
     if not (T > 0.0):
         raise ArgumentError(f"need T > 0, got {T}")
     if steps < 1:
         raise ArgumentError(f"need steps >= 1, got {steps}")
-    dt = T / steps
-    Z = (Z0 + Z0.T) / 2
-    integral = np.zeros_like(Z)
-    samples = [Z.copy()] if return_trajectory else None
-    for k in range(steps):
-        k1 = L(Z)
-        k2 = L(Z + 0.5 * dt * k1)
-        k3 = L(Z + 0.5 * dt * k2)
-        k4 = L(Z + dt * k3)
-        Z_next = Z + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        Z_next = (Z_next + Z_next.T) / 2
-        if not np.all(np.isfinite(Z_next)):
+    L = LyapunovOperator(sys, side)
+    M = L.matrix()
+    Z0 = L.rhs
+    z = Z0.reshape(-1, order="F")
+    block = np.block([[M, z[:, None]], [np.zeros((1, len(z) + 1))]])
+    # an overflow reaches the finiteness check as inf or nan, unwarned
+    with np.errstate(over="ignore", invalid="ignore"):
+        P = expm(T * block)[:-1, -1].reshape(Z0.shape, order="F")
+        flow = expm((T / steps) * M)
+        samples = [z]
+        for _ in range(steps):
+            samples.append(flow @ samples[-1])
+        Z = np.stack(samples).reshape(-1, *Z0.shape).transpose(0, 2, 1)
+        if not (np.all(np.isfinite(P)) and np.all(np.isfinite(Z))):
             raise IntegrationOverflowError(
-                f"Gramian ODE overflowed at step {k + 1} of {steps} "
-                f"(t = {(k + 1) * dt:.6g}); the horizon may be too long for "
-                "an unstable system", step=k + 1)
-        integral += (dt / 2.0) * (Z + Z_next)
-        Z = Z_next
-        if return_trajectory:
-            samples.append(Z.copy())
-
-    # Integrated form of the ODE: Z(T) - Z(0) = L(int Z dt); its residual
-    # measures quadrature/integration consistency.
-    nZ0 = np.linalg.norm(Z0)
-    residual = float(np.linalg.norm(Z - Z0 - L(integral)) / nZ0) \
-        if nZ0 > 0 else float(np.linalg.norm(Z - Z0 - L(integral)))
-    return GramianResult(
-        matrix=integral, side=side, residual=residual,
-        iterations=steps,
-        trajectory=np.stack(samples) if return_trajectory else None)
+                f"the Gramian flow on [0, {T:.6g}] overflowed float range")
+    P = (P + P.T) / 2
+    # Integrated form of the ODE: Z(T) - Z(0) = L(P_T), exact up to round-off
+    residual = np.linalg.norm(Z[-1] - Z0 - L(P)) / (np.linalg.norm(Z0) or 1.0)
+    return GramianResult(matrix=P, side=side, residual=float(residual),
+                         iterations=steps, trajectory=Z)
 
 
 def solve_algebraic_gramian(sys: BilinearRoughSystem,
@@ -312,7 +305,8 @@ def monte_carlo_second_moment(
 
     Paths are simulated in fixed chunks of 10 000 with one spawned child seed
     per chunk and summed sequentially in chunk order, so the estimate is
-    bitwise deterministic for a fixed (seed, n_paths, dt). Each chunk holds
+    bitwise deterministic for a fixed (seed, n_paths, dt). A chunk whose
+    sums leave float range raises IntegrationOverflowError. Each chunk holds
     its paths on the contiguous axis and its per-path integrals as the
     n(n+1)/2 upper-triangle entries, n(n+1)/2 x 10 000 floats (404 MB at
     n = 100). T must be a whole number of steps dt.
@@ -345,8 +339,13 @@ def monte_carlo_second_moment(
         I1 = np.zeros((n, n))
         I2 = np.zeros((n, n))
         for m, child in zip(chunks, batch_seed.spawn(len(chunks))):
-            _euler_chunk(op.A, op.N, sys.K_sqrt, x_init, T, steps, m,
-                         np.random.default_rng(child), S1, S2, I1, I2)
+            # an overflow reaches the check below as inf or nan, unwarned
+            with np.errstate(over="ignore", invalid="ignore"):
+                _euler_chunk(op.A, op.N, sys.K_sqrt, x_init, T, steps, m,
+                             np.random.default_rng(child), S1, S2, I1, I2)
+            if not all(np.all(np.isfinite(S)) for S in (S1, S2, I1, I2)):
+                raise IntegrationOverflowError(
+                    "Euler-Maruyama paths overflowed float range")
         mean_traj = S1 / n_paths
         traj += mean_traj
         traj_var += (S2 - n_paths * mean_traj ** 2) / (n_paths - 1) / n_paths

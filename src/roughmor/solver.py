@@ -244,12 +244,13 @@ def smooth_quadratic_form_probe(
 
     The driver is read as its piecewise-linear interpolant: the
     per-interval slopes drive a classical RK4 for x on a fine grid of M
-    total steps (a multiple of the path grid) over the path's span, Z comes
-    from the Gramian ODE on the same grid, and the exponential factor uses
-    the cumulative squared slope integral. A path whose int ||W_dot||^2
+    total steps (a multiple of the path grid) over the path's span, Z is
+    the exact Gramian flow at the path nodes, and the exponential factor
+    uses the cumulative squared slope integral. A path whose int ||W_dot||^2
     overflows that factor, as a finely sampled rough path can, raises
-    ArgumentError before anything is integrated. Returns the minimum gap
-    eigenvalue over the path nodes.
+    ArgumentError before anything is integrated; an overflow of x or the
+    gap raises IntegrationOverflowError naming the interval. Returns the
+    minimum gap eigenvalue over the path nodes.
     """
     if path.d != sys.d:
         raise ArgumentError(
@@ -269,9 +270,7 @@ def smooth_quadratic_form_probe(
     l2cum = np.concatenate(
         [[0.0], np.cumsum(np.sum(slopes ** 2, axis=1) * dt)])
 
-    zres = integrate_gramian_ode(sys, "reach", path.T, M,
-                                 return_trajectory=True)
-    Ztraj = zres.trajectory
+    Ztraj = integrate_gramian_ode(sys, "reach", path.T, path.M).trajectory
 
     def rhs(x, s_vec):
         v = sys.A @ x + drift_f(sys, x)
@@ -283,18 +282,19 @@ def smooth_quadratic_form_probe(
     min_eig = math.inf
     for k in range(path.M):
         s_vec = sys.K_sqrt @ slopes[k]
-        for _ in range(sub):
-            k1 = rhs(x, s_vec)
-            k2 = rhs(x + 0.5 * hh * k1, s_vec)
-            k3 = rhs(x + 0.5 * hh * k2, s_vec)
-            k4 = rhs(x + hh * k3, s_vec)
-            x = x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(x)):
+        # an overflow of x shows, unwarned, in the gap's diagonal x_i^2
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(sub):
+                k1 = rhs(x, s_vec)
+                k2 = rhs(x + 0.5 * hh * k1, s_vec)
+                k3 = rhs(x + 0.5 * hh * k2, s_vec)
+                k4 = rhs(x + hh * k3, s_vec)
+                x = x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            gap = math.exp(l2cum[k + 1]) * Ztraj[k + 1] - np.outer(x, x)
+        if not np.all(np.isfinite(gap)):
             raise IntegrationOverflowError(
-                f"smooth simulation overflowed in interval {k + 1}",
-                step=k + 1)
-        Xbar = math.exp(l2cum[k + 1]) * Ztraj[(k + 1) * sub]
-        gap = Xbar - np.outer(x, x)
+                f"smooth simulation overflowed in interval {k + 1} of "
+                f"{path.M}", step=k + 1)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gap)[0]))
     xbar_final = math.exp(l2cum[-1]) * Ztraj[-1]
     return SmoothProbeResult(

@@ -6,7 +6,8 @@ import pytest
 
 import roughmor._lyap
 from roughmor import (DEFAULT_TOL_P, ArgumentError, BilinearRoughSystem,
-                      ConvergenceError, GramianResult, LyapunovOperator,
+                      ConvergenceError, GramianResult,
+                      IntegrationOverflowError, LyapunovOperator,
                       StabilityError, build_heat1d, default_heat1d_config,
                       integrate_gramian_ode, monte_carlo_second_moment,
                       solve_algebraic_gramian, solve_algebraic_gramian_dense,
@@ -42,16 +43,40 @@ class TestFiniteHorizon:
         expected = 1.5 ** 2 * (1.0 - math.exp(-2.0 * T)) / 2.0
         coarse = integrate_gramian_ode(sys_, "reach", T=T, steps=400)
         fine = integrate_gramian_ode(sys_, "reach", T=T, steps=1600)
-        err_coarse = abs(coarse.matrix[0, 0] - expected)
-        err_fine = abs(fine.matrix[0, 0] - expected)
-        # trapezoid quadrature dominates: second order in the step
-        assert err_coarse <= 5e-6
-        assert err_fine <= err_coarse / 12.0
+        assert abs(coarse.matrix[0, 0] - expected) <= 1e-14
+        # the step count only samples the trajectory
+        assert np.array_equal(coarse.matrix, fine.matrix)
+        # Z(T) is a 1600-fold product: round-off grows with the count
+        assert abs(fine.trajectory[-1, 0, 0]
+                   - 1.5 ** 2 * math.exp(-2.0 * T)) <= 1e-12
+
+    def test_heat_flow_residual(self):
+        # the mean-square-stable heat model at n = 20, where a fixed-step
+        # integration of the same flow overflows
+        sys_ = build_heat1d(default_heat1d_config(20))
+        res = integrate_gramian_ode(sys_, "reach", T=0.5, steps=200)
+        assert res.trajectory.shape == (201, 20, 20)
+        assert res.residual <= 1e-12
+
+    def test_refuses_order_above_dense_limit(self):
+        sys_ = build_heat1d(default_heat1d_config(31))
+        with pytest.raises(ArgumentError, match="n <= 30"):
+            integrate_gramian_ode(sys_, "reach", T=0.5, steps=10)
+
+    def test_long_horizon_matches_algebraic(self):
+        # P_T tends to the algebraic Gramian; at T = 40 the tail e^{-40}
+        # is below round-off
+        sys_ = mild_stable_system(5, 2, seed=3)
+        for side in ("reach", "obs"):
+            flow = integrate_gramian_ode(sys_, side, T=40.0, steps=10)
+            dense = solve_algebraic_gramian_dense(sys_, side)
+            np.testing.assert_allclose(
+                flow.matrix, dense.matrix,
+                atol=1e-10 * np.abs(dense.matrix).max())
 
     def test_trajectory_is_monotone_psd(self):
         sys_ = mild_stable_system(3, 1, seed=21)
-        res = integrate_gramian_ode(sys_, "reach", T=1.0, steps=100,
-                                    return_trajectory=True)
+        res = integrate_gramian_ode(sys_, "reach", T=1.0, steps=100)
         assert res.trajectory.shape == (101, 3, 3)
         for Z in res.trajectory[::25]:
             assert np.linalg.eigvalsh((Z + Z.T) / 2).min() >= -1e-10
@@ -275,6 +300,27 @@ class TestMonteCarlo:
         with pytest.raises(ArgumentError, match="whole number of steps"):
             monte_carlo_second_moment(sys_, "reach", T=1.0, n_paths=10,
                                       dt=0.3, seed=0)
+
+    def test_overflow_raises(self):
+        # E[x^2] grows like e^{801 t}: the sums leave float range well
+        # before T = 2, and the caller sees roughmor's error and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationOverflowError,
+                               match="overflowed float range"):
+                monte_carlo_second_moment(scalar_noise_system(a=400.0),
+                                          "reach", T=2.0, n_paths=4,
+                                          dt=0.01, seed=0)
+
+    def test_trajectory_matches_exact_flow(self, mild_oracle):
+        # criterion 3's rule, applied to every node of the session oracle's
+        # E[x(t) x(t)^T] against the exact Z(t_k) on the same grid
+        sys_ = mild_stable_system(3, 1, seed=99)
+        exact = integrate_gramian_ode(sys_, "reach", T=1.0, steps=1000)
+        mc = mild_oracle
+        dev = np.abs(mc.trajectory - exact.trajectory) / np.where(
+            mc.trajectory_se > 0, mc.trajectory_se, 1.0)
+        assert float((dev <= 3.0).mean()) >= 0.95
 
     def test_packed_chunk_matches_direct_reference(self):
         # full (m, n, n) outer products per node, integrated over time by

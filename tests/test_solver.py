@@ -504,6 +504,20 @@ class TestSmoothProbe:
             smooth_quadratic_form_probe(mild_stable_system(4, 2, seed=5),
                                         path, 512)
 
+    def test_stiff_overflow_names_interval(self):
+        # one explicit RK4 step per interval of dt = 2^-7 is unstable for
+        # the n = 30 heat model: x leaves float range, and the caller sees
+        # roughmor's error naming the interval, with no warning
+        sys_ = build_heat1d(default_heat1d_config(30))
+        path = smooth_path_from_function(
+            lambda t: np.array([math.sin(t), math.cos(t)]), 0.5, 64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationOverflowError,
+                               match="interval 36 of 64") as err:
+                smooth_quadratic_form_probe(sys_, path, 64)
+        assert err.value.step == 36
+
     def test_raw_fbm_path(self):
         # an fBm path is read as its piecewise-linear interpolant like any
         # other path; this one's factor exp(145) stays finite
