@@ -29,7 +29,7 @@ from .errors import (ArgumentError, ConvergenceError, EmptyBasisError,
                      PreconditionError, RoughmorError, StabilityError,
                      StepFailureError)
 from .system import (BilinearRoughSystem, DriftNonlinearity,
-                     LyapunovOperator, StabilityReport, drift_f,
+                     LyapunovOperator, StabilityReport,
                      is_mean_square_stable, positivity_scale,
                      resolvent_positivity_probe)
 from .drivers import (DriverPath, coarsen_path, piecewise_linear_derivative,
@@ -59,7 +59,7 @@ __all__ = [
     "IntegrationOverflowError", "NumericalError", "PreconditionError",
     "RoughmorError", "StabilityError", "StepFailureError",
     "BilinearRoughSystem", "DriftNonlinearity", "LyapunovOperator",
-    "StabilityReport", "drift_f", "is_mean_square_stable",
+    "StabilityReport", "is_mean_square_stable",
     "positivity_scale", "resolvent_positivity_probe",
     "DriverPath", "coarsen_path", "piecewise_linear_derivative",
     "read_path_csv", "sample_fbm_path", "smooth_path_from_function",

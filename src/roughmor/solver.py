@@ -40,7 +40,7 @@ from .errors import (ArgumentError, GuardedScalar, IntegrationOverflowError,
 from ._util import atomic_write_text, csv_text
 from .drivers import DriverPath, piecewise_linear_derivative
 from .gramians import integrate_gramian_ode
-from .system import BilinearRoughSystem, drift_f
+from .system import BilinearRoughSystem
 
 NEWTON_TOL = 1e-12
 NEWTON_MAX = 50
@@ -229,7 +229,7 @@ class SmoothProbeResult:
 
     The Gronwall argument bounds the outer product x(t) x(t)^T by
     exp(int_0^t ||W_dot||^2) Z(t); ``min_eigenvalue`` is the smallest
-    eigenvalue of that gap over the grid and should not fall below
+    eigenvalue of that gap over the path nodes and should not fall below
     -tol * ``xbar_final_norm`` for a small discretization slack tol.
     """
 
@@ -242,15 +242,17 @@ def smooth_quadratic_form_probe(
         M: int) -> SmoothProbeResult:
     """Check x(t) x(t)^T <= exp(int ||W_dot||^2) Z(t) along a smooth driver.
 
-    The driver is read as its piecewise-linear interpolant: the
-    per-interval slopes drive a classical RK4 for x on a fine grid of M
-    total steps (a multiple of the path grid) over the path's span, Z is
-    the exact Gramian flow at the path nodes, and the exponential factor
-    uses the cumulative squared slope integral. A path whose int ||W_dot||^2
-    overflows that factor, as a finely sampled rough path can, raises
-    ArgumentError before anything is integrated; an overflow of x or the
-    gap raises IntegrationOverflowError naming the interval. Returns the
-    minimum gap eigenvalue over the path nodes.
+    The driver is read as its piecewise-linear interpolant, sampled on a
+    fine grid of M total steps (a multiple of the path grid) whose every
+    (M / path.M)-th node is a path node, bitwise. x comes from the Crouzeix
+    integrator, rough_rk_simulate, on that fine path; Z is the exact Gramian
+    flow at the path nodes, and the exponential factor uses the cumulative
+    squared slope integral. The gap is checked at the path nodes only. A
+    path whose int ||W_dot||^2 overflows that factor, as a finely sampled
+    rough path can, raises ArgumentError before anything is integrated. The
+    integrator's own errors pass through, naming a fine step; an overflow
+    of the gap raises IntegrationOverflowError naming the interval. Returns
+    the minimum gap eigenvalue over the path nodes.
     """
     if path.d != sys.d:
         raise ArgumentError(
@@ -260,45 +262,31 @@ def smooth_quadratic_form_probe(
             f"fine step count {M} must be a positive multiple of the path "
             f"grid M = {path.M}")
     sub = M // path.M
-    dt = path.dt
-    hh = dt / sub
     slopes, l2_sq = piecewise_linear_derivative(path)
     if l2_sq > math.log(np.finfo(float).max):
         raise ArgumentError(
             f"the path's int ||W_dot||^2 dt = {l2_sq:.6g} overflows the "
             "Gronwall factor exp(int ||W_dot||^2 dt)")
-    l2cum = np.concatenate(
-        [[0.0], np.cumsum(np.sum(slopes ** 2, axis=1) * dt)])
+    l2cum = np.cumsum(np.sum(slopes ** 2, axis=1) * path.dt)
 
     Ztraj = integrate_gramian_ode(sys, "reach", path.T, path.M).trajectory
-
-    def rhs(x, s_vec):
-        v = sys.A @ x + drift_f(sys, x)
-        for m_i in range(sys.d):
-            v = v + s_vec[m_i] * (sys.N[m_i] @ x)
-        return v
-
-    x = sys.x0.copy()
-    min_eig = math.inf
-    for k in range(path.M):
-        s_vec = sys.K_sqrt @ slopes[k]
-        # an overflow of x shows, unwarned, in the gap's diagonal x_i^2
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(sub):
-                k1 = rhs(x, s_vec)
-                k2 = rhs(x + 0.5 * hh * k1, s_vec)
-                k3 = rhs(x + 0.5 * hh * k2, s_vec)
-                k4 = rhs(x + hh * k3, s_vec)
-                x = x + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            gap = math.exp(l2cum[k + 1]) * Ztraj[k + 1] - np.outer(x, x)
-        if not np.all(np.isfinite(gap)):
-            raise IntegrationOverflowError(
-                f"smooth simulation overflowed in interval {k + 1} of "
-                f"{path.M}", step=k + 1)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(gap)[0]))
+    fine = DriverPath(T=path.T, values=np.column_stack(
+        [np.interp(np.arange(M + 1) / sub, np.arange(path.M + 1), w)
+         for w in path.values.T]))
+    x = rough_rk_simulate(sys, fine).states[sub::sub]
+    # an overflow shows, unwarned, in the gap's entries
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = (np.exp(l2cum)[:, None, None] * Ztraj[1:]
+                - x[:, :, None] * x[:, None, :])
+    finite = np.isfinite(gaps).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite)) + 1
+        raise IntegrationOverflowError(
+            f"the Gronwall gap overflowed in interval {k} of {path.M}",
+            step=k)
     xbar_final = math.exp(l2cum[-1]) * Ztraj[-1]
     return SmoothProbeResult(
-        min_eigenvalue=min_eig,
+        min_eigenvalue=float(np.linalg.eigvalsh(gaps)[:, 0].min()),
         xbar_final_norm=float(np.linalg.norm(xbar_final, 2)))
 
 

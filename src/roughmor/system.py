@@ -140,13 +140,6 @@ class BilinearRoughSystem:
         return self.C.shape[0]
 
 
-def drift_f(sys: BilinearRoughSystem, x: np.ndarray) -> np.ndarray:
-    """Evaluate f(x) = x * g(x), or zero when no nonlinearity is attached."""
-    if sys.drift_nonlinearity is None:
-        return np.zeros_like(x)
-    return x * float(sys.drift_nonlinearity.g(x))
-
-
 @dataclass(frozen=True)
 class StabilityReport:
     """Outcome of a mean-square stability classification.

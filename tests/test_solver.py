@@ -479,44 +479,66 @@ class TestSmoothProbe:
         assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm
 
     def test_cubic_drift_driver(self):
+        # with A = -I and N = 0.2 I, x stays parallel to x0; the random
+        # 3-state system turns it, so the gap is not rank one and the
+        # integrator's Newton route is checked in more than one direction
         nl = DriftNonlinearity(g=lambda x: -float(x @ x),
                                grad_g=lambda x: -2.0 * x)
-        sys_ = BilinearRoughSystem(A=-np.eye(2), N=(0.2 * np.eye(2),),
-                                   K=np.eye(1), C=np.eye(2)[:1],
-                                   x0=np.array([1.0, 0.5]),
-                                   drift_nonlinearity=nl)
+        mild = mild_stable_system(3, 1, seed=22)
+        systems = [
+            BilinearRoughSystem(A=-np.eye(2), N=(0.2 * np.eye(2),),
+                                K=np.eye(1), C=np.eye(2)[:1],
+                                x0=np.array([1.0, 0.5]),
+                                drift_nonlinearity=nl),
+            BilinearRoughSystem(A=mild.A, N=mild.N, K=mild.K, C=mild.C,
+                                x0=mild.x0, drift_nonlinearity=nl),
+        ]
         path = smooth_path_from_function(
             lambda t: np.array([math.sin(2 * t)]), 0.5, 64)
-        probe = smooth_quadratic_form_probe(sys_, path, 512)
-        assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm
+        for sys_ in systems:
+            probe = smooth_quadratic_form_probe(sys_, path, 512)
+            assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm
 
     def test_overflowing_gronwall_factor_raises(self, monkeypatch):
         # the coarsened H = 0.3 path has int ||W_dot||^2 dt = 1051, above
         # log(float max) = 709.8: the probe names the value and refuses the
-        # path before it integrates anything
+        # path before it integrates anything, Z or x
         def integrate(*args, **kwargs):
             raise AssertionError("the probe integrated an unusable path")
 
         monkeypatch.setattr(roughmor.solver, "integrate_gramian_ode",
                             integrate)
+        monkeypatch.setattr(roughmor.solver, "rough_rk_simulate", integrate)
         path = coarsen_path(sample_fbm_path(0.3, 2, 0.5, 128, seed=2), 2)
         with pytest.raises(ArgumentError, match=r"= 1051\.1 overflows"):
             smooth_quadratic_form_probe(mild_stable_system(4, 2, seed=5),
                                         path, 512)
 
-    def test_stiff_overflow_names_interval(self):
-        # one explicit RK4 step per interval of dt = 2^-7 is unstable for
-        # the n = 30 heat model: x leaves float range, and the caller sees
-        # roughmor's error naming the interval, with no warning
-        sys_ = build_heat1d(default_heat1d_config(30))
-        path = smooth_path_from_function(
-            lambda t: np.array([math.sin(t), math.cos(t)]), 0.5, 64)
+    def test_gap_overflow_names_interval(self):
+        # int ||W_dot||^2 dt = 700 passes the factor's check, but
+        # exp(700) Z(0.5) with Z(0.5) = exp(21 / 2) leaves float range in the
+        # second interval only: the caller sees roughmor's error naming that
+        # interval, with no warning
+        sys_ = scalar_noise_system(a=10.0)
+        w = math.sqrt(700.0 * 0.25 / 2.0)
+        path = DriverPath(T=0.5, values=np.array([[0.0], [w], [0.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(IntegrationOverflowError,
-                               match="interval 36 of 64") as err:
-                smooth_quadratic_form_probe(sys_, path, 64)
-        assert err.value.step == 36
+                               match="interval 2 of 2") as err:
+                smooth_quadratic_form_probe(sys_, path, 512)
+        assert err.value.step == 2
+
+    @pytest.mark.parametrize("n, M_path, M", [(10, 8, 64), (30, 64, 512)])
+    def test_stiff_heat_driver(self, n, M_path, M):
+        # the stiff heat model on a sin/cos driver: explicit sub-stepping
+        # of x read a ratio of -9.2e68 at n = 10 and overflowed at n = 30;
+        # the implicit integrator keeps the gap within the bound
+        sys_ = build_heat1d(default_heat1d_config(n))
+        path = smooth_path_from_function(
+            lambda t: np.array([math.sin(t), math.cos(t)]), 0.5, M_path)
+        probe = smooth_quadratic_form_probe(sys_, path, M)
+        assert probe.min_eigenvalue >= -1e-6 * probe.xbar_final_norm
 
     def test_raw_fbm_path(self):
         # an fBm path is read as its piecewise-linear interpolant like any

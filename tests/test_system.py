@@ -6,10 +6,9 @@ import pytest
 
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
                       LyapunovOperator, NumericalError, build_heat1d,
-                      default_heat1d_config, drift_f,
-                      is_mean_square_stable, positivity_scale,
-                      resolvent_positivity_probe, solve_algebraic_gramian,
-                      solve_algebraic_gramian_dense)
+                      default_heat1d_config, is_mean_square_stable,
+                      positivity_scale, resolvent_positivity_probe,
+                      solve_algebraic_gramian, solve_algebraic_gramian_dense)
 from roughmor._fixtures import mild_stable_system, scalar_noise_system, \
     unstable_system
 from roughmor._lyap import SchurLyapunov
@@ -356,16 +355,3 @@ class TestSystemValidation:
             BilinearRoughSystem(A=-np.eye(2), N=(np.zeros((2, 2)),),
                                 K=np.eye(1), C=np.eye(2)[:1],
                                 x0=np.ones(2), drift_nonlinearity=nl)
-
-    def test_drift_f_cubic(self):
-        nl = DriftNonlinearity(g=lambda x: -float(x @ x),
-                               grad_g=lambda x: -2.0 * x)
-        sys_ = BilinearRoughSystem(A=-np.eye(2), N=(np.zeros((2, 2)),),
-                                   K=np.eye(1), C=np.eye(2)[:1],
-                                   x0=np.ones(2), drift_nonlinearity=nl)
-        x = np.array([1.0, 2.0])
-        np.testing.assert_allclose(drift_f(sys_, x), -5.0 * x, atol=1e-14)
-
-    def test_drift_f_defaults_to_zero(self):
-        sys_ = mild_stable_system(2, 1, seed=9)
-        assert np.all(drift_f(sys_, np.ones(2)) == 0.0)
