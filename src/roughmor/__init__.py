@@ -11,8 +11,9 @@ to round-off. The pieces:
   moment flow and its adjoint, and a matrix-free mean-square stability
   check.
 - ``gramians``: algebraic Gramians by Lyapunov-preconditioned GMRES,
-  accepted by their backward error, finite horizon Gramians by integrating
-  the moment ODE, and a Monte Carlo cross-check.
+  accepted by their backward error, finite horizon Gramians in closed form
+  from one matrix exponential, and a Monte Carlo estimate of the Gramian
+  as a cross-check.
 - ``reduction``: spectral truncation, the two-stage exact pipeline, the
   lossy rank sweep by one balancing, and kernel/subspace diagnostics.
 - ``solver``: Crouzeix's two-stage diagonally implicit Runge-Kutta scheme

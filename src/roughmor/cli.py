@@ -81,7 +81,10 @@ class RunConfig:
         None, help="matrix file ('n d p' header, then A, N_1..N_d, K, C, x0 "
                    "row-major); without it, the builtin heat model")
     n: int = _key(100, int, "interior grid size of the builtin heat model")
-    hurst: float = _key(0.4, float, "Hurst index of the fBm driver")
+    hurst: float = _key(
+        0.4, float, "Hurst index of the fBm driver, in (0, 1); its "
+                    "piecewise-linear (Wong-Zakai) lift converges to the "
+                    "rough solution only for H > 1/4 (Coutin & Qian, 2002)")
     horizon: float = _key(0.5, float, "time horizon T")
     step_exp: int = _key(10, int, "step exponent m, step = 2^-m")
     seed: int = _key(2023, int, "driver seed")
@@ -243,24 +246,6 @@ def read_system_file(path) -> BilinearRoughSystem:
     C = take(p, n)
     x0 = take(1, n).reshape(-1)
     return BilinearRoughSystem(A=A, N=N, K=K, C=C, x0=x0)
-
-
-def write_system_file(model_sys: BilinearRoughSystem, path) -> None:
-    """Write a system in the plain-text matrix format read_system_file reads."""
-    lines = [f"{model_sys.n} {model_sys.d} {model_sys.p}"]
-
-    def block(label, M):
-        lines.append(f"# {label}")
-        for row in np.atleast_2d(M):
-            lines.append(" ".join(fmt(v) for v in row))
-
-    block("A", model_sys.A)
-    for i, Ni in enumerate(model_sys.N):
-        block(f"N{i + 1}", Ni)
-    block("K", model_sys.K)
-    block("C", model_sys.C)
-    block("x0", model_sys.x0)
-    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def build_model(cfg: RunConfig) -> BilinearRoughSystem:

@@ -13,9 +13,10 @@ and accept a solution by its normwise backward error. Every route evaluates
 its side's equation through system.LyapunovOperator, which holds the
 transposed data on the observability side.
 
-An independent Euler-Maruyama Monte-Carlo estimator of E[x x^T] serves as a
-statistical oracle for both routes; it takes only the side's A and N_i from
-the operator and shares no arithmetic with the routes.
+An independent Euler-Maruyama Monte-Carlo estimator of the Gramian
+int_0^T E[x x^T] dt serves as a statistical oracle for both routes; it
+estimates that integral only, takes only the side's A and N_i from the
+operator and shares no arithmetic with the routes.
 """
 
 from __future__ import annotations
@@ -225,15 +226,13 @@ def solve_algebraic_gramian_dense(
 
 @dataclass(frozen=True, eq=False)
 class MonteCarloSecondMoment:
-    """Monte-Carlo estimate of t -> E[x(t) x(t)^T] and its time integral.
+    """Monte-Carlo estimate of the Gramian int_0^T E[x(t) x(t)^T] dt.
 
-    ``trajectory`` and ``integral`` are empirical means over paths;
-    ``*_se`` hold per-entry standard errors of those means.
+    ``integral`` is the empirical mean over paths of each path's trapezoid
+    time-integral of x x^T; ``integral_se`` holds the per-entry standard
+    errors of that mean.
     """
 
-    times: np.ndarray
-    trajectory: np.ndarray
-    trajectory_se: np.ndarray
     integral: np.ndarray
     integral_se: np.ndarray
 
@@ -241,19 +240,16 @@ class MonteCarloSecondMoment:
 _MC_CHUNK = 10_000
 
 
-def _euler_chunk(A, N, K_sqrt, x_init, T, steps, m, rng, S1, S2, I1, I2):
-    """Advance m Euler-Maruyama paths and fold them into the accumulators.
-
-    S1/S2 collect per-node sums of outer products and their squares; I1/I2
-    collect the per-path trapezoid time-integrals and their squares.
+def _euler_chunk(A, N, K_sqrt, x_init, T, steps, m, rng, I1, I2):
+    """Advance m Euler-Maruyama paths and fold their per-path trapezoid
+    time-integrals of x x^T, and the squares of those, into I1/I2.
 
     The state is X of shape (n, m), so the paths lie on the contiguous axis
     of every per-path array. The per-path integrals keep only the upper
     triangle of x x^T: row i of it, X[i] * X[i:], is added straight into
     one packed (n(n+1)/2, m) array with trapezoid weights 1/2, 1, ..., 1,
     1/2, and dt scales the path sums once at the end. That array, 404 MB
-    at n = 100 and m = 10 000, is the chunk's largest; the rest is
-    O(n m) plus the (steps + 1, n, n) accumulators.
+    at n = 100 and m = 10 000, is the chunk's largest; the rest is O(n m).
     """
     n = A.shape[0]
     dt = T / steps
@@ -264,10 +260,7 @@ def _euler_chunk(A, N, K_sqrt, x_init, T, steps, m, rng, S1, S2, I1, I2):
     Ipp = np.zeros((n * (n + 1) // 2, m))
     buf = np.empty((n, m))
 
-    def fold(X, k, weight):
-        X2 = X * X
-        S1[k] += X @ X.T
-        S2[k] += X2 @ X2.T
+    def fold(X, weight):
         for i, packed in rows:
             prod = np.multiply(X[i], X[i:], out=buf[:n - i])
             if weight != 1.0:
@@ -275,7 +268,7 @@ def _euler_chunk(A, N, K_sqrt, x_init, T, steps, m, rng, S1, S2, I1, I2):
             Ipp[packed] += prod
 
     X = np.repeat(x_init[:, None], m, axis=1)
-    fold(X, 0, 0.5)
+    fold(X, 0.5)
     for k in range(steps):
         dB = rng.standard_normal((m, len(N))) * sq
         s = (dB @ K_sqrt).T
@@ -283,7 +276,7 @@ def _euler_chunk(A, N, K_sqrt, x_init, T, steps, m, rng, S1, S2, I1, I2):
         for j, Nj in enumerate(N):
             X_new += s[j] * (Nj @ X)
         X = X_new
-        fold(X, k + 1, 0.5 if k + 1 == steps else 1.0)
+        fold(X, 0.5 if k + 1 == steps else 1.0)
     path_sum = Ipp.sum(axis=1)
     square_sum = np.square(Ipp, out=Ipp).sum(axis=1)
     upper = np.triu_indices(n)
@@ -295,7 +288,7 @@ def _euler_chunk(A, N, K_sqrt, x_init, T, steps, m, rng, S1, S2, I1, I2):
 def monte_carlo_second_moment(
         sys: BilinearRoughSystem, side: str, T: float, n_paths: int,
         dt: float, seed: int) -> MonteCarloSecondMoment:
-    """Euler-Maruyama estimate of E[x(t) x(t)^T] on [0, T] and its integral.
+    """Euler-Maruyama estimate of the Gramian int_0^T E[x(t) x(t)^T] dt.
 
     The reach side starts every path at x0; the observability side runs the
     dual SDE (A and N_i transposed) once per nonzero row c_l of C, started at
@@ -323,9 +316,6 @@ def monte_carlo_second_moment(
     starts = [sys.x0] if side == "reach" \
         else [c for c in sys.C if np.any(c != 0.0)]
 
-    times = np.arange(steps + 1) * (T / steps)
-    traj = np.zeros((steps + 1, n, n))
-    traj_var = np.zeros((steps + 1, n, n))
     integral = np.zeros((n, n))
     integral_var = np.zeros((n, n))
     chunks = [_MC_CHUNK] * (n_paths // _MC_CHUNK)
@@ -334,29 +324,21 @@ def monte_carlo_second_moment(
     batch_seeds = np.random.SeedSequence(seed).spawn(len(starts))
 
     for x_init, batch_seed in zip(starts, batch_seeds):
-        S1 = np.zeros((steps + 1, n, n))
-        S2 = np.zeros((steps + 1, n, n))
         I1 = np.zeros((n, n))
         I2 = np.zeros((n, n))
         for m, child in zip(chunks, batch_seed.spawn(len(chunks))):
             # an overflow reaches the check below as inf or nan, unwarned
             with np.errstate(over="ignore", invalid="ignore"):
                 _euler_chunk(op.A, op.N, sys.K_sqrt, x_init, T, steps, m,
-                             np.random.default_rng(child), S1, S2, I1, I2)
-            if not all(np.all(np.isfinite(S)) for S in (S1, S2, I1, I2)):
+                             np.random.default_rng(child), I1, I2)
+            if not (np.all(np.isfinite(I1)) and np.all(np.isfinite(I2))):
                 raise IntegrationOverflowError(
                     "Euler-Maruyama paths overflowed float range")
-        mean_traj = S1 / n_paths
-        traj += mean_traj
-        traj_var += (S2 - n_paths * mean_traj ** 2) / (n_paths - 1) / n_paths
         mean_int = I1 / n_paths
         integral += mean_int
         integral_var += (I2 - n_paths * mean_int ** 2) / (n_paths - 1) / n_paths
 
     return MonteCarloSecondMoment(
-        times=times,
-        trajectory=traj,
-        trajectory_se=np.sqrt(np.clip(traj_var, 0.0, None)),
         integral=integral,
         integral_se=np.sqrt(np.clip(integral_var, 0.0, None)))
 

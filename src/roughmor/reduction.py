@@ -42,8 +42,8 @@ class ProjectionBasis:
     spectrum it was cut from.
 
     The first r = V.shape[1] entries of ``full_spectrum`` are the retained
-    eigenvalues, strictly above tol_rel times the largest; ``discarded_max``
-    is the largest dropped eigenvalue (0.0 when nothing was dropped).
+    eigenvalues, strictly above tol_rel times the largest; the rest are the
+    dropped ones.
     """
 
     V: np.ndarray
@@ -65,11 +65,6 @@ class ProjectionBasis:
     def r(self) -> int:
         return self.V.shape[1]
 
-    @property
-    def discarded_max(self) -> float:
-        w = self.full_spectrum
-        return float(w[self.r]) if self.r < w.size else 0.0
-
 
 @dataclass(frozen=True, eq=False)
 class ReducedModel:
@@ -88,10 +83,6 @@ class ReducedModel:
     @property
     def r(self) -> int:
         return self.system.n
-
-    def lift(self, reduced_states: np.ndarray) -> np.ndarray:
-        """Map reduced states (... x r) back to full coordinates (... x n)."""
-        return np.asarray(reduced_states, dtype=float) @ self.V.T
 
 
 def truncate_psd_spectrum(G, tol_rel: float) -> ProjectionBasis:

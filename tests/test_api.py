@@ -1,5 +1,5 @@
 """The public surface imports: every exported name resolves, and the demos
-load against it."""
+load and run against it."""
 
 import importlib.util
 import pathlib
@@ -24,13 +24,24 @@ def test_demos_found():
                                              "gramian_cross_check.py"]
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
-def test_demo_imports(demo):
+def load_demo(demo):
     # loading runs the module's imports and definitions but not main()
     spec = importlib.util.spec_from_file_location(f"demo_{demo.stem}", demo)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
+def test_demo_imports(demo):
+    assert callable(load_demo(demo).main)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
+def test_demo_runs(demo, capsys):
+    # main() end to end, so a removed field or function fails here
+    load_demo(demo).main()
+    assert capsys.readouterr().out.strip()
 
 
 def test_array_records_compare_by_identity():

@@ -14,13 +14,27 @@ import roughmor
 from roughmor import (DEFAULT_TOL_P, DEFAULT_TOL_Q, BilinearRoughSystem,
                       read_path_csv, rough_rk_simulate)
 from roughmor._fixtures import mild_stable_system
-from roughmor.cli import (build_parser, main, read_system_file,
-                          resolve_config, write_system_file)
+from roughmor._util import fmt
+from roughmor.cli import build_parser, main, read_system_file, resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 # the flags of every subcommand that drives a model along a path
 RUN_FLAGS = {"--model-file", "--n", "--horizon", "--hurst", "--seed",
              "--step-exp", "--out", "--path-file"}
+
+
+def write_system_file(model_sys: BilinearRoughSystem, path) -> None:
+    """Write a system in the plain-text matrix format read_system_file reads:
+    the 'n d p' header, then A, N_1..N_d, K, C and x0 row by row."""
+    lines = [f"{model_sys.n} {model_sys.d} {model_sys.p}"]
+    for label, M in [("A", model_sys.A),
+                     *((f"N{i + 1}", Ni) for i, Ni in enumerate(model_sys.N)),
+                     ("K", model_sys.K), ("C", model_sys.C),
+                     ("x0", model_sys.x0)]:
+        lines.append(f"# {label}")
+        lines.extend(" ".join(fmt(v) for v in row)
+                     for row in np.atleast_2d(M))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture()

@@ -22,14 +22,15 @@ class TestTruncation:
         assert basis.r == 1
         np.testing.assert_allclose(np.abs(basis.V[:, 0]), [1, 0, 0],
                                    atol=1e-14)
-        assert basis.discarded_max <= 1e-12
+        assert basis.full_spectrum[basis.r:].max() <= 1e-12
 
     def test_identity_keeps_everything(self):
         basis = truncate_psd_spectrum(np.eye(4), 1e-12)
         assert basis.r == 4
         np.testing.assert_allclose(basis.V @ basis.V.T, np.eye(4),
                                    atol=1e-12)
-        assert basis.discarded_max == 0.0
+        # nothing is dropped: the spectrum holds only retained eigenvalues
+        assert basis.full_spectrum.size == basis.r
 
     def test_strictly_above_threshold(self):
         # eigenvalue exactly at the cut is discarded, not kept
@@ -93,7 +94,8 @@ class TestProjection:
         basis = truncate_psd_spectrum(P.matrix, 1e-8)
         red = project_system(sys_, basis.V)
         states_r = np.ones((7, red.r))
-        assert red.lift(states_r).shape == (7, 4)
+        # reduced states lift back to the full coordinates as x_r @ V^T
+        assert (states_r @ red.V.T).shape == (7, 4)
 
 
 class TestTwoStage:
