@@ -5,8 +5,9 @@ is computed by Lyapunov-preconditioned GMRES and by the dense Kronecker
 solve; the finite-horizon version, in closed form from one matrix
 exponential, is then checked against a brute-force Monte-Carlo average over
 Ito SDE paths. Agreement of all three pins down the operator conventions
-(ordering of the noise terms, the covariance weighting, the initial-state
-forcing).
+(ordering of the noise terms, the initial-state forcing). It does not pin
+the covariance weighting: every route reads K through the same mixed noise
+matrices, and the test suite checks those against the k_ij pairs.
 """
 
 import numpy as np

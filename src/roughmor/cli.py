@@ -53,7 +53,10 @@ from .system import (BilinearRoughSystem, is_mean_square_stable,
 
 
 def _parse_ranks(text):
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    ranks = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    if not ranks:
+        raise ValueError("the rank list holds no rank")
+    return ranks
 
 
 _BOOLS = {"true": True, "1": True, "yes": True,

@@ -15,8 +15,9 @@ transposed data on the observability side.
 
 An independent Euler-Maruyama Monte-Carlo estimator of the Gramian
 int_0^T E[x x^T] dt serves as a statistical oracle for both routes; it
-estimates that integral only, takes only the side's A and N_i from the
-operator and shares no arithmetic with the routes.
+estimates that integral only and shares with the routes only the side's A
+and mixed noise matrices, whose covariance convention a test pins against
+the Kronecker matrix of the k_ij pairs.
 """
 
 from __future__ import annotations
@@ -240,7 +241,7 @@ class MonteCarloSecondMoment:
 _MC_CHUNK = 10_000
 
 
-def _euler_chunk(A, N, K_sqrt, x_init, T, steps, m, rng, I1, I2):
+def _euler_chunk(A, N, x_init, T, steps, m, rng, I1, I2):
     """Advance m Euler-Maruyama paths and fold their per-path trapezoid
     time-integrals of x x^T, and the squares of those, into I1/I2.
 
@@ -270,11 +271,10 @@ def _euler_chunk(A, N, K_sqrt, x_init, T, steps, m, rng, I1, I2):
     X = np.repeat(x_init[:, None], m, axis=1)
     fold(X, 0.5)
     for k in range(steps):
-        dB = rng.standard_normal((m, len(N))) * sq
-        s = (dB @ K_sqrt).T
+        dB = (rng.standard_normal((m, len(N))) * sq).T
         X_new = X + dt * (A @ X)
         for j, Nj in enumerate(N):
-            X_new += s[j] * (Nj @ X)
+            X_new += dB[j] * (Nj @ X)
         X = X_new
         fold(X, 0.5 if k + 1 == steps else 1.0)
     path_sum = Ipp.sum(axis=1)
@@ -291,10 +291,10 @@ def monte_carlo_second_moment(
     """Euler-Maruyama estimate of the Gramian int_0^T E[x(t) x(t)^T] dt.
 
     The reach side starts every path at x0; the observability side runs the
-    dual SDE (A and N_i transposed) once per nonzero row c_l of C, started at
-    c_l^T, and sums the row estimates (their variances add). The drift
-    nonlinearity plays no role here: the second-moment identity being checked
-    is the one for the linear part.
+    dual SDE (A and the mixed noise matrices transposed) once per nonzero
+    row c_l of C, started at c_l^T, and sums the row estimates (their
+    variances add). The drift nonlinearity plays no role here: the
+    second-moment identity being checked is the one for the linear part.
 
     Paths are simulated in fixed chunks of 10 000 with one spawned child seed
     per chunk and summed sequentially in chunk order, so the estimate is
@@ -329,7 +329,7 @@ def monte_carlo_second_moment(
         for m, child in zip(chunks, batch_seed.spawn(len(chunks))):
             # an overflow reaches the check below as inf or nan, unwarned
             with np.errstate(over="ignore", invalid="ignore"):
-                _euler_chunk(op.A, op.N, sys.K_sqrt, x_init, T, steps, m,
+                _euler_chunk(op.A, op.N, x_init, T, steps, m,
                              np.random.default_rng(child), I1, I2)
             if not (np.all(np.isfinite(I1)) and np.all(np.isfinite(I2))):
                 raise IntegrationOverflowError(

@@ -6,20 +6,20 @@ scheme, driven by the time step dt and the driver increment dW of each step:
     Z_1 = z_k + a11 F(Z_1),   Z_2 = z_k + a21 F(Z_1) + a11 F(Z_2),
     z_{k+1} = z_k + (F(Z_1) + F(Z_2)) / 2,
 
-with F(Z) = G Z + dt f(Z), G = A dt + sum_m s_m N_m and s = K^{1/2} dW. Both
-stages have the diagonal entry a11, so one band LU factorization of
-S = I - a11 G per step serves both; its bandwidth is the widest lower and
-upper bandwidth among A and the N_m, so a step of a tridiagonal model costs
-O(n). A stage solves S Z = c and reads its derivative off its value,
-F = (Z - c) / a11 (Hairer & Wanner, Solving ODEs II, IV.8), so the linear
-route does no mat-vec with the stiff G. The LU's pivot test compares the
-smallest pivot with the bound 1 + a11 (dt ||A|| + sum_m |s_m| ||N_m||) on
-||S||, computed for all steps up front. With a drift nonlinearity, Newton
-solves the stages in the same band storage. No iterated integrals of the
-driver enter: the scheme uses increments only. The integrator takes a
-BilinearRoughSystem; a reduced model enters as its ``system``. Each step
-makes one finiteness check, on the new state (Newton also checks its
-residual): a non-finite value raises IntegrationOverflowError.
+with F(Z) = G Z + dt f(Z) and G = A dt + sum_m dW_m Nt_m, the Nt_m being
+the system's noise matrices with K^{1/2} folded in. Both stages have the
+diagonal entry a11, so one band LU factorization of S = I - a11 G per step
+serves both; its bandwidth is the widest among A and the Nt_m, so a step of
+a tridiagonal model costs O(n). A stage solves S Z = c and reads its
+derivative off its value, F = (Z - c) / a11 (Hairer & Wanner, Solving ODEs
+II, IV.8), so the linear route does no mat-vec with the stiff G. The LU's
+pivot test compares the smallest pivot with the bound 1 + a11 (dt ||A|| +
+sum_m |dW_m| ||Nt_m||) on ||S||, computed for all steps up front. With a
+drift nonlinearity, Newton solves the stages in the same band storage. No
+iterated integrals of the driver enter: the scheme uses increments only. The
+integrator takes a BilinearRoughSystem; a reduced model enters as its
+``system``. Each step makes one finiteness check, on the new state (Newton
+also checks its residual): a non-finite value raises IntegrationOverflowError.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ def rough_rk_simulate(model: BilinearRoughSystem,
 
     Each step consumes the time step dt and the driver increment dW_k. The
     stage matrix S = I - a11 G is kept and factored in band storage, with
-    the lower and upper bandwidth of G read once from A and the N_m: a step
+    the lower and upper bandwidth of G read once from A and the Nt_m: a step
     of the tridiagonal heat model costs O(n), a dense model is the full
     band. A stage's derivative is read off its value, so the linear route
     does no mat-vec, and the pivot test uses a norm bound on S computed for
@@ -103,10 +103,10 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     # 2-vCPU Xeon): on the nearly singular tridiagonal stage matrix of
     # test_numerically_singular_tridiagonal_stage_matrix_raises only the
     # transpose's pivots expose it.
-    kl, ku = np.max([bandwidth(X) for X in (model.A, *model.N)], axis=0)
+    mats = (model.A, *model.N_tilde)
+    kl, ku = np.max([bandwidth(X) for X in mats], axis=0)
     width = kl + ku + 1
-    bands = -A11 * np.stack([_band_rows(X, kl, ku).ravel()
-                             for X in (model.A, *model.N)])
+    bands = -A11 * np.stack([_band_rows(X, kl, ku).ravel() for X in mats])
     coefs, bounds = _step_coefficients(model, path)
     pivots = np.empty(M)
     S = np.empty((n, width))  # this step's I - a11 G
@@ -182,10 +182,10 @@ def rough_rk_simulate(model: BilinearRoughSystem,
                 raise StepFailureError(
                     f"singular stage matrix I - a G at step {k} (a = "
                     f"{A11:.6g}, smallest LU pivot {pivot:.3e} against norm "
-                    f"bound {bounds[k]:.3e}): G = A dt + sum_m s_m N_m has "
-                    "an eigenvalue at 1/a to working precision for this "
-                    "step's dt and driver increments s_m, and a finer grid "
-                    "need not help: the s_m shrink like dt^H, more slowly "
+                    f"bound {bounds[k]:.3e}): G = A dt + sum_m dW_m Nt_m "
+                    "has an eigenvalue at 1/a to working precision for this "
+                    "step's dt and driver increments dW_m, and a finer grid "
+                    "need not help: the dW_m shrink like dt^H, more slowly "
                     "than dt", step=k)
             z = states[k]
             F1 = stage(z)
@@ -202,14 +202,14 @@ def rough_rk_simulate(model: BilinearRoughSystem,
 
 
 def _step_coefficients(model, path):
-    """Rows (dt, s_1, ..., s_d), s = K^{1/2} dW_k, one per step k, whose
-    combination of A and the N_m is G, and per step the bound
-    1 + a11 (dt ||A|| + sum_m |s_m| ||N_m||) >= ||I - a11 G|| in the row-sum
-    norm, by the triangle inequality."""
+    """Rows (dt, dW_k), one per step k, whose combination of A and the Nt_m
+    is G, and per step the bound 1 + a11 (dt ||A|| + sum_m |dW_m| ||Nt_m||)
+    >= ||I - a11 G|| in the row-sum norm, by the triangle inequality."""
     coefs = np.empty((path.M, model.d + 1))
     coefs[:, 0] = path.dt
-    np.matmul(np.diff(path.values, axis=0), model.K_sqrt.T, out=coefs[:, 1:])
-    norms = [A11 * np.abs(X).sum(axis=1).max() for X in (model.A, *model.N)]
+    coefs[:, 1:] = np.diff(path.values, axis=0)
+    norms = [A11 * np.abs(X).sum(axis=1).max()
+             for X in (model.A, *model.N_tilde)]
     return coefs, 1.0 + np.abs(coefs) @ norms
 
 

@@ -5,10 +5,12 @@ The state equation is
     dx = [A x + f(x)] dt + N(x) K^{1/2} dW,      f(x) = x * g(x),  g <= 0,
     y = C x,
 
-with N(x) = [N_1 x ... N_d x]. The Lyapunov operator of the associated Ito
-dynamics,
+with N(x) = [N_1 x ... N_d x]. K enters once, through the mixed noise
+matrices Nt_m = sum_i (K^{1/2})_im N_i: the noise term is sum_m dW_m Nt_m x,
+and sum_m Nt_m X Nt_m^T = sum_ij k_ij N_i X N_j^T. The Lyapunov operator of
+the associated Ito dynamics,
 
-    L(X) = A X + X A^T + sum_ij k_ij N_i X N_j^T,
+    L(X) = A X + X A^T + sum_m Nt_m X Nt_m^T,
 
 governs the second moment E[x x^T]; its spectrum lying in the open left half
 plane is equivalent to mean-square asymptotic stability. LyapunovOperator
@@ -64,9 +66,9 @@ def _as_matrix(a, name):
 class BilinearRoughSystem:
     """System matrices (A, N_1..N_d, K, C, x0) plus optional drift nonlinearity.
 
-    K must be symmetric positive semidefinite; its symmetric PSD square root is
-    computed once at construction (negative round-off eigenvalues clamped to
-    zero before rooting) and cached in ``K_sqrt``.
+    K must be symmetric PSD. Its PSD square root R (negative round-off
+    eigenvalues clamped to zero) folds once into ``N_tilde``, Nt_m = sum_i
+    R_im N_i, which every numeric route reads; N and K stay as given.
     """
 
     A: np.ndarray
@@ -75,7 +77,7 @@ class BilinearRoughSystem:
     C: np.ndarray
     x0: np.ndarray
     drift_nonlinearity: Optional[DriftNonlinearity] = None
-    K_sqrt: np.ndarray = field(init=False, repr=False)
+    N_tilde: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         A = _as_matrix(self.A, "A")
@@ -107,8 +109,8 @@ class BilinearRoughSystem:
         if d and w[0] < -1e-12 * max(1.0, two_norm):
             raise ArgumentError(
                 f"K is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-        K_sqrt = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T if d else K.copy()
-        if nK > 0 and np.linalg.norm(K_sqrt @ K_sqrt - K) > 1e-10 * nK:
+        R = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T if d else K.copy()
+        if nK > 0 and np.linalg.norm(R @ R - K) > 1e-10 * nK:
             raise ArgumentError("square root of K failed to reproduce K")
 
         if self.drift_nonlinearity is not None:
@@ -125,7 +127,8 @@ class BilinearRoughSystem:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "K_sqrt", K_sqrt)
+        object.__setattr__(self, "N_tilde", tuple(
+            sum(R[i, m] * N[i] for i in range(d)) for m in range(d)))
 
     @property
     def n(self) -> int:
@@ -160,31 +163,31 @@ class StabilityReport:
 class LyapunovOperator:
     """The operator of one side's Gramian equation 0 = rhs + L(G).
 
-    L(X) = A X + X A^T + Pi(X) with Pi(X) = sum_ij k_ij N_i X N_j^T. On the
-    reach side A, N and rhs are sys.A, sys.N and x0 x0^T. The adjoint L* of
-    a system is L of the system with A and every N_i transposed, so the obs
-    side holds A^T, the N_i^T and C^T C.
+    L(X) = A X + X A^T + Pi(X) with Pi(X) = sum_m N_m X N_m^T. On the reach
+    side A, N and rhs are sys.A, the mixed sys.N_tilde and x0 x0^T. The
+    adjoint L* of a system is L of the system with A and every N_m
+    transposed, so the obs side holds A^T, the N_m^T and C^T C.
     """
 
     def __init__(self, sys: BilinearRoughSystem, side: str = "reach"):
         if side == "reach":
-            self.A, self.N = sys.A, sys.N
+            self.A, self.N = sys.A, sys.N_tilde
             self.rhs = np.outer(sys.x0, sys.x0)
         elif side == "obs":
-            self.A, self.N = sys.A.T, tuple(Ni.T for Ni in sys.N)
+            self.A, self.N = sys.A.T, tuple(Nm.T for Nm in sys.N_tilde)
             self.rhs = sys.C.T @ sys.C
         else:
             raise ArgumentError(f"side must be 'reach' or 'obs', got {side!r}")
-        self.K = sys.K
+        # errors' l, from the given N_i and K: the Nt_m would move its value
+        norms = np.sqrt([np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
+                         for M in (sys.A, *sys.N)])
+        self.ell = 2.0 * norms[0] + norms[1:] @ np.abs(sys.K) @ norms[1:]
 
     def noise(self, X) -> np.ndarray:
-        """Pi(X) = sum_ij k_ij N_i X N_j^T."""
-        N, K = self.N, self.K
+        """Pi(X) = sum_m N_m X N_m^T."""
         out = np.zeros_like(X)
-        for i in range(len(N)):
-            for j in range(len(N)):
-                if K[i, j] != 0.0:
-                    out += K[i, j] * (N[i] @ X @ N[j].T)
+        for Nm in self.N:
+            out += Nm @ X @ Nm.T
         return out
 
     def __call__(self, X) -> np.ndarray:
@@ -192,7 +195,7 @@ class LyapunovOperator:
 
     def residual(self, G) -> np.ndarray:
         """rhs + L(G), the residual of G in the Gramian equation."""
-        return self.rhs + self.A @ G + G @ self.A.T + self.noise(G)
+        return self.rhs + self(G)
 
     def errors(self, G):
         """(relative residual, backward error) of G in 0 = rhs + L(G).
@@ -200,16 +203,13 @@ class LyapunovOperator:
         With R = residual(G), the relative residual is the GuardedScalar
         ||R||_F / ||rhs||_F, or ||R||_F flagged ``is_absolute`` when rhs = 0.
         The backward error is ||R||_F / (||rhs||_F + l ||G||_F), 0 when that
-        denominator vanishes (R = 0 then too), where l = 2 ||A|| +
-        sum_ij |k_ij| ||N_i|| ||N_j|| bounds ||L|| in the Frobenius norm,
-        each 2-norm bounded by sqrt(||M||_1 ||M||_inf) at O(n^2) cost.
+        denominator vanishes (R = 0 then too); l = 2 ||A|| + sum_ij |k_ij|
+        ||N_i|| ||N_j||, over the given N_i and K, bounds ||L||_F, each 2-norm
+        bounded by sqrt(||M||_1 ||M||_inf) at O(n^2) cost.
         """
         nr = np.linalg.norm(self.rhs)
         nR = np.linalg.norm(self.residual(G))
-        norms = np.sqrt([np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
-                         for M in (self.A, *self.N)])
-        ell = 2.0 * norms[0] + norms[1:] @ np.abs(self.K) @ norms[1:]
-        den = nr + ell * np.linalg.norm(G)
+        den = nr + self.ell * np.linalg.norm(G)
         return (GuardedScalar(nR / nr if nr else nR, is_absolute=not nr),
                 float(nR / den) if den else 0.0)
 
@@ -226,10 +226,8 @@ class LyapunovOperator:
                 f"{DENSE_MAX_ORDER}, got n = {n}")
         eye = np.eye(n)
         M = np.kron(eye, self.A) + np.kron(self.A, eye)
-        for i in range(len(self.N)):
-            for j in range(len(self.N)):
-                if self.K[i, j] != 0.0:
-                    M += self.K[i, j] * np.kron(self.N[j], self.N[i])
+        for Nm in self.N:
+            M += np.kron(Nm, Nm)
         return M
 
 
@@ -311,11 +309,9 @@ def resolvent_positivity_probe(
     V -= np.sum(V * U, axis=1, keepdims=True) * U
     V /= np.linalg.norm(V, axis=1, keepdims=True)
 
-    # <L(u u^T), v v^T> = 2 (v^T A u)(v^T u) + sum_ij k_ij (v^T N_i u)(v^T N_j u)
+    # <L(u u^T), v v^T> = 2 (v^T A u)(v^T u) + sum_m (v^T Nt_m u)^2
     vAu = np.sum(V * (U @ sys.A.T), axis=1)
     vu = np.sum(V * U, axis=1)
-    pairing = 2.0 * vAu * vu
-    if sys.d:
-        W = np.stack([np.sum(V * (U @ Ni.T), axis=1) for Ni in sys.N], axis=1)
-        pairing = pairing + np.einsum("ti,ij,tj->t", W, sys.K, W)
+    pairing = 2.0 * vAu * vu + sum(
+        np.sum(V * (U @ Nm.T), axis=1) ** 2 for Nm in sys.N_tilde)
     return float(pairing.min())

@@ -230,6 +230,21 @@ class TestSweep:
         assert len(summary["table"]) == 1
         assert summary["table"][0]["actual_r"] == summary["orders"][-1]
 
+    @pytest.mark.parametrize("ranks", [",", " , ,"])
+    def test_rank_list_without_a_rank_exits_1(self, tmp_path, capsys, ranks):
+        # the list must not fall back to the default ranks, nor write a
+        # config.txt whose empty ranks= replays as that default
+        out = tmp_path / "run"
+        assert main(["sweep", "--n", "12", "--ranks", ranks,
+                     "--out", str(out)]) == 1
+        assert "ranks=" in capsys.readouterr().err
+        assert not out.exists()
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"ranks={ranks}\n")
+        assert main(["sweep", "--config", str(cfgfile),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestGramian:
     def test_spectra_and_ranks(self, small_model_file, tmp_path, capsys):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import roughmor._lyap
 from roughmor import (DEFAULT_TOL_P, ArgumentError, BilinearRoughSystem,
@@ -313,21 +314,25 @@ class TestMonteCarlo:
     def test_packed_chunk_matches_direct_reference(self):
         # full (m, n, n) outer products per node, integrated over time by
         # np.trapezoid: guards the packed upper-triangle rows and the end
-        # weights of the chunk's per-path integral and its square
+        # weights of the chunk's per-path integral and its square. The
+        # chunk steps the mixed matrices Nt_m with the increments, the
+        # reference the N_i with s = K^{1/2} dB, its own square root of K
         base = mild_stable_system(4, 2, seed=8)
         sys_ = system_from(base.A, base.N, [[1.0, 0.6], [0.6, 0.5]], base.C,
                            base.x0)
         m, steps, T = 7, 20, 0.4
         got = [np.zeros((4, 4)), np.zeros((4, 4))]
-        _euler_chunk(sys_.A, sys_.N, sys_.K_sqrt, sys_.x0, T, steps, m,
+        _euler_chunk(sys_.A, sys_.N_tilde, sys_.x0, T, steps, m,
                      np.random.default_rng(3), *got)
 
+        w, V = scipy.linalg.eigh(sys_.K)
+        root = (V * np.sqrt(w)) @ V.T
         rng = np.random.default_rng(3)
         dt = T / steps
         X = np.tile(sys_.x0, (m, 1))
         nodes = [X]
         for _ in range(steps):
-            s = rng.standard_normal((m, 2)) * math.sqrt(dt) @ sys_.K_sqrt
+            s = rng.standard_normal((m, 2)) * math.sqrt(dt) @ root
             X = X + dt * X @ sys_.A.T + sum(
                 s[:, j:j + 1] * (X @ Nj.T) for j, Nj in enumerate(sys_.N))
             nodes.append(X)

@@ -15,6 +15,9 @@ from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
                       coarsen_path)
 from roughmor._fixtures import mild_stable_system, scalar_noise_system
 
+# a correlated covariance, for the checks that K enters exactly once
+NON_DIAGONAL_K = np.array([[1.0, 0.6], [0.6, 0.5]])
+
 
 def stability_function():
     # symbolic oracle: R(z) = 1 + z b^T (I - z A)^{-1} 1 computed exactly
@@ -249,6 +252,13 @@ class TestNoiseAndNonlinearity:
         assert "Newton Jacobian" in str(err.value)
 
 
+def covariance_root(K):
+    # the symmetric PSD square root of K, computed here rather than read
+    # from the system
+    w, V = scipy.linalg.eigh(K)
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+
+
 def dense_crouzeix_states(sys_, path):
     # the scheme written with dense solves of I - a11 G, no band storage;
     # with a drift nonlinearity, Newton from the linear solution on the
@@ -278,8 +288,9 @@ def dense_crouzeix_states(sys_, path):
 
     z = sys_.x0.copy()
     states = [z]
+    root = covariance_root(sys_.K)
     for dw in np.diff(path.values, axis=0):
-        s = sys_.K_sqrt @ dw
+        s = root @ dw
         G = sys_.A * dt + sum(s_m * N_m for s_m, N_m in zip(s, sys_.N))
         F1 = stage(G, z)
         F2 = stage(G, z + roughmor.solver.A21 * F1)
@@ -352,25 +363,48 @@ class TestBandStorage:
                 <= roughmor.solver.NEWTON_TOL * np.abs(ref).max())
 
 
+class TestCovariance:
+    def test_folded_noise_matches_unit_covariance_bitwise(self):
+        # the integrator reads K only through the mixed matrices Nt_m, so
+        # the system given Nt_m and K = I integrates bitwise alike, and both
+        # match the dense scheme driven by s = K^{1/2} dW and the N_m
+        base = mild_stable_system(6, 2, seed=33)
+        sys_ = BilinearRoughSystem(A=base.A, N=base.N, K=NON_DIAGONAL_K,
+                                   C=base.C, x0=base.x0)
+        unit = BilinearRoughSystem(A=sys_.A, N=sys_.N_tilde, K=np.eye(2),
+                                   C=sys_.C, x0=sys_.x0)
+        path = sample_fbm_path(0.4, 2, 1.0, 64, seed=34)
+        res, res_unit = rough_rk_simulate(sys_, path), rough_rk_simulate(
+            unit, path)
+        assert np.array_equal(res.states, res_unit.states)
+        assert res.min_pivot_ratio == res_unit.min_pivot_ratio
+        ref, _ = dense_crouzeix_states(sys_, path)
+        assert np.abs(res.states - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def stage_matrices(sys_, path):
     # each step's I - a11 (A dt + sum_m s_m N_m), s = K^{1/2} dW, dense
     dt = path.dt
+    root = covariance_root(sys_.K)
     for dw in np.diff(path.values, axis=0):
-        s = sys_.K_sqrt @ dw
+        s = root @ dw
         G = sys_.A * dt + sum(s_m * N_m for s_m, N_m in zip(s, sys_.N))
         yield np.eye(sys_.n) - roughmor.solver.A11 * G
 
 
 def norm_bounds(sys_, path):
-    # 1 + a11 (dt ||A|| + sum_m |s_m| ||N_m||) per step, row-sum norms
+    # 1 + a11 (dt ||A|| + sum_m |dW_m| ||Nt_m||) per step, row-sum norms,
+    # with Nt_m = sum_i (K^{1/2})_im N_i
     dt = path.dt
+    root = covariance_root(sys_.K)
+    mixed = [sum(r_i * N_i for r_i, N_i in zip(column, sys_.N))
+             for column in root.T]
 
     def norm(X):
         return np.abs(X).sum(axis=1).max()
     return np.array([1.0 + roughmor.solver.A11 * (
         dt * norm(sys_.A)
-        + sum(abs(s_m) * norm(N_m)
-              for s_m, N_m in zip(sys_.K_sqrt @ dw, sys_.N)))
+        + sum(abs(dw_m) * norm(N_m) for dw_m, N_m in zip(dw, mixed)))
         for dw in np.diff(path.values, axis=0)])
 
 
@@ -378,11 +412,14 @@ class TestStageMatrixBounds:
     @staticmethod
     def cases():
         # the stiff heat model at n = 100 on the shared heat path, and a
-        # dense random model
+        # dense random model with unit and with non-diagonal covariance
         heat = build_heat1d(default_heat1d_config(100))
         yield heat, sample_fbm_path(0.4, 2, 0.5, 512, 24)
-        yield (mild_stable_system(12, 2, seed=31),
-               sample_fbm_path(0.4, 2, 1.0, 64, seed=32))
+        dense = mild_stable_system(12, 2, seed=31)
+        path = sample_fbm_path(0.4, 2, 1.0, 64, seed=32)
+        yield dense, path
+        yield BilinearRoughSystem(A=dense.A, N=dense.N, K=NON_DIAGONAL_K,
+                                  C=dense.C, x0=dense.x0), path
 
     def test_norm_bound_covers_every_stage_matrix(self):
         for sys_, path in self.cases():

@@ -25,6 +25,10 @@ def kron_operator(A, N, K):
     return M
 
 
+# a correlated covariance, for the checks that K enters exactly once
+NON_DIAGONAL_K = np.array([[1.0, 0.6], [0.6, 0.5]])
+
+
 def simple_system(A, N, K, C=None, x0=None):
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -91,6 +95,46 @@ class TestApplyLyapunov:
         expected = (M @ X.reshape(-1, order="F")).reshape(2, 2, order="F")
         np.testing.assert_allclose(LyapunovOperator(sys_, "obs")(X),
                                    expected, atol=1e-15)
+
+    @pytest.mark.parametrize("side", ["reach", "obs"])
+    def test_non_diagonal_covariance_matches_kronecker_oracle(self, side):
+        # the operator reads K through the mixed matrices Nt_m only; the
+        # oracle weighs the pairs N_i X N_j^T by k_ij
+        base = mild_stable_system(4, 2, seed=12)
+        sys_ = simple_system(base.A, base.N, NON_DIAGONAL_K)
+        A, N = (base.A, base.N) if side == "reach" \
+            else (base.A.T, [Ni.T for Ni in base.N])
+        M = kron_operator(A, N, NON_DIAGONAL_K)
+        X = np.random.default_rng(13).standard_normal((4, 4))
+        X = X + X.T
+        expected = (M @ X.reshape(-1, order="F")).reshape(4, 4, order="F")
+        op = LyapunovOperator(sys_, side)
+        np.testing.assert_allclose(op(X), expected, rtol=0,
+                                   atol=1e-13 * np.abs(expected).max())
+        np.testing.assert_allclose(op.matrix(), M, rtol=0,
+                                   atol=1e-13 * np.abs(M).max())
+
+    @pytest.mark.parametrize("side", ["reach", "obs"])
+    def test_backward_error_bound_reads_given_noise(self, side):
+        # l = 2 ||A|| + sum_ij |k_ij| ||N_i|| ||N_j|| over the given N_i and
+        # K, not the folded 2 ||A|| + sum_m ||Nt_m||^2, which differs here
+        base = mild_stable_system(4, 2, seed=12)
+        sys_ = simple_system(base.A, base.N, NON_DIAGONAL_K)
+
+        def norm(M):
+            return np.sqrt(np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf))
+        given = 2.0 * norm(sys_.A) + sum(
+            abs(NON_DIAGONAL_K[i, j]) * norm(sys_.N[i]) * norm(sys_.N[j])
+            for i in range(2) for j in range(2))
+        folded = 2.0 * norm(sys_.A) + sum(norm(Nm) ** 2
+                                          for Nm in sys_.N_tilde)
+        assert abs(folded - given) > 1e-3 * given
+        op = LyapunovOperator(sys_, side)
+        assert op.ell == pytest.approx(given, rel=1e-15)
+        G = np.eye(4)
+        eta = np.linalg.norm(op.residual(G)) / (np.linalg.norm(op.rhs)
+                                                + given * np.linalg.norm(G))
+        assert op.errors(G)[1] == pytest.approx(eta, rel=1e-12)
 
     def test_preserves_symmetry(self):
         rng = np.random.default_rng(5)
@@ -344,9 +388,20 @@ class TestSystemValidation:
             BilinearRoughSystem(**data)
 
     def test_covariance_square_root(self):
-        sys_ = mild_stable_system(3, 2, seed=6)
-        np.testing.assert_allclose(sys_.K_sqrt @ sys_.K_sqrt.T, sys_.K,
-                                   atol=1e-12)
+        # the square root folded into the mixed matrices reproduces the
+        # pairs: sum_m Nt_m X Nt_m^T = sum_ij k_ij N_i X N_j^T, here for a
+        # singular PSD K of rank 2 with d = 3
+        rng = np.random.default_rng(6)
+        B = rng.standard_normal((3, 2))
+        N = [rng.standard_normal((4, 4)) for _ in range(3)]
+        sys_ = simple_system(-np.eye(4), N, B @ B.T)
+        assert np.linalg.matrix_rank(sys_.K) == 2
+        X = rng.standard_normal((4, 4))
+        pairs = sum(sys_.K[i, j] * (N[i] @ X @ N[j].T)
+                    for i in range(3) for j in range(3))
+        mixed = sum(Nm @ X @ Nm.T for Nm in sys_.N_tilde)
+        np.testing.assert_allclose(mixed, pairs, rtol=0,
+                                   atol=1e-12 * np.abs(pairs).max())
 
     def test_positive_drift_sign_rejected(self):
         nl = DriftNonlinearity(g=lambda x: 1.0,
