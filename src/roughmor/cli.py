@@ -42,14 +42,14 @@ from .gramians import (_solve_gramians, integrate_gramian_ode,
                        write_spectrum_csv)
 from .heat import build_heat1d, default_heat1d_config
 from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q,
-                        balanced_rank_sweep, check_kernel_preservation,
-                        kernel_preservation_scale, truncate_psd_spectrum,
-                        two_stage_reduce, write_stage_metadata_csv)
+                        balanced_rank_sweep, kernel_preservation_residual,
+                        truncate_psd_spectrum, two_stage_reduce,
+                        write_stage_metadata_csv)
 from .solver import (pointwise_relative_error, relative_L2_error,
                      rough_rk_simulate, smooth_quadratic_form_probe,
                      write_error_csv, write_states_csv, write_trajectory_csv)
 from .system import (BilinearRoughSystem, is_mean_square_stable,
-                     positivity_scale, resolvent_positivity_probe)
+                     resolvent_positivity_probe)
 
 
 def _parse_ranks(text):
@@ -105,6 +105,8 @@ class RunConfig:
         if not (0.0 < self.hurst < 1.0):
             raise ArgumentError(
                 f"Hurst index must lie in (0, 1), got {self.hurst}")
+        if "seed" in self.keys and self.seed < 0:
+            raise ArgumentError(f"seed must be >= 0, got {self.seed}")
         # the fBm sampler needs 2 to 2^53 whole steps: past 2^53, k T / M is
         # no longer a uniform grid of doubles
         if "step_exp" in self.keys and not (
@@ -407,26 +409,19 @@ def run_probes(cfg: RunConfig) -> int:
                    report.is_mean_square_stable))
 
     value = resolvent_positivity_probe(mild, trials=10_000, seed=7)
-    bound = -1e-10 * positivity_scale(mild)
-    checks.append(("resolvent_positivity", value, bound, value >= bound))
+    checks.append(("resolvent_positivity", value, -1e-10, value >= -1e-10))
 
     dec = decoupled_observability_system()
     Q = solve_algebraic_gramian(dec, "obs")
     wq, Vq = scipy.linalg.eigh((Q.matrix + Q.matrix.T) / 2)
-    z = Vq[:, 0]
-    triple = check_kernel_preservation(dec, Q.matrix, z)
-    scale = kernel_preservation_scale(dec, Q.matrix, z)
-    value = max(triple)
-    bound = 1e-8 * scale
-    checks.append(("kernel_preservation", value, bound, value <= bound))
+    value = kernel_preservation_residual(dec, Q.matrix, Vq[:, 0])
+    checks.append(("kernel_preservation", value, 1e-8, value <= 1e-8))
 
     scalar = scalar_noise_system()
     sine = smooth_path_from_function(lambda t: np.array([math.sin(t)]),
                                      0.5, 64)
-    probe = smooth_quadratic_form_probe(scalar, sine, 512)
-    bound = -1e-6 * probe.xbar_final_norm
-    checks.append(("gronwall_quadratic_form", probe.min_eigenvalue, bound,
-                   probe.min_eigenvalue >= bound))
+    value = smooth_quadratic_form_probe(scalar, sine, 512)
+    checks.append(("gronwall_quadratic_form", value, -1e-6, value >= -1e-6))
 
     ode = integrate_gramian_ode(mild, "reach", T=1.0, steps=1000)
     mc = monte_carlo_second_moment(mild, "reach", T=1.0, n_paths=100_000,

@@ -1,6 +1,5 @@
 """Driver paths: fractional Brownian motion, smooth test paths, dyadic
-coarsening, the piecewise-linear slopes the Gronwall probe consumes, and CSV
-round-trips.
+coarsening, and CSV round-trips.
 
 All paths live on a uniform grid t_k = k T / M, start at the origin, and are
 deterministic given their seed. fBm is sampled exactly in law by the
@@ -103,6 +102,8 @@ def sample_fbm_path(H: float, d: int, T: float, M: int, seed: int) -> DriverPath
         raise ArgumentError(f"need d >= 1 components, got {d}")
     if not (0.0 < T < np.inf):
         raise ArgumentError(f"need 0 < T < inf, got {T}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     scale = (T / M) ** H
     values = np.zeros((M + 1, d))
     for j, child in enumerate(np.random.SeedSequence(seed).spawn(d)):
@@ -132,28 +133,14 @@ def smooth_path_from_function(
 def coarsen_path(path: DriverPath, factor: int) -> DriverPath:
     """Restrict a path to every ``factor``-th grid node (exact subsampling).
 
-    Read through piecewise_linear_derivative, the result stands for the
-    smooth approximation W^eps that linearly interpolates the sampled path on
-    the coarser grid.
+    Read as its piecewise-linear interpolant, as the Gronwall probe reads
+    every path, the result stands for the smooth approximation W^eps that
+    linearly interpolates the sampled path on the coarser grid.
     """
     if factor < 1 or path.M % factor != 0:
         raise ArgumentError(
             f"coarsening factor {factor} does not divide M = {path.M}")
     return DriverPath(T=path.T, values=path.values[::factor].copy())
-
-
-def piecewise_linear_derivative(path: DriverPath):
-    """Per-interval slopes of the piecewise-linear interpolant and its
-    squared L^2 norm.
-
-    Returns (slopes, l2_sq) with slopes (M x d) holding the left-continuous
-    derivative samples dW_k / dt on (t_k, t_{k+1}], and
-    l2_sq = sum_k ||dW_k||^2 / dt = int ||W_dot||^2 dt for that interpolant.
-    """
-    dt = path.dt
-    slopes = np.diff(path.values, axis=0) / dt
-    l2_sq = float(np.sum(slopes ** 2) * dt)
-    return slopes, l2_sq
 
 
 def write_path_csv(path: DriverPath, file) -> None:

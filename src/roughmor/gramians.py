@@ -306,6 +306,8 @@ def monte_carlo_second_moment(
     """
     if n_paths < 2:
         raise ArgumentError(f"need n_paths >= 2, got {n_paths}")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     if not (0.0 < dt < T):
         raise ArgumentError(f"need 0 < dt < T, got dt={dt}, T={T}")
     steps = int(round(T / dt))

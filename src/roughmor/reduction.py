@@ -280,11 +280,14 @@ def balanced_rank_sweep(exact: ReducedModel, ranks) -> dict:
         for k in ranks}
 
 
-def check_kernel_preservation(sys: BilinearRoughSystem, Q, z):
-    """Residual norms certifying that z sits in an invariant kernel of Q.
+def kernel_preservation_residual(sys: BilinearRoughSystem, Q, z) -> float:
+    """Largest residual certifying that z sits in an invariant kernel of Q,
+    over its scale.
 
-    Returns (||Q A z||, ||C z||, ||(K (x) Q) stack(N_i z)||): all three vanish
-    for z in ker(Q) when the kernel-preservation identities hold.
+    The residuals ||Q A z||, ||C z|| and ||(K (x) Q) stack(N_i z)|| all
+    vanish for z in ker(Q) when the kernel-preservation identities hold;
+    their largest is divided by the scale (||A||_2 + ||C||_2 + sum_i
+    ||N_i||_2 ||K||_2) ||Q||_2 ||z||, floored at the smallest normal float.
     """
     Q = np.asarray(Q, dtype=float)
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -292,25 +295,16 @@ def check_kernel_preservation(sys: BilinearRoughSystem, Q, z):
         raise ArgumentError(
             f"expected Q {(sys.n, sys.n)} and z of length {sys.n}, got "
             f"{Q.shape} and {z.shape}")
-    r1 = float(np.linalg.norm(Q @ (sys.A @ z)))
-    r2 = float(np.linalg.norm(sys.C @ z))
+    residuals = [np.linalg.norm(Q @ (sys.A @ z)), np.linalg.norm(sys.C @ z)]
+    coeff = np.linalg.norm(sys.A, 2) + np.linalg.norm(sys.C, 2)
     if sys.d:
         W = np.stack([Ni @ z for Ni in sys.N])
-        blocks = np.stack([Q @ (sys.K[i] @ W) for i in range(sys.d)])
-        r3 = float(np.linalg.norm(blocks))
-    else:
-        r3 = 0.0
-    return r1, r2, r3
-
-
-def kernel_preservation_scale(sys: BilinearRoughSystem, Q, z) -> float:
-    """Natural magnitude reference for check_kernel_preservation residuals."""
-    Q = np.asarray(Q, dtype=float)
-    z = np.asarray(z, dtype=float).reshape(-1)
-    nK = np.linalg.norm(sys.K, 2) if sys.d else 0.0
-    coeff = (np.linalg.norm(sys.A, 2) + np.linalg.norm(sys.C, 2)
-             + sum(np.linalg.norm(Ni, 2) for Ni in sys.N) * nK)
-    return float(coeff * np.linalg.norm(Q, 2) * np.linalg.norm(z))
+        residuals.append(np.linalg.norm(
+            np.stack([Q @ (sys.K[i] @ W) for i in range(sys.d)])))
+        coeff += (sum(np.linalg.norm(Ni, 2) for Ni in sys.N)
+                  * np.linalg.norm(sys.K, 2))
+    scale = coeff * np.linalg.norm(Q, 2) * np.linalg.norm(z)
+    return float(max(residuals) / max(scale, np.finfo(float).tiny))
 
 
 def subspace_containment_residual(basis: ProjectionBasis, traj) -> float:

@@ -38,7 +38,7 @@ from scipy.linalg.lapack import dgbtrf as lu_factor, dgbtrs
 from .errors import (ArgumentError, GuardedScalar, IntegrationOverflowError,
                      StepFailureError)
 from ._util import atomic_write_text, csv_text
-from .drivers import DriverPath, piecewise_linear_derivative
+from .drivers import DriverPath
 from .gramians import integrate_gramian_ode
 from .system import BilinearRoughSystem
 
@@ -223,23 +223,8 @@ def _band_rows(X, kl, ku):
     return rows
 
 
-@dataclass(frozen=True)
-class SmoothProbeResult:
-    """Outcome of the quadratic-form comparison along a smooth driver.
-
-    The Gronwall argument bounds the outer product x(t) x(t)^T by
-    exp(int_0^t ||W_dot||^2) Z(t); ``min_eigenvalue`` is the smallest
-    eigenvalue of that gap over the path nodes and should not fall below
-    -tol * ``xbar_final_norm`` for a small discretization slack tol.
-    """
-
-    min_eigenvalue: float
-    xbar_final_norm: float
-
-
 def smooth_quadratic_form_probe(
-        sys: BilinearRoughSystem, path: DriverPath,
-        M: int) -> SmoothProbeResult:
+        sys: BilinearRoughSystem, path: DriverPath, M: int) -> float:
     """Check x(t) x(t)^T <= exp(int ||W_dot||^2) Z(t) along a smooth driver.
 
     The driver is read as its piecewise-linear interpolant, sampled on a
@@ -247,12 +232,14 @@ def smooth_quadratic_form_probe(
     (M / path.M)-th node is a path node, bitwise. x comes from the Crouzeix
     integrator, rough_rk_simulate, on that fine path; Z is the exact Gramian
     flow at the path nodes, and the exponential factor uses the cumulative
-    squared slope integral. The gap is checked at the path nodes only. A
-    path whose int ||W_dot||^2 overflows that factor, as a finely sampled
-    rough path can, raises ArgumentError before anything is integrated. The
-    integrator's own errors pass through, naming a fine step; an overflow
-    of the gap raises IntegrationOverflowError naming the interval. Returns
-    the minimum gap eigenvalue over the path nodes.
+    integral of the squared slopes dW_k / dt. The gap is checked at the path
+    nodes only. A path whose int ||W_dot||^2 overflows that factor, as a
+    finely sampled rough path can, raises ArgumentError before anything is
+    integrated. The integrator's own errors pass through, naming a fine
+    step; an overflow of the gap raises IntegrationOverflowError naming the
+    interval. Returns the smallest gap eigenvalue over the path nodes
+    divided by ||exp(int_0^T ||W_dot||^2) Z(T)||_2, floored at the smallest
+    normal float (contract: >= -1e-6, a small discretization slack).
     """
     if path.d != sys.d:
         raise ArgumentError(
@@ -262,12 +249,12 @@ def smooth_quadratic_form_probe(
             f"fine step count {M} must be a positive multiple of the path "
             f"grid M = {path.M}")
     sub = M // path.M
-    slopes, l2_sq = piecewise_linear_derivative(path)
-    if l2_sq > math.log(np.finfo(float).max):
-        raise ArgumentError(
-            f"the path's int ||W_dot||^2 dt = {l2_sq:.6g} overflows the "
-            "Gronwall factor exp(int ||W_dot||^2 dt)")
+    slopes = np.diff(path.values, axis=0) / path.dt
     l2cum = np.cumsum(np.sum(slopes ** 2, axis=1) * path.dt)
+    if l2cum[-1] > math.log(np.finfo(float).max):
+        raise ArgumentError(
+            f"the path's int ||W_dot||^2 dt = {l2cum[-1]:.6g} overflows the "
+            "Gronwall factor exp(int ||W_dot||^2 dt)")
 
     Ztraj = integrate_gramian_ode(sys, "reach", path.T, path.M).trajectory
     fine = DriverPath(T=path.T, values=np.column_stack(
@@ -284,10 +271,9 @@ def smooth_quadratic_form_probe(
         raise IntegrationOverflowError(
             f"the Gronwall gap overflowed in interval {k} of {path.M}",
             step=k)
-    xbar_final = math.exp(l2cum[-1]) * Ztraj[-1]
-    return SmoothProbeResult(
-        min_eigenvalue=float(np.linalg.eigvalsh(gaps)[:, 0].min()),
-        xbar_final_norm=float(np.linalg.norm(xbar_final, 2)))
+    scale = np.linalg.norm(math.exp(l2cum[-1]) * Ztraj[-1], 2)
+    return float(np.linalg.eigvalsh(gaps)[:, 0].min()
+                 / max(scale, np.finfo(float).tiny))
 
 
 def _output_pair(y_full, y_red, times):

@@ -281,26 +281,22 @@ def is_mean_square_stable(sys: BilinearRoughSystem) -> StabilityReport:
         f"which holds 1 within the margin {STABILITY_MARGIN:.0e}")
 
 
-def positivity_scale(sys: BilinearRoughSystem) -> float:
-    """Reference scale ||A||_2 + sum_i ||N_i||_2^2 ||K||_2 for the probe."""
-    nK = np.linalg.norm(sys.K, 2) if sys.d else 0.0
-    return float(np.linalg.norm(sys.A, 2)
-                 + sum(np.linalg.norm(Ni, 2) ** 2 for Ni in sys.N) * nK)
-
-
 def resolvent_positivity_probe(
         sys: BilinearRoughSystem, trials: int, seed: int) -> float:
-    """Minimum of <L(u u^T), v v^T>_F over random orthonormal pairs u, v.
+    """Minimum of <L(u u^T), v v^T>_F over random orthonormal pairs u, v,
+    divided by the scale ||A||_2 + sum_i ||N_i||_2^2 ||K||_2.
 
     Resolvent positivity of L makes this pairing nonnegative whenever
     <u u^T, v v^T>_F = 0; the probe draws Gaussian pairs, orthonormalizes, and
-    returns the smallest value observed (contract: >= -1e-10 times
-    ``positivity_scale``).
+    returns the smallest value observed over the scale, floored at the
+    smallest normal float (contract: >= -1e-10).
     """
     if sys.n < 2:
         raise ArgumentError("probe needs n >= 2 to build an orthogonal pair")
     if trials < 1:
         raise ArgumentError("trials must be >= 1")
+    if seed < 0:
+        raise ArgumentError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     n = sys.n
     U = rng.standard_normal((trials, n))
@@ -314,4 +310,7 @@ def resolvent_positivity_probe(
     vu = np.sum(V * U, axis=1)
     pairing = 2.0 * vAu * vu + sum(
         np.sum(V * (U @ Nm.T), axis=1) ** 2 for Nm in sys.N_tilde)
-    return float(pairing.min())
+    nK = np.linalg.norm(sys.K, 2) if sys.d else 0.0
+    scale = (np.linalg.norm(sys.A, 2)
+             + sum(np.linalg.norm(Ni, 2) ** 2 for Ni in sys.N) * nK)
+    return float(pairing.min() / max(scale, np.finfo(float).tiny))

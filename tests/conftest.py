@@ -13,6 +13,21 @@ ORACLE_CALL = dict(side="reach", T=1.0, n_paths=100_000, dt=1e-3, seed=4242)
 
 
 @pytest.fixture(scope="session")
+def stability_function():
+    # symbolic oracle: Crouzeix's R(z) = 1 + z b^T (I - z A)^{-1} 1 computed
+    # exactly from the tableau entries, independent of the stepper
+    import sympy
+
+    z = sympy.symbols("z")
+    g = sympy.Rational(1, 2) + sympy.sqrt(3) / 6
+    A = sympy.Matrix([[g, 0], [-sympy.sqrt(3) / 3, g]])
+    b = sympy.Matrix([[sympy.Rational(1, 2), sympy.Rational(1, 2)]])
+    one = sympy.Matrix([[1], [1]])
+    R = 1 + z * (b * (sympy.eye(2) - z * A).inv() * one)[0, 0]
+    return sympy.lambdify(z, sympy.simplify(R), "math")
+
+
+@pytest.fixture(scope="session")
 def heat100():
     return build_heat1d(default_heat1d_config(100))
 

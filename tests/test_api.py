@@ -1,8 +1,9 @@
-"""The public surface imports: every exported name resolves, and the demos
-load and run against it."""
+"""The public surface imports: every exported name resolves, every public
+name is exported, and the demos load and run against it."""
 
 import importlib.util
 import pathlib
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +18,15 @@ def test_every_exported_name_resolves():
     missing = [name for name in roughmor.__all__
                if not hasattr(roughmor, name)]
     assert missing == []
+
+
+def test_every_public_name_is_exported():
+    # the reverse direction: no public name skips __all__ (submodules aside)
+    unlisted = [name for name, value in vars(roughmor).items()
+                if not name.startswith("_")
+                and not isinstance(value, types.ModuleType)
+                and name not in roughmor.__all__]
+    assert unlisted == []
 
 
 def test_demos_found():

@@ -457,6 +457,18 @@ class TestConfigResolution:
             assert rc == 1
         assert not out.exists()
 
+    def test_negative_seed(self, tmp_path, capsys):
+        # rejected with the config, before the output directory exists:
+        # numpy's seeding would end the run later with a bare ValueError
+        out = tmp_path / "run"
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("seed=-3\n")
+        for argv in (["reduce", "--seed", "-1"], ["simulate", "--seed", "-3"],
+                     ["sweep", "--config", str(cfgfile)]):
+            assert main([*argv, "--n", "12", "--out", str(out)]) == 1
+            assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flags", [
         ("reduce", RUN_FLAGS | {"--states"}),
         ("simulate", RUN_FLAGS | {"--states"}),
@@ -528,6 +540,9 @@ class TestProbes:
         assert names == ["mean_square_stability", "resolvent_positivity",
                          "kernel_preservation", "gronwall_quadratic_form",
                          "mc_gramian_cross_check"]
+        # the three claim probes report a ratio against a fixed tolerance
+        bounds = [float(row.split(",")[2]) for row in lines[1:]]
+        assert bounds == [1.0, -1e-10, 1e-8, -1e-6, 0.95]
         summary = read_summary(out)
         assert summary["status"] == "ok"
         assert all(check["passed"] for check in summary["checks"])

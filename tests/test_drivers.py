@@ -4,8 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from roughmor import (ArgumentError, DriverPath, coarsen_path,
-                      piecewise_linear_derivative, read_path_csv,
+from roughmor import (ArgumentError, DriverPath, coarsen_path, read_path_csv,
                       sample_fbm_path, smooth_path_from_function,
                       write_path_csv)
 
@@ -80,6 +79,11 @@ class TestSampling:
         with pytest.raises(ArgumentError):
             sample_fbm_path(0.0, 1, 1.0, 16, seed=0)
 
+    def test_negative_seed(self):
+        # numpy's SeedSequence would end the call with a bare ValueError
+        with pytest.raises(ArgumentError, match="seed must be >= 0"):
+            sample_fbm_path(0.4, 1, 1.0, 16, seed=-1)
+
 
 class TestIncrements:
     def test_coarsen_path_keeps_endpoints(self):
@@ -93,30 +97,6 @@ class TestIncrements:
         path = sample_fbm_path(0.4, 1, 1.0, 16, seed=4)
         with pytest.raises(ArgumentError):
             coarsen_path(path, 3)
-
-
-class TestPiecewiseLinearDerivative:
-    def test_linear_path(self):
-        v = np.array([0.7, -0.3])
-        t = np.linspace(0, 2.0, 11)
-        vals = t[:, None] * v[None, :]
-        path = DriverPath(T=2.0, values=vals)
-        slopes, l2_sq = piecewise_linear_derivative(path)
-        np.testing.assert_allclose(slopes, np.tile(v, (10, 1)), atol=1e-13)
-        assert abs(l2_sq - float(v @ v) * 2.0) <= 1e-12
-
-    def test_zero_path(self):
-        path = DriverPath(T=1.0, values=np.zeros((5, 1)))
-        slopes, l2_sq = piecewise_linear_derivative(path)
-        assert np.all(slopes == 0.0) and l2_sq == 0.0
-
-    def test_sine_path_l2_norm(self):
-        T = 1.0
-        path = smooth_path_from_function(
-            lambda t: np.array([math.sin(t)]), T, 2 ** 10)
-        _, l2_sq = piecewise_linear_derivative(path)
-        exact = T / 2.0 + math.sin(2.0 * T) / 4.0
-        assert abs(l2_sq - exact) <= 1e-4
 
 
 class TestCsvRoundTrip:

@@ -293,6 +293,13 @@ class TestMonteCarlo:
                 assert np.array_equal(getattr(a, name),
                                       getattr(b, name)), (n_paths, name)
 
+    def test_negative_seed_raises(self):
+        # numpy's SeedSequence would end the call with a bare ValueError
+        sys_ = mild_stable_system(2, 1, seed=14)
+        with pytest.raises(ArgumentError, match="seed must be >= 0"):
+            monte_carlo_second_moment(sys_, "reach", T=1.0, n_paths=10,
+                                      dt=0.5, seed=-1)
+
     def test_step_must_divide_horizon(self):
         # round(1 / 0.3) = 3 steps would silently run at dt = 1/3
         sys_ = mild_stable_system(2, 1, seed=14)

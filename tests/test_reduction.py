@@ -5,9 +5,8 @@ import roughmor.gramians
 import roughmor.reduction
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
                       EmptyBasisError, PreconditionError, ProjectionBasis,
-                      balanced_rank_sweep, check_kernel_preservation,
-                      kernel_preservation_scale, observability_cut,
-                      project_system, relative_L2_error,
+                      balanced_rank_sweep, kernel_preservation_residual,
+                      observability_cut, project_system, relative_L2_error,
                       rough_rk_simulate, sample_fbm_path,
                       solve_algebraic_gramian, subspace_containment_residual,
                       truncate_psd_spectrum, two_stage_reduce)
@@ -238,21 +237,26 @@ class TestKernelPreservation:
     def test_zero_vector(self):
         sys_ = decoupled_observability_system()
         Q = solve_algebraic_gramian(sys_, "obs")
-        triple = check_kernel_preservation(sys_, Q.matrix, np.zeros(3))
-        assert triple == (0.0, 0.0, 0.0)
+        assert kernel_preservation_residual(sys_, Q.matrix,
+                                            np.zeros(3)) == 0.0
 
     def test_decoupled_kernel_direction(self):
         sys_ = decoupled_observability_system()
         Q = solve_algebraic_gramian(sys_, "obs")
         z = np.array([0.0, 0.0, 1.0])
-        triple = check_kernel_preservation(sys_, Q.matrix, z)
-        assert max(triple) <= 1e-10
+        assert kernel_preservation_residual(sys_, Q.matrix, z) <= 1e-10
 
-    def test_scale_positive(self):
+    def test_scale_free(self):
+        # a direction off the kernel: every residual and the scale's ||z||
+        # grow by 2^20 under z -> 2^20 z
         sys_ = decoupled_observability_system()
         Q = solve_algebraic_gramian(sys_, "obs")
-        z = np.array([0.0, 0.0, 1.0])
-        assert kernel_preservation_scale(sys_, Q.matrix, z) > 0
+        z = np.array([0.3, -0.2, 1.0])
+        small = kernel_preservation_residual(sys_, Q.matrix, z)
+        big = kernel_preservation_residual(sys_, Q.matrix, 2.0 ** 20 * z)
+        assert small > 0.0
+        assert abs(big - small) <= 1e-12 * small
+        assert type(big) is float
 
 
 class TestSubspaceContainment:

@@ -7,7 +7,7 @@ import pytest
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
                       LyapunovOperator, NumericalError, build_heat1d,
                       default_heat1d_config, is_mean_square_stable,
-                      positivity_scale, resolvent_positivity_probe,
+                      resolvent_positivity_probe,
                       solve_algebraic_gramian, solve_algebraic_gramian_dense)
 from roughmor._fixtures import mild_stable_system, scalar_noise_system, \
     unstable_system
@@ -351,8 +351,27 @@ class TestResolventPositivityProbe:
 
     def test_random_stable_system_bound(self):
         sys_ = mild_stable_system(6, 2, seed=42)
-        value = resolvent_positivity_probe(sys_, trials=10_000, seed=7)
-        assert value >= -1e-10 * positivity_scale(sys_)
+        assert resolvent_positivity_probe(sys_, trials=10_000,
+                                          seed=7) >= -1e-10
+
+    def test_scale_free(self):
+        # the pairing and the scale ||A|| + sum_i ||N_i||^2 ||K|| both grow
+        # by 2^20 under A -> 2^20 A, N_i -> 2^10 N_i
+        sys_ = mild_stable_system(6, 2, seed=42)
+        big = BilinearRoughSystem(A=2.0 ** 20 * sys_.A,
+                                  N=tuple(2.0 ** 10 * Ni for Ni in sys_.N),
+                                  K=sys_.K, C=sys_.C, x0=sys_.x0)
+        ratios = [resolvent_positivity_probe(s, trials=1000, seed=7)
+                  for s in (sys_, big)]
+        assert ratios[0] != 0.0
+        assert abs(ratios[1] - ratios[0]) <= 1e-12 * abs(ratios[0])
+        # a Python float, so a verdict read off it is a bool json can write
+        assert type(ratios[1]) is float
+
+    def test_negative_seed(self):
+        with pytest.raises(ArgumentError, match="seed must be >= 0"):
+            resolvent_positivity_probe(mild_stable_system(3, 1, seed=99),
+                                       trials=10, seed=-1)
 
     def test_needs_two_dimensions(self):
         with pytest.raises(ArgumentError):
