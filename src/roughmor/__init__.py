@@ -22,7 +22,8 @@ to round-off. The pieces:
   a smooth path.
 - ``drivers``: the fractional Brownian sampler, smooth drivers, and path
   utilities.
-- ``heat``: a controlled heat equation on (0, 1) as the reference model.
+- ``heat``: the paper's rough heat equation on (0, 1) as the reference
+  model, with constant coefficients; its one setting is the grid size.
 - ``cli``: the ``roughmor`` command wrapping all of the above.
 
 Each probe of a paper claim returns one float, its raw value over its own
@@ -53,7 +54,7 @@ from .solver import (SimulationResult, pointwise_relative_error,
                      relative_L2_error, rough_rk_simulate,
                      smooth_quadratic_form_probe, write_error_csv,
                      write_states_csv, write_trajectory_csv)
-from .heat import Heat1dConfig, build_heat1d, default_heat1d_config
+from .heat import Heat1dConfig, build_heat1d
 
 __version__ = "0.1.0"
 
@@ -75,6 +76,6 @@ __all__ = [
     "SimulationResult", "pointwise_relative_error", "relative_L2_error",
     "rough_rk_simulate", "smooth_quadratic_form_probe",
     "write_error_csv", "write_states_csv", "write_trajectory_csv",
-    "Heat1dConfig", "build_heat1d", "default_heat1d_config",
+    "Heat1dConfig", "build_heat1d",
     "__version__",
 ]

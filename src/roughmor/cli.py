@@ -40,7 +40,7 @@ from .drivers import (DriverPath, read_path_csv, sample_fbm_path,
 from .gramians import (_solve_gramians, integrate_gramian_ode,
                        monte_carlo_second_moment, solve_algebraic_gramian,
                        write_spectrum_csv)
-from .heat import build_heat1d, default_heat1d_config
+from .heat import Heat1dConfig, build_heat1d
 from .reduction import (DEFAULT_TOL_P, DEFAULT_TOL_Q,
                         balanced_rank_sweep, kernel_preservation_residual,
                         truncate_psd_spectrum, two_stage_reduce,
@@ -83,7 +83,8 @@ class RunConfig:
     model_file: Optional[str] = _key(
         None, help="matrix file ('n d p' header, then A, N_1..N_d, K, C, x0 "
                    "row-major); without it, the builtin heat model")
-    n: int = _key(100, int, "interior grid size of the builtin heat model")
+    n: int = _key(100, int,
+                  "interior grid size of the builtin heat model, at least 2")
     hurst: float = _key(
         0.4, float, "Hurst index of the fBm driver, in (0, 1); its "
                     "piecewise-linear (Wong-Zakai) lift converges to the "
@@ -107,6 +108,8 @@ class RunConfig:
                 f"Hurst index must lie in (0, 1), got {self.hurst}")
         if "seed" in self.keys and self.seed < 0:
             raise ArgumentError(f"seed must be >= 0, got {self.seed}")
+        if "n" in self.keys and self.n < 2:
+            raise ArgumentError(f"need n >= 2 interior nodes, got {self.n}")
         # the fBm sampler needs 2 to 2^53 whole steps: past 2^53, k T / M is
         # no longer a uniform grid of doubles
         if "step_exp" in self.keys and not (
@@ -256,7 +259,7 @@ def read_system_file(path) -> BilinearRoughSystem:
 def build_model(cfg: RunConfig) -> BilinearRoughSystem:
     if cfg.model_file:
         return read_system_file(cfg.model_file)
-    return build_heat1d(default_heat1d_config(cfg.n))
+    return build_heat1d(Heat1dConfig(cfg.n))
 
 
 def resolve_driver(cfg: RunConfig, d: int) -> DriverPath:
@@ -284,7 +287,11 @@ class _Run:
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        os.makedirs(cfg.out, exist_ok=True)
+        try:
+            os.makedirs(cfg.out, exist_ok=True)
+        except OSError as exc:
+            raise ArgumentError(
+                f"cannot create output directory {cfg.out}: {exc}") from exc
         self.artifacts = [_echo_config(cfg, cfg.out)]
         self.t0 = time.perf_counter()
 
@@ -413,7 +420,7 @@ def run_probes(cfg: RunConfig) -> int:
 
     dec = decoupled_observability_system()
     Q = solve_algebraic_gramian(dec, "obs")
-    wq, Vq = scipy.linalg.eigh((Q.matrix + Q.matrix.T) / 2)
+    wq, Vq = scipy.linalg.eigh(Q.matrix)
     value = kernel_preservation_residual(dec, Q.matrix, Vq[:, 0])
     checks.append(("kernel_preservation", value, 1e-8, value <= 1e-8))
 

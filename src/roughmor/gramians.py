@@ -62,8 +62,9 @@ class GramianResult:
     solves are accepted, and ``gate_rho_lower``, ``gate_rho_upper`` and
     ``gate_solves`` the bracket on the splitting spectral radius and the
     solve count of their stability check (all None for finite horizons).
-    The matrix is stored as given: round-off may leave eigenvalues slightly
-    below zero, and truncation drops every eigenvalue that is not positive.
+    The matrix is stored exactly symmetric, as (P + P^T) / 2: round-off may
+    leave eigenvalues slightly below zero, and truncation drops every
+    eigenvalue that is not positive.
     """
 
     matrix: np.ndarray

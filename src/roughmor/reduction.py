@@ -272,7 +272,7 @@ def balanced_rank_sweep(exact: ReducedModel, ranks) -> dict:
         raise ArgumentError(f"target ranks must be >= 1, got {ranks[0]}")
 
     R, L = (V * np.sqrt(np.clip(w, 0.0, None)) for w, V in (
-        eigh((G.matrix + G.matrix.T) / 2)
+        eigh(G.matrix)
         for G in _solve_gramians(exact.system, ("reach", "obs"))))
     B = np.linalg.qr(R @ np.linalg.svd(L.T @ R)[2].T)[0]
     return {k: exact if k >= exact.r else ReducedModel(

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import eigh, eigvalsh
 
-from .errors import ArgumentError, GuardedScalar, NumericalError
+from .errors import ArgumentError, NumericalError
 from ._lyap import SchurLyapunov
 
 # LyapunovOperator.matrix has n^4 entries: 6.5 MB at this order
@@ -200,8 +200,8 @@ class LyapunovOperator:
     def errors(self, G):
         """(relative residual, backward error) of G in 0 = rhs + L(G).
 
-        With R = residual(G), the relative residual is the GuardedScalar
-        ||R||_F / ||rhs||_F, or ||R||_F flagged ``is_absolute`` when rhs = 0.
+        With R = residual(G), the relative residual is ||R||_F / ||rhs||_F,
+        or ||R||_F when rhs = 0.
         The backward error is ||R||_F / (||rhs||_F + l ||G||_F), 0 when that
         denominator vanishes (R = 0 then too); l = 2 ||A|| + sum_ij |k_ij|
         ||N_i|| ||N_j||, over the given N_i and K, bounds ||L||_F, each 2-norm
@@ -210,8 +210,7 @@ class LyapunovOperator:
         nr = np.linalg.norm(self.rhs)
         nR = np.linalg.norm(self.residual(G))
         den = nr + self.ell * np.linalg.norm(G)
-        return (GuardedScalar(nR / nr if nr else nR, is_absolute=not nr),
-                float(nR / den) if den else 0.0)
+        return float(nR / (nr or 1.0)), float(nR / den) if den else 0.0
 
     def matrix(self) -> np.ndarray:
         """Dense n^2 x n^2 matrix M with M vec(X) = vec(L(X)).

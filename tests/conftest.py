@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import roughmor.cli
-from roughmor import (build_heat1d, default_heat1d_config,
+from roughmor import (Heat1dConfig, build_heat1d,
                       monte_carlo_second_moment, rough_rk_simulate,
                       sample_fbm_path, two_stage_reduce)
 from roughmor._fixtures import mild_stable_system
@@ -29,7 +29,7 @@ def stability_function():
 
 @pytest.fixture(scope="session")
 def heat100():
-    return build_heat1d(default_heat1d_config(100))
+    return build_heat1d(Heat1dConfig(100))
 
 
 @pytest.fixture(scope="session")

@@ -452,7 +452,8 @@ class TestConfigResolution:
         out = tmp_path / "run"
         for flags in (["--hurst", "2.0"], ["--step-exp", "100"],
                       ["--horizon", "1e300", "--step-exp", "0"],
-                      ["--step-exp", "1"], ["--horizon", "0.3"]):
+                      ["--step-exp", "1"], ["--horizon", "0.3"],
+                      ["--n", "1"]):
             rc = main(["simulate", "--n", "4", *flags, "--out", str(out)])
             assert rc == 1
         assert not out.exists()
@@ -468,6 +469,17 @@ class TestConfigResolution:
             assert main([*argv, "--n", "12", "--out", str(out)]) == 1
             assert "seed must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_names_a_file(self, tmp_path, capsys):
+        # a path that cannot become a directory exits 1 with a message,
+        # not a traceback, and leaves the file as it was
+        afile = tmp_path / "afile"
+        afile.write_bytes(b"keep me\n")
+        assert main(["simulate", "--n", "4", "--step-exp", "4",
+                     "--out", str(afile)]) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot create output directory" in err
+        assert afile.read_bytes() == b"keep me\n"
 
     @pytest.mark.parametrize("command, flags", [
         ("reduce", RUN_FLAGS | {"--states"}),
@@ -599,3 +611,13 @@ def test_readme_cli_quick_start_parses():
     assert commands
     for argv in commands:
         resolve_config(build_parser().parse_args(argv))
+
+
+def test_readme_library_quick_start_runs():
+    # README's library quick start runs as written and prints what it claims
+    section = README.read_text().split("## Quick start (library)")[1]
+    code = section.split("```python\n")[1].split("```")[0]
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["meta"].orders == (100, 35, 33)
+    assert float(namespace["err"]) <= 1e-10

@@ -7,9 +7,8 @@ import scipy.linalg
 
 import roughmor.solver
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
-                      DriverPath, IntegrationOverflowError,
-                      StepFailureError, build_heat1d, default_heat1d_config,
-                      pointwise_relative_error,
+                      DriverPath, Heat1dConfig, IntegrationOverflowError,
+                      StepFailureError, build_heat1d, pointwise_relative_error,
                       relative_L2_error, rough_rk_simulate, sample_fbm_path,
                       smooth_path_from_function, smooth_quadratic_form_probe,
                       coarsen_path)
@@ -398,7 +397,7 @@ class TestStageMatrixBounds:
     def cases():
         # the stiff heat model at n = 100 on the shared heat path, and a
         # dense random model with unit and with non-diagonal covariance
-        heat = build_heat1d(default_heat1d_config(100))
+        heat = build_heat1d(Heat1dConfig(100))
         yield heat, sample_fbm_path(0.4, 2, 0.5, 512, 24)
         dense = mild_stable_system(12, 2, seed=31)
         path = sample_fbm_path(0.4, 2, 1.0, 64, seed=32)
@@ -460,7 +459,7 @@ class TestStageMatrixBounds:
     def test_stiff_heat_matches_dense_reference(self):
         # at n = 200 and step 2^-10, dt ||A|| is 158: the stage
         # values give F = (Z - c) / a11 without the stiff product G Z
-        sys_ = build_heat1d(default_heat1d_config(200))
+        sys_ = build_heat1d(Heat1dConfig(200))
         path = sample_fbm_path(0.4, 2, 0.5, 512, seed=34)
         dt = path.dt
         assert dt * np.abs(sys_.A).sum(axis=1).max() >= 50.0
@@ -568,7 +567,7 @@ class TestSmoothProbe:
         # the stiff heat model on a sin/cos driver: explicit sub-stepping
         # of x read a ratio of -9.2e68 at n = 10 and overflowed at n = 30;
         # the implicit integrator keeps the gap within the bound
-        sys_ = build_heat1d(default_heat1d_config(n))
+        sys_ = build_heat1d(Heat1dConfig(n))
         path = smooth_path_from_function(
             lambda t: np.array([math.sin(t), math.cos(t)]), 0.5, M_path)
         assert smooth_quadratic_form_probe(sys_, path, M) >= -1e-6

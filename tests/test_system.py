@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
-                      LyapunovOperator, NumericalError, build_heat1d,
-                      default_heat1d_config, is_mean_square_stable,
+                      Heat1dConfig, LyapunovOperator, NumericalError,
+                      build_heat1d, is_mean_square_stable,
                       resolvent_positivity_probe,
                       solve_algebraic_gramian, solve_algebraic_gramian_dense)
 from roughmor._fixtures import mild_stable_system, scalar_noise_system, \
@@ -259,7 +259,7 @@ class TestStability:
         for n in (100, 200):
             calls.clear()
             report = is_mean_square_stable(
-                build_heat1d(default_heat1d_config(n)))
+                build_heat1d(Heat1dConfig(n)))
             assert report.is_mean_square_stable
             assert report.solves == len(calls) == 1
 
