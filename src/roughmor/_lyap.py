@@ -1,20 +1,23 @@
-"""Cached Bartels-Stewart solves for A X + X A^T = -Q.
+"""Cached Lyapunov solves for A X + X A^T = -Q.
 
 The GMRES Gramian solve and the stability check call the same Lyapunov
-resolvent many times with a fixed A; factoring the real Schur form once and
-reusing it turns each solve into two changes of basis by the orthogonal
-factor and one triangular Sylvester solve. That solve is recursive and
-blocked (Jonsson & Kagstrom, ACM TOMS 28(4), 2002): it halves the larger
-dimension until both are at most 64, so most of its work is matrix products,
-and calls LAPACK's level-2 dtrsyl at the leaves. The check also reads
-Re(lambda(A)) off the diagonal of the Schur factor, and the observability
-Gramian solves with A^T from the same factorization.
+resolvent many times with a fixed A, so A is factored once and each solve
+is two changes of basis by the orthogonal factor plus a cheap middle step.
+An exactly symmetric A, such as the heat model's second-difference
+Laplacian, is diagonalized, A = Z diag(w) Z^T, and the middle step is the
+elementwise division of -Z^T Q Z by w_i + w_j. Any other A gets a real Schur
+form and a triangular Sylvester solve. That solve is recursive and blocked
+(Jonsson & Kagstrom, ACM TOMS 28(4), 2002): it halves the larger dimension
+until both are at most 64, so most of its work is matrix products, and calls
+LAPACK's level-2 dtrsyl at the leaves. The stability check reads the drift's
+spectral abscissa off either factorization, and the observability Gramian
+solves with A^T from the same one.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import schur
+from scipy.linalg import eigh, schur
 from scipy.linalg import lapack
 
 from .errors import NumericalError
@@ -24,24 +27,41 @@ _LEAF = 64
 
 
 class SchurLyapunov:
-    """Solver for A X + X A^T = -Q with A factored once, A = Z T Z^T.
+    """Solver for A X + X A^T = -Q with A factored once.
 
-    A must be Hurwitz for the solve to be a genuine (positive) resolvent;
-    the Sylvester solve itself only needs lambda_i + lambda_j != 0.
+    A symmetric A is stored as its eigenvalues ``w`` and eigenvectors ``Z``
+    (``T`` is None), any other A as its real Schur form A = Z T Z^T (``w``
+    is None). A must be Hurwitz for the solve to be a genuine (positive)
+    resolvent; the solve itself only needs lambda_i + lambda_j != 0.
     """
 
     def __init__(self, A):
         A = np.asarray(A, dtype=float)
-        self.T, self.Z = schur(A, output="real")
+        self.T = self.w = None
+        if np.array_equal(A, A.T):
+            self.w, self.Z = eigh(A)
+        else:
+            self.T, self.Z = schur(A, output="real")
+
+    @property
+    def abscissa(self) -> float:
+        """The largest real part of an eigenvalue of A. LAPACK standardizes
+        each 2x2 Schur block to equal diagonal entries, so diag(T) carries
+        Re(lambda(A))."""
+        return float(self.w[-1] if self.T is None else np.diag(self.T).max())
 
     def transposed(self) -> SchurLyapunov:
-        """The solver for A^T, without a second Schur decomposition.
+        """The solver for A^T, without a second factorization.
 
-        With J the reversal of the index order, A^T = (Z J)(J T^T J)(Z J)^T,
-        and J T^T J is upper quasi-triangular with the same standardized 2x2
-        blocks as T, so it is a real Schur form of A^T.
+        A symmetric A is its own transpose. Otherwise, with J the reversal
+        of the index order, A^T = (Z J)(J T^T J)(Z J)^T, and J T^T J is upper
+        quasi-triangular with the same standardized 2x2 blocks as T, so it
+        is a real Schur form of A^T.
         """
+        if self.T is None:
+            return self
         flipped = object.__new__(SchurLyapunov)
+        flipped.w = None
         flipped.T = np.ascontiguousarray(self.T.T[::-1, ::-1])
         flipped.Z = np.ascontiguousarray(self.Z[:, ::-1])
         return flipped
@@ -49,8 +69,12 @@ class SchurLyapunov:
     def solve_neg(self, Q):
         """Return the X with A X + X A^T = -Q (Q symmetric in, X symmetric out)."""
         X = -(self.Z.T @ Q @ self.Z)
-        scale = _solve_sylvester(self.T, self.T, X)
-        X = self.Z @ (X / scale) @ self.Z.T
+        if self.T is None:
+            X /= self.w[:, None] + self.w
+        else:
+            scale = _solve_sylvester(self.T, self.T, X)
+            X /= scale
+        X = self.Z @ X @ self.Z.T
         return (X + X.T) / 2
 
 

@@ -8,10 +8,11 @@ DENSE_MAX_ORDER. Infinite-horizon Gramians solve
     0 = x0 x0^T + L(P),        0 = C^T C + L*(Q)
 
 by GMRES on the equation preconditioned with a standard Lyapunov solve, whose
-real Schur factorization the stability check builds and the solve reuses,
-and accept a solution by its normwise backward error. Every route evaluates
-its side's equation through system.LyapunovOperator, which holds the
-transposed data on the observability side.
+factorization of A the stability check builds and the solve reuses (an
+eigendecomposition when A is exactly symmetric, a real Schur form
+otherwise), and accept a solution by its normwise backward error. Every
+route evaluates its side's equation through system.LyapunovOperator, which
+holds the transposed data on the observability side.
 
 An independent Euler-Maruyama Monte-Carlo estimator of the Gramian
 int_0^T E[x x^T] dt serves as a statistical oracle for both routes; it
@@ -132,7 +133,7 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
                             side: str) -> GramianResult:
     """Infinite-horizon Gramian by Lyapunov-preconditioned GMRES.
 
-    With L_A^{-1} the cached-Schur solve of A X + X A^T = -Y, the equation
+    With L_A^{-1} the cached solve of A X + X A^T = -Y, the equation
     0 = rhs + L(P) reads (I - L_A^{-1} Pi) P = L_A^{-1}(rhs). GMRES runs on
     this form from P = 0 (Damm, NLA 2008) and stops once its residual
     estimate falls to GMRES_TOL relative, which sits just above its
@@ -144,15 +145,15 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
 
     Requires mean-square stability (is_mean_square_stable): StabilityError
     when the check proves the system unstable, NumericalError when it
-    cannot decide. The solve reuses the check's Schur factorization of A,
-    on the obs side transposed, so it factors A once.
+    cannot decide. The solve reuses the check's factorization of A, on the
+    obs side transposed, so it factors A once.
     """
     return _solve_gramians(sys, (side,))[0]
 
 
 def _solve_gramians(sys: BilinearRoughSystem, sides) -> list:
     """solve_algebraic_gramian for each of ``sides`` behind one stability
-    check, whose Schur factorization every solve reuses."""
+    check, whose factorization of A every solve reuses."""
     ops = [LyapunovOperator(sys, side) for side in sides]
     report = is_mean_square_stable(sys)
     if not report.is_mean_square_stable:

@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import roughmor._lyap
+from roughmor._lyap import SchurLyapunov
 from roughmor import (DEFAULT_TOL_P, ArgumentError, BilinearRoughSystem,
                       ConvergenceError, GramianResult, Heat1dConfig,
                       IntegrationOverflowError, LyapunovOperator,
@@ -171,11 +172,22 @@ class TestAlgebraicGramian:
             solve_algebraic_gramian(sys_, "reach")
 
     def test_heat_300_accepted_by_backward_error(self):
-        # the relative residual of this solve, about 3e-10, is its round-off
-        # floor at cond(A) ~ 1e4 and fails any fixed 1e-10 test; the
-        # backward error stays near eps
-        res = solve_algebraic_gramian(
-            build_heat1d(Heat1dConfig(300)), "reach")
+        # the backward error stays near eps at n = 300 on both routes of the
+        # Lyapunov solve. On the symmetric heat drift the relative residual
+        # reads about 4e-11; with upwind advection added, a stiff
+        # non-symmetric drift that takes the Schur route, it reads about
+        # 3e-10, its round-off floor at cond(A) ~ 1e4, and fails any fixed
+        # 1e-10 test
+        heat = build_heat1d(Heat1dConfig(300))
+        assert SchurLyapunov(heat.A).T is None
+        res = solve_algebraic_gramian(heat, "reach")
+        assert res.backward_error <= BACKWARD_ERROR_BOUND
+        n = heat.n
+        upwind = (np.diag(-np.ones(n)) + np.diag(np.ones(n - 1), 1)) * (n + 1)
+        advected = system_from(heat.A + 0.5 * upwind, heat.N, heat.K, heat.C,
+                               heat.x0)
+        assert SchurLyapunov(advected.A).T is not None
+        res = solve_algebraic_gramian(advected, "reach")
         assert res.backward_error <= BACKWARD_ERROR_BOUND
         assert res.residual > 1e-10
 
@@ -192,25 +204,32 @@ class TestAlgebraicGramian:
         np.testing.assert_allclose(res.matrix, np.ones((2, 2)) / 0.01,
                                    rtol=1e-10)
 
-    def test_one_schur_per_solve(self, monkeypatch):
+    def test_one_factorization_per_solve(self, monkeypatch):
         # the solve reuses the stability check's factorization of A, on the
-        # obs side transposed
+        # obs side transposed: one eigh of the symmetric heat drift, one
+        # real Schur form of a non-symmetric drift
         calls = []
-        schur = roughmor._lyap.schur
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return schur(*args, **kwargs)
+        def counting(name):
+            factor = getattr(roughmor._lyap, name)
 
-        monkeypatch.setattr(roughmor._lyap, "schur", counting)
-        sys_ = build_heat1d(Heat1dConfig(30))
-        for side in ("reach", "obs"):
-            calls.clear()
-            res = solve_algebraic_gramian(sys_, side)
-            assert len(calls) == 1
-            assert res.backward_error <= BACKWARD_ERROR_BOUND
-            assert 0.0 <= res.gate_rho_lower <= res.gate_rho_upper < 1.0
-            assert res.gate_solves > 0
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return factor(*args, **kwargs)
+            return counted
+
+        for name in ("eigh", "schur"):
+            monkeypatch.setattr(roughmor._lyap, name, counting(name))
+        for sys_, factorization in (
+                (build_heat1d(Heat1dConfig(30)), "eigh"),
+                (mild_stable_system(8, 2, seed=0), "schur")):
+            for side in ("reach", "obs"):
+                calls.clear()
+                res = solve_algebraic_gramian(sys_, side)
+                assert calls == [factorization]
+                assert res.backward_error <= BACKWARD_ERROR_BOUND
+                assert 0.0 <= res.gate_rho_lower <= res.gate_rho_upper < 1.0
+                assert res.gate_solves > 0
 
     def test_rejects_unknown_side(self):
         with pytest.raises(ArgumentError):

@@ -3,6 +3,8 @@ import pytest
 from scipy.linalg import schur, solve_triangular
 
 import roughmor._lyap
+from roughmor import solve_algebraic_gramian
+from roughmor._fixtures import mild_stable_system
 from roughmor._lyap import SchurLyapunov
 
 
@@ -81,3 +83,70 @@ def test_transposed_factorization(n):
             <= 1e-13 * np.linalg.norm(A) * np.linalg.norm(X))
     ref = kronecker_solve(A.T, Q)
     assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def stable_symmetric(n, seed):
+    # exactly symmetric, with its largest eigenvalue at -0.5
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((n, n)) / np.sqrt(n)
+    A = (B + B.T) / 2
+    A -= (np.linalg.eigvalsh(A).max() + 0.5) * np.eye(n)
+    Q = rng.standard_normal((n, n))
+    return A, Q @ Q.T
+
+
+@pytest.mark.parametrize("n", [70, 130])
+def test_symmetric_solve_matches_kronecker(n):
+    A, Q = stable_symmetric(n, seed=n)
+    lyap = SchurLyapunov(A)
+    assert lyap.T is None and abs(lyap.abscissa + 0.5) <= 1e-13
+    X = lyap.solve_neg(Q)
+    ref = kronecker_solve(A, Q)
+    assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_symmetric_transposed_solves_with_transpose():
+    A, Q = stable_symmetric(70, seed=3)
+    lyap = SchurLyapunov(A)
+    flipped = lyap.transposed()
+    assert flipped is lyap
+    X = flipped.solve_neg(Q)
+    assert (np.linalg.norm(A.T @ X + X @ A + Q)
+            <= 1e-13 * np.linalg.norm(A) * np.linalg.norm(X))
+    ref = kronecker_solve(A.T, Q)
+    assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_one_ulp_off_symmetric_takes_schur_route():
+    A, Q = stable_symmetric(70, seed=5)
+    A[0, 1] = np.nextafter(A[0, 1], np.inf)
+    lyap = SchurLyapunov(A)
+    assert lyap.w is None
+    assert np.array_equal(lyap.T, schur(A, output="real")[0])
+    X = lyap.solve_neg(Q)
+    ref = kronecker_solve(A, Q)
+    assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def schur_route_solve_neg(self, Q):
+    # the Schur-route solve as written before the symmetric route existed
+    X = -(self.Z.T @ Q @ self.Z)
+    scale = roughmor._lyap._solve_sylvester(self.T, self.T, X)
+    X = self.Z @ (X / scale) @ self.Z.T
+    return (X + X.T) / 2
+
+
+def test_nonsymmetric_gramians_unchanged(random_stable_batch, monkeypatch):
+    # a non-symmetric drift keeps the Schur route bit for bit, through the
+    # stability check and both Gramian solves
+    systems = [*random_stable_batch, mild_stable_system(30, 2, seed=0)]
+    assert not any(np.array_equal(s.A, s.A.T) for s in systems)
+    sides = ("reach", "obs")
+    got = [[solve_algebraic_gramian(s, side) for side in sides]
+           for s in systems]
+    monkeypatch.setattr(SchurLyapunov, "solve_neg", schur_route_solve_neg)
+    for sys_, results in zip(systems, got):
+        for side, res in zip(sides, results):
+            ref = solve_algebraic_gramian(sys_, side)
+            assert np.array_equal(res.matrix, ref.matrix)
+            assert res.gate_rho_upper == ref.gate_rho_upper
