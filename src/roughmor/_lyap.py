@@ -6,12 +6,11 @@ is two changes of basis by the orthogonal factor plus a cheap middle step.
 An exactly symmetric A, such as the heat model's second-difference
 Laplacian, is diagonalized, A = Z diag(w) Z^T, and the middle step is the
 elementwise division of -Z^T Q Z by w_i + w_j. Any other A gets a real Schur
-form and a triangular Sylvester solve. That solve is recursive and blocked
-(Jonsson & Kagstrom, ACM TOMS 28(4), 2002): it halves the larger dimension
-until both are at most 64, so most of its work is matrix products, and calls
-LAPACK's level-2 dtrsyl at the leaves. The stability check reads the drift's
-spectral abscissa off either factorization, and the observability Gramian
-solves with A^T from the same one.
+form, and the middle step is one call of LAPACK's dtrsyl, the Bartels-Stewart
+back-substitution for the quasi-triangular Sylvester equation (Bartels &
+Stewart, CACM 15, 1972). The stability check reads the drift's spectral
+abscissa off either factorization, and the observability Gramian solves
+with A^T from the same one.
 """
 
 from __future__ import annotations
@@ -22,16 +21,15 @@ from scipy.linalg import lapack
 
 from .errors import NumericalError
 
-# both dimensions of a dtrsyl leaf are at most this
-_LEAF = 64
-
 
 class SchurLyapunov:
     """Solver for A X + X A^T = -Q with A factored once.
 
     A symmetric A is stored as its eigenvalues ``w`` and eigenvectors ``Z``
     (``T`` is None), any other A as its real Schur form A = Z T Z^T (``w``
-    is None). A must be Hurwitz for the solve to be a genuine (positive)
+    is None). A Schur-route solve is one unblocked dtrsyl call, level-2
+    work that runs slower than a blocked solve would above about 64
+    states. A must be Hurwitz for the solve to be a genuine (positive)
     resolvent; the solve itself only needs lambda_i + lambda_j != 0.
     """
 
@@ -72,49 +70,14 @@ class SchurLyapunov:
         if self.T is None:
             X /= self.w[:, None] + self.w
         else:
-            scale = _solve_sylvester(self.T, self.T, X)
-            X /= scale
+            Y, scale, info = lapack.dtrsyl(self.T, self.T, X, tranb="C")
+            if info < 0:
+                raise NumericalError(f"dtrsyl: illegal argument {-info}")
+            if info == 1:
+                raise NumericalError(
+                    "dtrsyl: A and -A^T have a common eigenvalue "
+                    "(perturbed solve rejected)")
+            # back into the C-ordered X: the products below round by layout
+            X[...] = Y / scale
         X = self.Z @ X @ self.Z.T
         return (X + X.T) / 2
-
-
-def _split(T) -> int:
-    """Midpoint of T's index range, moved by one where it would cut a 2x2
-    block of the quasi-triangular T."""
-    k = len(T) // 2
-    return k + 1 if T[k, k - 1] != 0.0 else k
-
-
-def _solve_sylvester(Ta, Tb, W) -> float:
-    """Overwrite W with the X of Ta X + X Tb^T = scale W; return scale.
-
-    Ta and Tb are upper quasi-triangular. The larger dimension is split,
-    the column dimension by way of the transposed equation
-    Tb X^T + X^T Ta^T = scale W^T: the trailing block is solved first, its
-    product with the coupling block of Ta leaves the leading right-hand
-    side, and the leading block is solved second. A scale below 1, which
-    dtrsyl returns to avoid overflow, carries over to the other block.
-    """
-    m, n = W.shape
-    if m < n:
-        return _solve_sylvester(Tb, Ta, W.T)
-    if m <= _LEAF:
-        X, scale, info = lapack.dtrsyl(Ta, Tb, W, tranb="C")
-        if info < 0:
-            raise NumericalError(f"dtrsyl: illegal argument {-info}")
-        if info == 1:
-            raise NumericalError(
-                "dtrsyl: A and -A^T have a common eigenvalue "
-                "(perturbed solve rejected)")
-        W[...] = X
-        return scale
-    k = _split(Ta)
-    lead, trail = W[:k], W[k:]
-    s_trail = _solve_sylvester(Ta[k:, k:], Tb, trail)
-    if s_trail != 1.0:
-        lead *= s_trail
-    lead -= Ta[:k, k:] @ trail
-    s_lead = _solve_sylvester(Ta[:k, :k], Tb, lead)
-    if s_lead != 1.0:
-        trail *= s_lead
-    return s_lead * s_trail

@@ -33,7 +33,7 @@ from scipy.linalg import expm
 from .errors import (ArgumentError, ConvergenceError,
                      IntegrationOverflowError, StabilityError)
 from ._util import atomic_write_text, csv_text
-from .system import (BilinearRoughSystem, LyapunovOperator,
+from .system import (DENSE_MAX_ORDER, BilinearRoughSystem, LyapunovOperator,
                      StabilityReport, is_mean_square_stable)
 
 GMRES_MAX_ITER = 500
@@ -251,8 +251,8 @@ def _euler_chunk(A, N, x_init, T, steps, m, rng, I1, I2):
     of every per-path array. The per-path integrals keep only the upper
     triangle of x x^T: row i of it, X[i] * X[i:], is added straight into
     one packed (n(n+1)/2, m) array with trapezoid weights 1/2, 1, ..., 1,
-    1/2, and dt scales the path sums once at the end. That array, 404 MB
-    at n = 100 and m = 10 000, is the chunk's largest; the rest is O(n m).
+    1/2, and dt scales the path sums once at the end. That array is the
+    chunk's largest; the rest is O(n m).
     """
     n = A.shape[0]
     dt = T / steps
@@ -303,9 +303,14 @@ def monte_carlo_second_moment(
     bitwise deterministic for a fixed (seed, n_paths, dt). A chunk whose
     sums leave float range raises IntegrationOverflowError. Each chunk holds
     its paths on the contiguous axis and its per-path integrals as the
-    n(n+1)/2 upper-triangle entries, n(n+1)/2 x 10 000 floats (404 MB at
-    n = 100). T must be a whole number of steps dt.
+    n(n+1)/2 upper-triangle entries. The oracle cross-checks the closed-form
+    and dense routes, so like them it refuses n > DENSE_MAX_ORDER. T must be
+    a whole number of steps dt.
     """
+    if sys.n > DENSE_MAX_ORDER:
+        raise ArgumentError(
+            f"the Monte-Carlo oracle is limited to n <= {DENSE_MAX_ORDER}, "
+            f"got n = {sys.n}")
     if n_paths < 2:
         raise ArgumentError(f"need n_paths >= 2, got {n_paths}")
     if seed < 0:

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import schur, solve_triangular
 
 import roughmor._lyap
-from roughmor import solve_algebraic_gramian
+from roughmor import NumericalError, solve_algebraic_gramian
 from roughmor._fixtures import mild_stable_system
 from roughmor._lyap import SchurLyapunov
 
@@ -33,37 +33,41 @@ def kronecker_solve(A, Q):
     return (W @ Y @ W.T).real
 
 
+def one_dtrsyl_solve_neg(self, Q):
+    # the Schur-route solve as one dtrsyl call, its result back in C order
+    Y, scale, info = roughmor._lyap.lapack.dtrsyl(
+        self.T, self.T, -(self.Z.T @ Q @ self.Z), tranb="C")
+    assert info == 0
+    X = self.Z @ np.ascontiguousarray(Y / scale) @ self.Z.T
+    return (X + X.T) / 2
+
+
 @pytest.mark.parametrize("n", [70, 130])
-def test_blocked_solve_matches_kronecker(n, monkeypatch):
-    # both sizes exceed a dtrsyl leaf, so the solve recurses; the test needs
-    # a split that had to move off a 2x2 block, since cutting one gives an
-    # O(1) error
-    moved = []
-    split = roughmor._lyap._split
-
-    def spy(T):
-        k = split(T)
-        moved.append(k != len(T) // 2)
-        return k
-
-    monkeypatch.setattr(roughmor._lyap, "_split", spy)
+def test_blocked_solve_matches_kronecker(n):
+    # both sizes exceed 64 states, where one unblocked dtrsyl call does all
+    # of the triangular solve
     A, Q = stable_nonsymmetric(n, seed=n)
     X = SchurLyapunov(A).solve_neg(Q)
     ref = kronecker_solve(A, Q)
     assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
-    assert any(moved)
 
 
 def test_leaf_solve_is_one_dtrsyl_call():
-    # at n <= 64 the blocked solve is the single dtrsyl call, bit for bit
-    A, Q = stable_nonsymmetric(40, seed=1)
-    lyap = SchurLyapunov(A)
-    Y = lyap.Z.T @ Q @ lyap.Z
-    X, scale, info = roughmor._lyap.lapack.dtrsyl(lyap.T, lyap.T, -Y,
-                                                   tranb="C")
-    X = lyap.Z @ (X / scale) @ lyap.Z.T
-    assert info == 0
-    assert np.array_equal(lyap.solve_neg(Q), (X + X.T) / 2)
+    # the Schur-route solve is the single dtrsyl call, bit for bit, below
+    # and above 64 states
+    for n in (40, 130):
+        A, Q = stable_nonsymmetric(n, seed=1)
+        lyap = SchurLyapunov(A)
+        assert np.array_equal(lyap.solve_neg(Q),
+                              one_dtrsyl_solve_neg(lyap, Q)), n
+
+
+def test_common_eigenvalue_rejected():
+    # eigenvalues 1 and -1 sum to zero, so the Sylvester operator is
+    # singular and dtrsyl reports a perturbed solve
+    lyap = SchurLyapunov(np.array([[1.0, 1.0], [0.0, -1.0]]))
+    with pytest.raises(NumericalError, match="common eigenvalue"):
+        lyap.solve_neg(np.eye(2))
 
 
 @pytest.mark.parametrize("n", [7, 130])
@@ -128,14 +132,6 @@ def test_one_ulp_off_symmetric_takes_schur_route():
     assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def schur_route_solve_neg(self, Q):
-    # the Schur-route solve as written before the symmetric route existed
-    X = -(self.Z.T @ Q @ self.Z)
-    scale = roughmor._lyap._solve_sylvester(self.T, self.T, X)
-    X = self.Z @ (X / scale) @ self.Z.T
-    return (X + X.T) / 2
-
-
 def test_nonsymmetric_gramians_unchanged(random_stable_batch, monkeypatch):
     # a non-symmetric drift keeps the Schur route bit for bit, through the
     # stability check and both Gramian solves
@@ -144,7 +140,7 @@ def test_nonsymmetric_gramians_unchanged(random_stable_batch, monkeypatch):
     sides = ("reach", "obs")
     got = [[solve_algebraic_gramian(s, side) for side in sides]
            for s in systems]
-    monkeypatch.setattr(SchurLyapunov, "solve_neg", schur_route_solve_neg)
+    monkeypatch.setattr(SchurLyapunov, "solve_neg", one_dtrsyl_solve_neg)
     for sys_, results in zip(systems, got):
         for side, res in zip(sides, results):
             ref = solve_algebraic_gramian(sys_, side)

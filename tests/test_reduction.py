@@ -4,8 +4,9 @@ import pytest
 import roughmor.gramians
 import roughmor.reduction
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
-                      EmptyBasisError, PreconditionError, ProjectionBasis,
-                      balanced_rank_sweep, kernel_preservation_residual,
+                      EmptyBasisError, Heat1dConfig, PreconditionError,
+                      ProjectionBasis, balanced_rank_sweep, build_heat1d,
+                      kernel_preservation_residual,
                       observability_cut, project_system, relative_L2_error,
                       rough_rk_simulate, sample_fbm_path,
                       solve_algebraic_gramian, subspace_containment_residual,
@@ -172,6 +173,24 @@ class TestTwoStage:
         full = rough_rk_simulate(sys_, path)
         rom = rough_rk_simulate(model.system, path)
         assert full.max_newton_iterations >= 1
+        err = relative_L2_error(full.outputs, rom.outputs, full.times)
+        assert not err.is_absolute and float(err) <= 1e-10
+
+    def test_convected_heat_above_64_states_is_exact(self):
+        # a central-difference convection 5 (x_{j+1} - x_{j-1}) / (2 h)
+        # makes the drift non-symmetric, so both Gramian solves take the
+        # Schur route at orders above 64; the orders sit at round-off and
+        # are not pinned (measured (80, 33, 32), error 4.6e-14)
+        heat = build_heat1d(Heat1dConfig(80))
+        h = 1.0 / (heat.n + 1)
+        D = (np.eye(heat.n, k=1) - np.eye(heat.n, k=-1)) / (2 * h)
+        sys_ = BilinearRoughSystem(A=heat.A + 5 * D, N=heat.N, K=heat.K,
+                                   C=heat.C, x0=heat.x0)
+        assert not np.array_equal(sys_.A, sys_.A.T)
+        model, meta = two_stage_reduce(sys_)
+        path = sample_fbm_path(0.4, 2, 0.5, 512, 2023)
+        full = rough_rk_simulate(sys_, path)
+        rom = rough_rk_simulate(model.system, path)
         err = relative_L2_error(full.outputs, rom.outputs, full.times)
         assert not err.is_absolute and float(err) <= 1e-10
 

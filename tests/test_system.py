@@ -7,7 +7,7 @@ import pytest
 from roughmor import (ArgumentError, BilinearRoughSystem, DriftNonlinearity,
                       Heat1dConfig, LyapunovOperator, NumericalError,
                       build_heat1d, is_mean_square_stable,
-                      resolvent_positivity_probe,
+                      monte_carlo_second_moment, resolvent_positivity_probe,
                       solve_algebraic_gramian, solve_algebraic_gramian_dense)
 from roughmor._fixtures import mild_stable_system, scalar_noise_system, \
     unstable_system
@@ -169,12 +169,16 @@ class TestMatrixRepresentation:
 
     def test_dense_threshold_guard(self):
         # n = 31 crosses DENSE_MAX_ORDER; the guard fires before any
-        # Kronecker product is formed, also for the dense Gramian solve
+        # Kronecker product is formed, also for the dense Gramian solve and
+        # for the Monte-Carlo oracle that cross-checks the dense routes
         sys_ = simple_system(-np.eye(31), [np.zeros((31, 31))], np.eye(1))
         with pytest.raises(ArgumentError, match="limited to n <= 30"):
             LyapunovOperator(sys_).matrix()
         with pytest.raises(ArgumentError, match="limited to n <= 30"):
             solve_algebraic_gramian_dense(sys_, "reach")
+        with pytest.raises(ArgumentError, match="limited to n <= 30"):
+            monte_carlo_second_moment(sys_, "reach", T=1.0, n_paths=10,
+                                      dt=0.5, seed=0)
 
 
 def dense_abscissa(sys_):
