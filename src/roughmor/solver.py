@@ -15,11 +15,12 @@ derivative off its value, F = (Z - c) / a11 (Hairer & Wanner, Solving ODEs
 II, IV.8), so the linear route does no mat-vec with the stiff G. The LU's
 pivot test compares the smallest pivot with the bound 1 + a11 (dt ||A|| +
 sum_m |dW_m| ||Nt_m||) on ||S||, computed for all steps up front. With a
-drift nonlinearity, Newton solves the stages in the same band storage. No
-iterated integrals of the driver enter: the scheme uses increments only. The
-integrator takes a BilinearRoughSystem; a reduced model enters as its
-``system``. Each step makes one finiteness check, on the new state (Newton
-also checks its residual): a non-finite value raises IntegrationOverflowError.
+drift nonlinearity f(x) = x g(x), a stage is (S - h I) Z = c at the one
+scalar shift h = a11 dt g(Z), and Newton solves for h. No iterated integrals
+of the driver enter: the scheme uses increments only. The integrator takes a
+BilinearRoughSystem; a reduced model enters as its ``system``. Each step
+makes one finiteness check, on the new state (Newton also checks each
+iterate): a non-finite value raises IntegrationOverflowError.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import bandwidth
 from scipy.linalg.blas import dnrm2
 # dgbtrf is bound as lu_factor: the one factorization of each step, under
@@ -76,14 +76,13 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     of the tridiagonal heat model costs O(n), a dense model is the full
     band. A stage's derivative is read off its value, so the linear route
     does no mat-vec, and the pivot test uses a norm bound on S computed for
-    every step before the loop. With f(x) = x g(x), Newton runs from the
-    band solution; each iterate factors S - a11 dt g I in band storage and
-    solves the rank-one rest of its Jacobian, a11 dt Z grad_g^T, by
-    Sherman-Morrison; its residual is the one mat-vec with S.
-    Raises StepFailureError on a singular stage or Newton matrix or a
+    every step before the loop. With f(x) = x g(x), Newton runs on the
+    stage's scalar shift h alone, from the band solution at h = 0; each
+    later iterate factors S - h I in band storage. Raises StepFailureError
+    on a singular stage or Newton matrix, a vanishing Newton slope or a
     non-convergent Newton iteration, naming step k. A step runs with
     floating-point warnings off; its one finiteness check, on z_{k+1} (and
-    on each Newton residual), raises IntegrationOverflowError at step k + 1.
+    on each Newton iterate), raises IntegrationOverflowError at step k + 1.
     """
     if path.d != model.d:
         raise ArgumentError(
@@ -95,14 +94,13 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     eps = np.finfo(float).eps
 
     # Row i of an (n, kl+ku+1) band array holds S[i, i-kl : i+ku+1], zero
-    # outside S. Its transpose is S^T in LAPACK band storage, so S Z is a dot
-    # of each row with a sliding window of Z, and the stages solve with the
-    # factors of S^T, whose lower and upper bandwidths are ku, kl. The LU
-    # stays on the transpose although a dgbtrs solve with trans='T' costs
-    # 10.3 us against 6.2 us with 'N' at n = 200 (one OpenBLAS thread on a
-    # 2-vCPU Xeon): on the nearly singular tridiagonal stage matrix of
-    # test_numerically_singular_tridiagonal_stage_matrix_raises only the
-    # transpose's pivots expose it.
+    # outside S. Its transpose is S^T in LAPACK band storage, and the stages
+    # solve with the factors of S^T, whose lower and upper bandwidths are
+    # ku, kl. The LU stays on the transpose although a dgbtrs solve with
+    # trans='T' costs 10.3 us against 6.2 us with 'N' at n = 200 (one
+    # OpenBLAS thread on a 2-vCPU Xeon): on the nearly singular tridiagonal
+    # stage matrix of test_numerically_singular_tridiagonal_stage_matrix_raises
+    # only the transpose's pivots expose it.
     mats = (model.A, *model.N_tilde)
     kl, ku = np.max([bandwidth(X) for X in mats], axis=0)
     width = kl + ku + 1
@@ -111,8 +109,6 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     pivots = np.empty(M)
     S = np.empty((n, width))  # this step's I - a11 G
     S_flat = S.reshape(-1)
-    z_pad = np.zeros(n + width - 1)
-    windows = sliding_window_view(z_pad, width)
     # dgbtrf does not read the ku fill-in columns on entry: left unset
     ab = np.empty((n, ku + width))
     ab_newton = np.empty_like(ab)
@@ -137,34 +133,35 @@ def rough_rk_simulate(model: BilinearRoughSystem,
         def singular():
             return StepFailureError(f"singular Newton Jacobian at step {k}",
                                     step=k, residual=res)
+        # Z(h) = (S - h I)^{-1} c solves the stage at a root of phi(h) =
+        # h - a11 dt g(Z(h)): (S - a11 dt g(Z) I) Z - c = phi Z
+        h, lu_h, piv_h = 0.0, lu, piv
         for it in range(NEWTON_MAX + 1):
-            h = A11 * dt * float(nl.g(Z))
-            z_pad[kl:kl + n] = Z
-            F = np.vecdot(S, windows) - h * Z - c
-            if not np.isfinite(F).all():
+            phi = h - A11 * dt * float(nl.g(Z))
+            if not (math.isfinite(phi) and np.isfinite(Z).all()):
                 raise overflowed()
             # nrm2 scales before squaring: no norm below 1.8e308 reads inf
-            res = dnrm2(F)
-            if res <= NEWTON_TOL * max(1.0, dnrm2(Z)):
+            norm = dnrm2(Z)
+            res = abs(phi) * norm
+            if res <= NEWTON_TOL * max(1.0, norm):
                 max_newton = max(max_newton, it)
-                # F(Z) itself: Z - c - a11 F(Z) is the residual F, not 0
-                return (Z - c - F) / A11
+                # F(Z) itself: Z - c - a11 F(Z) is the residual phi Z, not 0
+                return (Z - c - phi * Z) / A11
             if it == NEWTON_MAX:
                 break
-            # the Jacobian is B - u v^T, B = S - a11 dt g I in band storage,
-            # u = a11 dt Z, v = grad_g(Z): Sherman-Morrison
+            # phi'(h) = 1 - a11 dt grad_g(Z)^T (S - h I)^{-1} Z
+            v = nl.grad_g(Z)
+            w = A11 * dt * dgbtrs(lu_h, ku, kl, Z, piv_h, trans=1)[0]
+            slope = 1.0 - v @ w
+            if abs(slope) <= eps * (1.0 + np.abs(v) @ np.abs(w)):
+                raise singular()
+            h -= phi / slope
             ab_newton[:, ku:] = S
             ab_newton[:, ku + kl] -= h
-            lu_j, piv_j, _ = lu_factor(ab_newton.T, ku, kl, overwrite_ab=1)
-            if np.abs(lu_j[kl + ku]).min() <= eps * n * (bounds[k] + abs(h)):
+            lu_h, piv_h, _ = lu_factor(ab_newton.T, ku, kl, overwrite_ab=1)
+            if np.abs(lu_h[kl + ku]).min() <= eps * n * (bounds[k] + abs(h)):
                 raise singular()
-            v = nl.grad_g(Z)
-            y = dgbtrs(lu_j, ku, kl, -F, piv_j, trans=1)[0]
-            w = dgbtrs(lu_j, ku, kl, A11 * dt * Z, piv_j, trans=1)[0]
-            vw = v @ w
-            if abs(1.0 - vw) <= eps * (1.0 + np.abs(v) @ np.abs(w)):
-                raise singular()
-            Z = Z + (y + w * ((v @ y) / (1.0 - vw)))
+            Z = dgbtrs(lu_h, ku, kl, c, piv_h, trans=1)[0]
         raise StepFailureError(
             f"Newton did not converge at step {k} (residual {res:.3e} after "
             f"{NEWTON_MAX} iterations)", step=k, residual=res)

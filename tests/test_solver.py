@@ -217,10 +217,11 @@ class TestNoiseAndNonlinearity:
         assert err.value.residual > 0.0
         assert "Newton Jacobian" in str(err.value)
 
-    def test_singular_rank_one_update_raises(self):
-        # g = -1 with a made-up gradient v that cancels the band part
-        # B = 1 + 2 a11 dt of the Jacobian B - a11 dt Z v at the first
-        # iterate Z: the Sherman-Morrison denominator vanishes
+    def test_singular_second_newton_shift_raises(self):
+        # g = -1 with the made-up gradient v = (1 + 2 a11 dt) / (a11 dt x):
+        # at the first iterate Z = x0 / S, S = 1 + a11 dt, the slope of
+        # phi(h) = h + a11 dt is 1 - v Z / S = -a11 dt, so the second Newton
+        # shift is h = S and S - h I is exactly singular: the pivot test
         dt, a11 = 0.1, roughmor.solver.A11
         nl = DriftNonlinearity(
             g=lambda x: -1.0,
@@ -234,6 +235,26 @@ class TestNoiseAndNonlinearity:
                 rough_rk_simulate(sys_, zero_path(dt, 1))
         assert err.value.step == 0
         assert "Newton Jacobian" in str(err.value)
+
+    def test_vanishing_newton_slope_raises(self):
+        # g = -1 with the made-up gradient v = S / (a11 dt x), S = 1 + a11
+        # dt: at the first iterate Z = x0 / S the slope of phi(h) = h +
+        # a11 dt is 1 - a11 dt v Z / S = 0, so no Newton step exists
+        dt, a11 = 0.1, roughmor.solver.A11
+        S = 1.0 + a11 * dt
+        nl = DriftNonlinearity(g=lambda x: -1.0,
+                               grad_g=lambda x: S / (a11 * dt * x))
+        sys_ = drift_only_system(-1.0)
+        sys_ = BilinearRoughSystem(A=sys_.A, N=sys_.N, K=sys_.K, C=sys_.C,
+                                   x0=sys_.x0, drift_nonlinearity=nl)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError) as err:
+                rough_rk_simulate(sys_, zero_path(dt, 1))
+        assert err.value.step == 0
+        assert "Newton Jacobian" in str(err.value)
+        # raised at the first iterate: its residual is |phi| ||Z||
+        assert err.value.residual == pytest.approx(a11 * dt / S, rel=1e-12)
 
 
 def covariance_root(K):
@@ -324,7 +345,7 @@ class TestBandStorage:
         np.testing.assert_allclose(res.outputs, rough_rk_simulate(
             sys_, path).outputs, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("case", ["cubic3", "banded"])
+    @pytest.mark.parametrize("case", ["cubic3", "banded", "heat30"])
     def test_newton_matches_dense_reference(self, case):
         # both routes stop at the residual NEWTON_TOL, so the states agree
         # to that tolerance and no tighter
@@ -333,6 +354,12 @@ class TestBandStorage:
                                        K=np.eye(1), C=np.eye(3)[:1],
                                        x0=np.array([1.0, 0.5, -0.5]))
             path = sample_fbm_path(0.45, 1, 1.0, 128, seed=14)
+        elif case == "heat30":
+            # stiff tridiagonal stages, six Newton iterations per route
+            heat = build_heat1d(Heat1dConfig(30))
+            base = BilinearRoughSystem(A=heat.A, N=heat.N, K=heat.K,
+                                       C=heat.C, x0=5.0 * heat.x0)
+            path = sample_fbm_path(0.4, 2, 0.5, 128, 7)
         else:
             base = self.banded_system()
             path = sample_fbm_path(0.4, 2, 1.0, 64, seed=22)
