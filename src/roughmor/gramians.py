@@ -243,18 +243,25 @@ class MonteCarloSecondMoment:
 _MC_CHUNK = 10_000
 
 
-def _euler_chunk(A, N, x_init, T, steps, m, rng, I1, I2):
-    """Advance m Euler-Maruyama paths and fold their per-path trapezoid
-    time-integrals of x x^T, and the squares of those, into I1/I2.
+def _euler_chunk(A, N, x_init, T, steps, m, rng):
+    """Run m Euler-Maruyama paths; return the mean of their trapezoid
+    time-integrals of x x^T and the sum of squared deviations about it.
 
-    The state is X of shape (n, m), so the paths lie on the contiguous axis
-    of every per-path array. The per-path integrals keep only the upper
-    triangle of x x^T: row i of it, X[i] * X[i:], is added straight into
-    one packed (n(n+1)/2, m) array with trapezoid weights 1/2, 1, ..., 1,
-    1/2, and dt scales the path sums once at the end. That array is the
-    chunk's largest; the rest is O(n m).
+    A step is one BLAS product, X_{k+1} = [I + dt A, N_1, ..., N_d]
+    [X; s_1 X; ...; s_d X], s_j scaling each path's column by its increment.
+    X and its scaled copies are (n, m) row blocks of one ((d + 2) n, m)
+    ring, the paths on the contiguous axis. Even steps read blocks 0 .. d
+    and write block d + 1; odd steps read blocks 1 .. d + 1 through
+    [N_1, ..., N_d, I + dt A] and write block 0, so no step allocates.
+
+    The per-path integrals keep only the upper triangle of x x^T: row i of
+    it, X[i] * X[i:], is added straight into one packed (n(n+1)/2, m) array
+    with trapezoid weights 1/2, 1, ..., 1, 1/2, and dt scales the path sums
+    once at the end. Centring them in place about the chunk mean keeps the
+    spread of nearly equal paths from cancelling. That array is the chunk's
+    largest; the rest is O(n m).
     """
-    n = A.shape[0]
+    n, d = A.shape[0], len(N)
     dt = T / steps
     sq = math.sqrt(dt)
     # row i of the upper triangle follows i rows of n, n - 1, ... entries
@@ -270,21 +277,34 @@ def _euler_chunk(A, N, x_init, T, steps, m, rng, I1, I2):
                 prod *= weight
             Ipp[packed] += prod
 
-    X = np.repeat(x_init[:, None], m, axis=1)
-    fold(X, 0.5)
+    F = np.eye(n) + dt * A
+    step_matrix = (np.hstack([F, *N]), np.hstack([*N, F]))
+    ring = np.empty(((d + 2) * n, m))
+    blocks = [ring[j * n:(j + 1) * n] for j in range(d + 2)]
+    reads = (ring[:(d + 1) * n], ring[n:])
+    draws = np.empty((m, d))
+    ring[:n] = x_init[:, None]
+    fold(blocks[0], 0.5)
     for k in range(steps):
-        dB = (rng.standard_normal((m, len(N))) * sq).T
-        X_new = X + dt * (A @ X)
-        for j, Nj in enumerate(N):
-            X_new += dB[j] * (Nj @ X)
-        X = X_new
+        odd = k % 2
+        rng.standard_normal(out=draws)
+        draws *= sq
+        X = blocks[-1 if odd else 0]
+        for j in range(d):
+            np.multiply(X, draws[:, j], out=blocks[j + 1])
+        X = blocks[0 if odd else -1]
+        np.matmul(step_matrix[odd], reads[odd], out=X)
         fold(X, 0.5 if k + 1 == steps else 1.0)
     path_sum = Ipp.sum(axis=1)
+    Ipp -= (path_sum / m)[:, None]
     square_sum = np.square(Ipp, out=Ipp).sum(axis=1)
     upper = np.triu_indices(n)
-    for total, packed in ((I1, dt * path_sum), (I2, dt * dt * square_sum)):
-        total[upper] += packed
-        total.T[upper] = total[upper]
+    mean, spread = np.empty((n, n)), np.empty((n, n))
+    for full, packed in ((mean, dt * path_sum / m),
+                         (spread, dt * dt * square_sum)):
+        full[upper] = packed
+        full.T[upper] = packed
+    return mean, spread
 
 
 def monte_carlo_second_moment(
@@ -299,13 +319,17 @@ def monte_carlo_second_moment(
     second-moment identity being checked is the one for the linear part.
 
     Paths are simulated in fixed chunks of 10 000 with one spawned child seed
-    per chunk and summed sequentially in chunk order, so the estimate is
+    per chunk and merged sequentially in chunk order, so the estimate is
     bitwise deterministic for a fixed (seed, n_paths, dt). A chunk whose
-    sums leave float range raises IntegrationOverflowError. Each chunk holds
-    its paths on the contiguous axis and its per-path integrals as the
-    n(n+1)/2 upper-triangle entries. The oracle cross-checks the closed-form
-    and dense routes, so like them it refuses n > DENSE_MAX_ORDER. T must be
-    a whole number of steps dt.
+    sums leave float range raises IntegrationOverflowError. Each chunk
+    advances its paths by one BLAS product per Euler step on a ring that
+    holds the state and its increment-scaled copies, with the paths on the
+    contiguous axis, and keeps its per-path integrals as the n(n+1)/2
+    upper-triangle entries. The standard errors are centred: each chunk
+    returns its mean and squared deviations about it, and chunks merge by
+    the pairwise update of Chan, Golub and LeVeque. The oracle cross-checks
+    the closed-form and dense routes, so like them it refuses
+    n > DENSE_MAX_ORDER. T must be a whole number of steps dt.
     """
     if sys.n > DENSE_MAX_ORDER:
         raise ArgumentError(
@@ -333,23 +357,29 @@ def monte_carlo_second_moment(
     batch_seeds = np.random.SeedSequence(seed).spawn(len(starts))
 
     for x_init, batch_seed in zip(starts, batch_seeds):
-        I1 = np.zeros((n, n))
-        I2 = np.zeros((n, n))
+        mean = np.zeros((n, n))
+        spread = np.zeros((n, n))
+        count = 0
         for m, child in zip(chunks, batch_seed.spawn(len(chunks))):
             # an overflow reaches the check below as inf or nan, unwarned
             with np.errstate(over="ignore", invalid="ignore"):
-                _euler_chunk(op.A, op.N, x_init, T, steps, m,
-                             np.random.default_rng(child), I1, I2)
-            if not (np.all(np.isfinite(I1)) and np.all(np.isfinite(I2))):
+                chunk_mean, chunk_spread = _euler_chunk(
+                    op.A, op.N, x_init, T, steps, m,
+                    np.random.default_rng(child))
+                # merge means and squared deviations pairwise (Chan, Golub
+                # & LeVeque, Amer. Stat. 37, 1983)
+                count += m
+                delta = chunk_mean - mean
+                mean += delta * (m / count)
+                spread += chunk_spread + delta ** 2 * (m * (count - m) / count)
+            if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(spread))):
                 raise IntegrationOverflowError(
                     "Euler-Maruyama paths overflowed float range")
-        mean_int = I1 / n_paths
-        integral += mean_int
-        integral_var += (I2 - n_paths * mean_int ** 2) / (n_paths - 1) / n_paths
+        integral += mean
+        integral_var += spread / (n_paths - 1) / n_paths
 
-    return MonteCarloSecondMoment(
-        integral=integral,
-        integral_se=np.sqrt(np.clip(integral_var, 0.0, None)))
+    return MonteCarloSecondMoment(integral=integral,
+                                  integral_se=np.sqrt(integral_var))
 
 
 def write_spectrum_csv(eigenvalues, file) -> None:

@@ -78,7 +78,10 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     does no mat-vec, and the pivot test uses a norm bound on S computed for
     every step before the loop. With f(x) = x g(x), Newton runs on the
     stage's scalar shift h alone, from the band solution at h = 0; each
-    later iterate factors S - h I in band storage. Raises StepFailureError
+    later iterate factors S - h I in band storage. It stops once the stage
+    residual |phi| ||Z|| is at most NEWTON_TOL max(1, ||Z||) or the stage's
+    round-off floor eps bound_k ||Z||, whichever is larger, bound_k being
+    the step's bound on ||S||. Raises StepFailureError
     on a singular stage or Newton matrix, a vanishing Newton slope or a
     non-convergent Newton iteration, naming step k. A step runs with
     floating-point warnings off; its one finiteness check, on z_{k+1} (and
@@ -143,7 +146,10 @@ def rough_rk_simulate(model: BilinearRoughSystem,
             # nrm2 scales before squaring: no norm below 1.8e308 reads inf
             norm = dnrm2(Z)
             res = abs(phi) * norm
-            if res <= NEWTON_TOL * max(1.0, norm):
+            # eps ||S|| ||Z|| is the residual's round-off floor; ||S|| <=
+            # bounds[k]
+            if res <= max(NEWTON_TOL * max(1.0, norm),
+                          eps * bounds[k] * norm):
                 max_newton = max(max_newton, it)
                 # F(Z) itself: Z - c - a11 F(Z) is the residual phi Z, not 0
                 return (Z - c - phi * Z) / A11

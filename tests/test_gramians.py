@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -344,34 +345,93 @@ class TestMonteCarlo:
 
     def test_packed_chunk_matches_direct_reference(self):
         # full (m, n, n) outer products per node, integrated over time by
-        # np.trapezoid: guards the packed upper-triangle rows and the end
-        # weights of the chunk's per-path integral and its square. The
-        # chunk steps the mixed matrices Nt_m with the increments, the
-        # reference the N_i with s = K^{1/2} dB, its own square root of K
-        base = mild_stable_system(4, 2, seed=8)
-        sys_ = system_from(base.A, base.N, [[1.0, 0.6], [0.6, 0.5]], base.C,
-                           base.x0)
-        m, steps, T = 7, 20, 0.4
-        got = [np.zeros((4, 4)), np.zeros((4, 4))]
-        _euler_chunk(sys_.A, sys_.N_tilde, sys_.x0, T, steps, m,
-                     np.random.default_rng(3), *got)
+        # np.trapezoid: guards the packed upper-triangle rows, the end
+        # weights of the chunk's per-path integral, its mean and squared
+        # deviations, and the ring's blocks for every d on either side and
+        # for a last state in either end block. The chunk steps the side's
+        # mixed matrices Nt_m with the increments, the reference the N_i
+        # with s = K^{1/2} dB, its own square root of K
+        for d, steps, side in itertools.product((0, 1, 2, 3), (19, 20),
+                                                ("reach", "obs")):
+            base = mild_stable_system(4, d, seed=8)
+            sys_ = system_from(base.A, base.N,
+                               0.5 * (np.eye(d) + np.ones((d, d))), base.C,
+                               base.x0)
+            op = LyapunovOperator(sys_, side)
+            x_init = sys_.x0 if side == "reach" else sys_.C[0]
+            m, T = 7, 0.4
+            got = _euler_chunk(op.A, op.N, x_init, T, steps, m,
+                               np.random.default_rng(3))
 
-        w, V = scipy.linalg.eigh(sys_.K)
-        root = (V * np.sqrt(w)) @ V.T
-        rng = np.random.default_rng(3)
-        dt = T / steps
-        X = np.tile(sys_.x0, (m, 1))
-        nodes = [X]
-        for _ in range(steps):
-            s = rng.standard_normal((m, 2)) * math.sqrt(dt) @ root
-            X = X + dt * X @ sys_.A.T + sum(
-                s[:, j:j + 1] * (X @ Nj.T) for j, Nj in enumerate(sys_.N))
-            nodes.append(X)
-        outer = np.stack([Y[:, :, None] * Y[:, None, :] for Y in nodes])
-        per_path = np.trapezoid(outer, dx=dt, axis=0)
-        expected = [per_path.sum(axis=0), (per_path ** 2).sum(axis=0)]
-        for name, g, e in zip(("I1", "I2"), got, expected):
-            assert np.abs(g - e).max() <= 1e-13 * np.abs(e).max(), name
+            A, N = (sys_.A, sys_.N) if side == "reach" else (
+                sys_.A.T, [Ni.T for Ni in sys_.N])
+            w, V = scipy.linalg.eigh(sys_.K)
+            root = (V * np.sqrt(w)) @ V.T
+            rng = np.random.default_rng(3)
+            dt = T / steps
+            X = np.tile(x_init, (m, 1))
+            nodes = [X]
+            for _ in range(steps):
+                s = rng.standard_normal((m, d)) * math.sqrt(dt) @ root
+                X = X + dt * X @ A.T + sum(
+                    s[:, j:j + 1] * (X @ Nj.T) for j, Nj in enumerate(N))
+                nodes.append(X)
+            outer = np.stack([Y[:, :, None] * Y[:, None, :] for Y in nodes])
+            per_path = np.trapezoid(outer, dx=dt, axis=0)
+            mean = per_path.mean(axis=0)
+            spread = ((per_path - mean) ** 2).sum(axis=0)
+            # with d = 0 the paths are equal and the spread is round-off:
+            # it is measured on the scale of the per-path integrals' squares
+            scales = [np.abs(mean).max(), np.abs(spread).max() if d
+                      else (per_path ** 2).sum(axis=0).max()]
+            for name, g, e, scale in zip(("mean", "spread"), got,
+                                         (mean, spread), scales):
+                assert np.abs(g - e).max() <= 1e-13 * scale, (
+                    name, d, steps, side)
+
+    def test_one_product_per_euler_step(self, monkeypatch):
+        # the drift and every noise term of a step are one BLAS product
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", spy)
+        sys_ = mild_stable_system(3, 2, seed=14)
+        monte_carlo_second_moment(sys_, "reach", T=1.0, n_paths=10,
+                                  dt=0.125, seed=0)
+        assert calls == [(3, 9)] * 8
+
+    def test_standard_error_of_nearly_equal_paths(self):
+        # noise 1e-7 leaves the per-path integrals equal to about 7 digits;
+        # a one-pass (sum of squares - n mean^2) variance loses the spread
+        # to cancellation. The reference replays both chunks (10,000 paths
+        # and a 7-path remainder) from their seeds and takes the two-pass
+        # variance of directly computed per-path integrals
+        eps = 1e-7
+        sys_ = system_from(-np.eye(2), [eps * np.eye(2)], np.eye(1),
+                           [[1.0, 0.0]], [1.0, 0.5])
+        n_paths, T, dt, seed = 10_007, 1.0, 1e-2, 21
+        mc = monte_carlo_second_moment(sys_, "reach", T=T, n_paths=n_paths,
+                                       dt=dt, seed=seed)
+        steps = round(T / dt)
+        children = np.random.SeedSequence(seed).spawn(1)[0].spawn(2)
+        per_path = []
+        for m, child in zip((10_000, 7), children):
+            rng = np.random.default_rng(child)
+            X = np.tile(sys_.x0, (m, 1))
+            total = 0.5 * X[:, :, None] * X[:, None, :]
+            for k in range(steps):
+                s = rng.standard_normal((m, 1)) * math.sqrt(dt)
+                X = X - dt * X + eps * s * X
+                weight = 0.5 if k + 1 == steps else 1.0
+                total += weight * X[:, :, None] * X[:, None, :]
+            per_path.append(dt * total)
+        per_path = np.concatenate(per_path)
+        se = np.sqrt(per_path.var(axis=0, ddof=1) / n_paths)
+        np.testing.assert_allclose(mc.integral_se, se, rtol=1e-6)
 
     def test_observability_matches_ode(self):
         # one dual-SDE batch per nonzero row of C; the zero row is skipped

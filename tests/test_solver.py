@@ -117,6 +117,20 @@ class TestNoiseAndNonlinearity:
             ratios.append(res.states[-1, 0] / x0)
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
 
+    def test_newton_stops_at_stage_round_off_floor(self):
+        # stiff n = 1600 stages, ||S|| <= 6.4e4 and ||Z|| ~ 1e3: the first
+        # stage's residual |phi| ||Z|| stalls near 1.3e-9, above
+        # NEWTON_TOL ||Z|| but below the floor eps 6.4e4 ||Z|| ~ 1.5e-8
+        heat = build_heat1d(Heat1dConfig(1600))
+        n = heat.n
+        nl = DriftNonlinearity(g=lambda x: -float(x @ x) / n,
+                               grad_g=lambda x: -2.0 * x / n)
+        sys_ = BilinearRoughSystem(A=heat.A, N=heat.N, K=heat.K, C=heat.C,
+                                   x0=30.0 * heat.x0, drift_nonlinearity=nl)
+        res = rough_rk_simulate(sys_, sample_fbm_path(0.4, 2, 0.5, 64, 7))
+        assert 1 <= res.max_newton_iterations < roughmor.solver.NEWTON_MAX
+        assert np.all(np.isfinite(res.states))
+
     def test_cubic_drift_is_contractive(self):
         # compared to the linear system, -x ||x||^2 only pulls inward
         nl = DriftNonlinearity(g=lambda x: -float(x @ x),
