@@ -9,8 +9,10 @@ elementwise division of -Z^T Q Z by w_i + w_j. Any other A gets a real Schur
 form, and the middle step is one call of LAPACK's dtrsyl, the Bartels-Stewart
 back-substitution for the quasi-triangular Sylvester equation (Bartels &
 Stewart, CACM 15, 1972). The stability check reads the drift's spectral
-abscissa off either factorization, and the observability Gramian solves
-with A^T from the same one.
+abscissa off either factorization. The observability Gramian's equation
+A^T X + X A = -Q takes the same factorization: a symmetric A is its own
+transpose, and on the Schur route dtrsyl's transpose flags solve
+T^T Y + Y T = C with the one T.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import NumericalError
 
 
 class SchurLyapunov:
-    """Solver for A X + X A^T = -Q with A factored once.
+    """Solver for A X + X A^T = -Q and A^T X + X A = -Q with A factored once.
 
     A symmetric A is stored as its eigenvalues ``w`` and eigenvectors ``Z``
     (``T`` is None), any other A as its real Schur form A = Z T Z^T (``w``
@@ -48,29 +50,17 @@ class SchurLyapunov:
         Re(lambda(A))."""
         return float(self.w[-1] if self.T is None else np.diag(self.T).max())
 
-    def transposed(self) -> SchurLyapunov:
-        """The solver for A^T, without a second factorization.
-
-        A symmetric A is its own transpose. Otherwise, with J the reversal
-        of the index order, A^T = (Z J)(J T^T J)(Z J)^T, and J T^T J is upper
-        quasi-triangular with the same standardized 2x2 blocks as T, so it
-        is a real Schur form of A^T.
-        """
-        if self.T is None:
-            return self
-        flipped = object.__new__(SchurLyapunov)
-        flipped.w = None
-        flipped.T = np.ascontiguousarray(self.T.T[::-1, ::-1])
-        flipped.Z = np.ascontiguousarray(self.Z[:, ::-1])
-        return flipped
-
-    def solve_neg(self, Q):
-        """Return the X with A X + X A^T = -Q (Q symmetric in, X symmetric out)."""
+    def solve_neg(self, Q, transpose=False):
+        """Return the X with A X + X A^T = -Q, or A^T X + X A = -Q when
+        ``transpose`` is set (Q symmetric in, X symmetric out)."""
         X = -(self.Z.T @ Q @ self.Z)
         if self.T is None:
             X /= self.w[:, None] + self.w
         else:
-            Y, scale, info = lapack.dtrsyl(self.T, self.T, X, tranb="C")
+            # A^T = Z T^T Z^T: the transposed solve is T^T Y + Y T = C
+            trana, tranb = ("T", "N") if transpose else ("N", "C")
+            Y, scale, info = lapack.dtrsyl(self.T, self.T, X, trana=trana,
+                                           tranb=tranb)
             if info < 0:
                 raise NumericalError(f"dtrsyl: illegal argument {-info}")
             if info == 1:

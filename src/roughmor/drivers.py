@@ -162,11 +162,12 @@ def read_path_csv(file) -> DriverPath:
     except (OSError, ValueError) as exc:
         raise ArgumentError(f"cannot read path CSV {file}: {exc}") from exc
     if data.shape[1] < 2:
-        raise ArgumentError("path CSV needs a time column and >= 1 component")
+        raise ArgumentError(
+            f"path CSV {file} needs a time column and >= 1 component")
     times, values = data[:, 0], data[:, 1:]
     M = len(times) - 1
     if M < 1:
-        raise ArgumentError("path CSV needs at least two rows")
+        raise ArgumentError(f"path CSV {file} needs at least two rows")
     T = float(times[-1])
     # written so that a nan or inf time fails too
     if not (0.0 < T < np.inf and np.max(np.abs(

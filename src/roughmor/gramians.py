@@ -8,11 +8,12 @@ DENSE_MAX_ORDER. Infinite-horizon Gramians solve
     0 = x0 x0^T + L(P),        0 = C^T C + L*(Q)
 
 by GMRES on the equation preconditioned with a standard Lyapunov solve, whose
-factorization of A the stability check builds and the solve reuses (an
+factorization of A the stability check builds and both sides reuse (an
 eigendecomposition when A is exactly symmetric, a real Schur form
-otherwise), and accept a solution by its normwise backward error. Every
-route evaluates its side's equation through system.LyapunovOperator, which
-holds the transposed data on the observability side.
+otherwise; the obs side solves with A^T on it), and accept a solution by
+its normwise backward error. Every route evaluates its side's equation
+through system.LyapunovOperator, which holds the transposed data on the
+observability side.
 
 An independent Euler-Maruyama Monte-Carlo estimator of the Gramian
 int_0^T E[x x^T] dt serves as a statistical oracle for both routes; it
@@ -145,8 +146,8 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
 
     Requires mean-square stability (is_mean_square_stable): StabilityError
     when the check proves the system unstable, NumericalError when it
-    cannot decide. The solve reuses the check's factorization of A, on the
-    obs side transposed, so it factors A once.
+    cannot decide. The solve reuses the check's factorization of A on both
+    sides, the obs side solving with A^T through it, so it factors A once.
     """
     return _solve_gramians(sys, (side,))[0]
 
@@ -178,8 +179,8 @@ def _gmres_gramian(op: LyapunovOperator, side: str,
         res, eta = op.errors(P)
         return GramianResult(matrix=P, side=side, residual=res, iterations=0,
                              backward_error=eta, **gate)
-    cache = report.lyap if side == "reach" else report.lyap.transposed()
-    b = cache.solve_neg(op.rhs)
+    transpose = side == "obs"
+    b = report.lyap.solve_neg(op.rhs, transpose)
     beta = np.linalg.norm(b)
     # Arnoldi with modified Gram-Schmidt on full n x n Krylov matrices
     basis = [b / beta]
@@ -187,7 +188,7 @@ def _gmres_gramian(op: LyapunovOperator, side: str,
     e1 = np.zeros(GMRES_MAX_ITER + 1)
     e1[0] = beta
     for j in range(GMRES_MAX_ITER):
-        w = basis[j] - cache.solve_neg(op.noise(basis[j]))
+        w = basis[j] - report.lyap.solve_neg(op.noise(basis[j]), transpose)
         for i, v in enumerate(basis):
             H[i, j] = np.vdot(v, w)
             w -= H[i, j] * v

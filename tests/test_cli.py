@@ -70,6 +70,17 @@ class TestSystemFileRoundTrip:
         with pytest.raises(roughmor.ArgumentError, match="n >= 1"):
             read_system_file(path)
 
+    @pytest.mark.parametrize("text, match", [
+        ("2 1\n", "missing 'n d p' header"),
+        ("2 one 1\n", "malformed 'n d p' header"),
+        ("1 0 0\n-1\n", "expected 2 matrix entries"),
+        ("1 0 0\n-1 one\n", "non-numeric matrix entry")])
+    def test_malformed_file(self, tmp_path, text, match):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(roughmor.ArgumentError, match=match):
+            read_system_file(path)
+
     def test_missing_file(self, tmp_path):
         # a model file that cannot be read fails the run; it does not fall
         # back to the builtin heat model
@@ -349,7 +360,14 @@ class TestSimulateAndPathReuse:
         # a uniform grid of the right span that starts at t = 1.0, not 0
         late = tmp_path / "late.csv"
         late.write_text("t,W1\n1.0,0.0\n1.25,0.5\n1.5,1.0\n")
-        for path_file in (tmp_path / "missing.csv", bad, late):
+        times_only = tmp_path / "times_only.csv"
+        times_only.write_text("t\n0.0\n0.5\n")
+        one_row = tmp_path / "one_row.csv"
+        one_row.write_text("t,W1\n0.0,0.0\n")
+        for path_file, why in ((tmp_path / "missing.csv", "cannot read"),
+                               (bad, "cannot read"), (late, "uniform grid"),
+                               (times_only, ">= 1 component"),
+                               (one_row, "at least two rows")):
             out = tmp_path / path_file.stem
             rc = main(["simulate", "--model-file", small_model_file,
                        "--path-file", str(path_file), "--out", str(out)])
@@ -358,6 +376,7 @@ class TestSimulateAndPathReuse:
             assert summary["status"] == "failed"
             assert summary["error_type"] == "ArgumentError"
             assert str(path_file) in summary["error"]
+            assert why in summary["error"]
 
     def test_path_dimension_mismatch(self, tmp_path, small_model_file):
         wide = tmp_path / "w"
@@ -423,10 +442,21 @@ class TestConfigResolution:
         assert rc == 1
         assert not third.exists()
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
+        # also a line without '=' and a config path that is a directory,
+        # each rejected before the output directory exists
+        out = tmp_path / "run"
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("stepexp=6\n")
-        assert main(["simulate", "--config", str(cfgfile)]) == 1
+        for text, why in (("stepexp=6\n", "takes no key 'stepexp'"),
+                          ("step_exp 6\n", "expected key=value")):
+            cfgfile.write_text(text)
+            assert main(["simulate", "--config", str(cfgfile),
+                         "--out", str(out)]) == 1
+            assert why in capsys.readouterr().err
+        assert main(["simulate", "--config", str(tmp_path),
+                     "--out", str(out)]) == 1
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_heat_coefficient_keys_rejected(self, tmp_path):
         # the heat model's coefficients, the cut levels and the probe suite

@@ -206,9 +206,9 @@ class TestAlgebraicGramian:
                                    rtol=1e-10)
 
     def test_one_factorization_per_solve(self, monkeypatch):
-        # the solve reuses the stability check's factorization of A, on the
-        # obs side transposed: one eigh of the symmetric heat drift, one
-        # real Schur form of a non-symmetric drift
+        # both sides reuse the stability check's factorization of A, the obs
+        # side solving with A^T on it: one eigh of the symmetric heat drift,
+        # one real Schur form of a non-symmetric drift
         calls = []
 
         def counting(name):

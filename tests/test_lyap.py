@@ -33,10 +33,12 @@ def kronecker_solve(A, Q):
     return (W @ Y @ W.T).real
 
 
-def one_dtrsyl_solve_neg(self, Q):
-    # the Schur-route solve as one dtrsyl call, its result back in C order
+def one_dtrsyl_solve_neg(self, Q, transpose=False):
+    # the Schur-route solve as one dtrsyl call, its result back in C order;
+    # the obs side solves T^T Y + Y T = C on the same T
+    trans = dict(trana="T", tranb="N") if transpose else dict(tranb="C")
     Y, scale, info = roughmor._lyap.lapack.dtrsyl(
-        self.T, self.T, -(self.Z.T @ Q @ self.Z), tranb="C")
+        self.T, self.T, -(self.Z.T @ Q @ self.Z), **trans)
     assert info == 0
     X = self.Z @ np.ascontiguousarray(Y / scale) @ self.Z.T
     return (X + X.T) / 2
@@ -54,12 +56,14 @@ def test_blocked_solve_matches_kronecker(n):
 
 def test_leaf_solve_is_one_dtrsyl_call():
     # the Schur-route solve is the single dtrsyl call, bit for bit, below
-    # and above 64 states
+    # and above 64 states, on either side
     for n in (40, 130):
         A, Q = stable_nonsymmetric(n, seed=1)
         lyap = SchurLyapunov(A)
-        assert np.array_equal(lyap.solve_neg(Q),
-                              one_dtrsyl_solve_neg(lyap, Q)), n
+        for transpose in (False, True):
+            assert np.array_equal(
+                lyap.solve_neg(Q, transpose),
+                one_dtrsyl_solve_neg(lyap, Q, transpose)), (n, transpose)
 
 
 def test_common_eigenvalue_rejected():
@@ -72,17 +76,13 @@ def test_common_eigenvalue_rejected():
 
 @pytest.mark.parametrize("n", [7, 130])
 def test_transposed_factorization(n):
+    # the Schur form of A solves the A^T equation through dtrsyl's
+    # transpose flags, with no second factorization
     A, Q = stable_nonsymmetric(n, seed=n + 1)
-    flipped = SchurLyapunov(A).transposed()
-    T, Z = flipped.T, flipped.Z
-    # a real Schur form of A^T: orthogonal Z, T upper quasi-triangular with
-    # no two adjacent subdiagonal entries
-    assert np.linalg.norm(Z @ T @ Z.T - A.T) <= 1e-13 * np.linalg.norm(A)
-    assert np.linalg.norm(Z.T @ Z - np.eye(n)) <= 1e-13 * n
-    assert np.all(np.tril(T, -2) == 0.0)
-    sub = np.diag(T, -1) != 0.0
-    assert sub.any() and not np.any(sub[1:] & sub[:-1])
-    X = flipped.solve_neg(Q)
+    lyap = SchurLyapunov(A)
+    # the Schur route, with 2x2 blocks for complex eigenvalue pairs
+    assert np.any(np.diag(lyap.T, -1) != 0.0)
+    X = lyap.solve_neg(Q, transpose=True)
     assert (np.linalg.norm(A.T @ X + X @ A + Q)
             <= 1e-13 * np.linalg.norm(A) * np.linalg.norm(X))
     ref = kronecker_solve(A.T, Q)
@@ -112,9 +112,9 @@ def test_symmetric_solve_matches_kronecker(n):
 def test_symmetric_transposed_solves_with_transpose():
     A, Q = stable_symmetric(70, seed=3)
     lyap = SchurLyapunov(A)
-    flipped = lyap.transposed()
-    assert flipped is lyap
-    X = flipped.solve_neg(Q)
+    X = lyap.solve_neg(Q, transpose=True)
+    # a symmetric A is its own transpose: the flag changes nothing
+    assert np.array_equal(X, lyap.solve_neg(Q))
     assert (np.linalg.norm(A.T @ X + X @ A + Q)
             <= 1e-13 * np.linalg.norm(A) * np.linalg.norm(X))
     ref = kronecker_solve(A.T, Q)
@@ -144,5 +144,5 @@ def test_nonsymmetric_gramians_unchanged(random_stable_batch, monkeypatch):
     for sys_, results in zip(systems, got):
         for side, res in zip(sides, results):
             ref = solve_algebraic_gramian(sys_, side)
-            assert np.array_equal(res.matrix, ref.matrix)
+            assert np.array_equal(res.matrix, ref.matrix), side
             assert res.gate_rho_upper == ref.gate_rho_upper

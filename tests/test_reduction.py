@@ -289,6 +289,8 @@ class TestSubspaceContainment:
                                 tol_rel=1e-12)
         traj = self._Traj(np.random.default_rng(0).standard_normal((10, 3)))
         assert subspace_containment_residual(basis, traj) == 0.0
+        # a trajectory that never leaves 0 has nothing outside the span
+        assert subspace_containment_residual(basis, np.zeros((4, 3))) == 0.0
 
     def test_constant_state_in_span(self):
         V = np.eye(3)[:, :2]

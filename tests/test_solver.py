@@ -633,6 +633,9 @@ class TestErrorNorms:
         err = relative_L2_error(y, 2.0 * y, times)
         assert abs(float(err) - 1.0) <= 1e-12
         assert not err.is_absolute
+        # a 1-D series is one output channel
+        assert float(relative_L2_error(y[:, 0], 2.0 * y[:, 0],
+                                       times)) == float(err)
 
     def test_zero_reference_is_absolute(self):
         times = np.linspace(0, 1, 5)
@@ -653,6 +656,8 @@ class TestErrorNorms:
         y[0] = 0.0
         values = pointwise_relative_error(y, y + 1e-3, times)
         np.testing.assert_allclose(values, [1e-3] + [5e-4] * 4, atol=1e-15)
+        assert np.array_equal(
+            pointwise_relative_error(y[:, 0], y[:, 0] + 1e-3, times), values)
 
     def test_heat_pointwise_error_stays_small(self, heat_pipeline, heat_path,
                                               heat_full_sim):
