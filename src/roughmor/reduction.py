@@ -125,8 +125,13 @@ def _reduced_nonlinearity(nl: DriftNonlinearity, V) -> DriftNonlinearity:
 
 def _galerkin(sys: BilinearRoughSystem, V) -> BilinearRoughSystem:
     nl = sys.drift_nonlinearity
+    A = V.T @ sys.A @ V
+    if np.array_equal(sys.A, sys.A.T):
+        # V^T A V is symmetric only to round-off; storing its symmetric
+        # part keeps the reduced drift on the eigh route of the solves
+        A = (A + A.T) / 2
     return BilinearRoughSystem(
-        A=V.T @ sys.A @ V,
+        A=A,
         N=tuple(V.T @ Ni @ V for Ni in sys.N),
         K=sys.K,
         C=sys.C @ V,
@@ -138,7 +143,8 @@ def project_system(sys: BilinearRoughSystem, V) -> ReducedModel:
     """Galerkin projection of the system onto the orthonormal columns of V.
 
     Reduced matrices are V^T A V, V^T N_i V, C V, V^T x0 with K unchanged;
-    the drift nonlinearity, when present, becomes x_r g(V x_r).
+    the drift nonlinearity, when present, becomes x_r g(V x_r). An exactly
+    symmetric A gives an exactly symmetric V^T A V, its symmetric part.
     """
     V = _orthonormal(V)
     if V.shape[0] != sys.n:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,8 @@ from roughmor import (DEFAULT_TOL_P, ArgumentError, BilinearRoughSystem,
                       integrate_gramian_ode, monte_carlo_second_moment,
                       solve_algebraic_gramian, solve_algebraic_gramian_dense,
                       truncate_psd_spectrum)
-from roughmor.gramians import BACKWARD_ERROR_BOUND, _euler_chunk
+from roughmor.gramians import BACKWARD_ERROR_BOUND, _MC_FOLD, \
+    _euler_chunk
 from roughmor._fixtures import mild_stable_system, scalar_noise_system, \
     unstable_system
 
@@ -347,11 +349,17 @@ class TestMonteCarlo:
         # full (m, n, n) outer products per node, integrated over time by
         # np.trapezoid: guards the packed upper-triangle rows, the end
         # weights of the chunk's per-path integral, its mean and squared
-        # deviations, and the ring's blocks for every d on either side and
-        # for a last state in either end block. The chunk steps the side's
-        # mixed matrices Nt_m with the increments, the reference the N_i
-        # with s = K^{1/2} dB, its own square root of K
-        for d, steps, side in itertools.product((0, 1, 2, 3), (19, 20),
+        # deviations, and the ring's blocks for every d on either side. The
+        # step counts place the path's ends across the history's blocks of
+        # K states: both ends in one partial (1) or full (K - 1) final
+        # fold, the last state alone in the final fold (K) or one past a
+        # full fold (K + 1), and whole middle blocks before a partial final
+        # one (2K + 3, 19, 20). The chunk steps the side's mixed matrices
+        # Nt_m with the increments, the reference the N_i with
+        # s = K^{1/2} dB, its own square root of K
+        K = _MC_FOLD
+        step_counts = (1, K - 1, K, K + 1, 2 * K + 3, 19, 20)
+        for d, steps, side in itertools.product((0, 1, 2, 3), step_counts,
                                                 ("reach", "obs")):
             base = mild_stable_system(4, d, seed=8)
             sys_ = system_from(base.A, base.N,
@@ -388,6 +396,23 @@ class TestMonteCarlo:
                                          (mean, spread), scales):
                 assert np.abs(g - e).max() <= 1e-13 * scale, (
                     name, d, steps, side)
+
+    def test_chunk_bytes_within_budget(self):
+        # a chunk holds the packed per-path sums, the ring, the history of
+        # _MC_FOLD states and the increments; the folds take their scratch
+        # from the ring, so no (n, m) temporary is left to count
+        n, d, m = 10, 2, 10_000
+        sys_ = mild_stable_system(n, d, seed=0)
+        op = LyapunovOperator(sys_, "reach")
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            _euler_chunk(op.A, op.N, sys_.x0, 1.0, 2 * _MC_FOLD + 3, m, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        floats = m * (n * (n + 1) // 2 + (d + 1) * n + _MC_FOLD * n + d)
+        assert peak <= 1.05 * 8 * floats
 
     def test_one_product_per_euler_step(self, monkeypatch):
         # the drift and every noise term of a step are one BLAS product

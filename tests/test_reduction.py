@@ -74,6 +74,21 @@ class TestProjection:
         assert red.system.A[0, 0] == sys_.A[0, 0]
         assert red.system.C[0, 0] == sys_.C[0, 0]
 
+    def test_symmetric_drift_stays_symmetric(self):
+        # V^T A V of the symmetric heat drift is stored as its symmetric
+        # part, so the reduced model's Lyapunov solves take the eigh route;
+        # a non-symmetric drift is projected as it is
+        heat = build_heat1d(Heat1dConfig(20))
+        V, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((20, 6)))
+        A = V.T @ heat.A @ V
+        assert not np.array_equal(A, A.T)
+        red = project_system(heat, V).system
+        np.testing.assert_array_equal(red.A, red.A.T)
+        np.testing.assert_array_equal(red.A, (A + A.T) / 2)
+        sys_ = mild_stable_system(20, 1, seed=19)
+        np.testing.assert_array_equal(project_system(sys_, V).system.A,
+                                      V.T @ sys_.A @ V)
+
     def test_rejects_non_orthonormal_matrix(self):
         sys_ = mild_stable_system(2, 1, seed=23)
         with pytest.raises(ArgumentError, match="orthonormal"):
