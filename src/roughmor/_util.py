@@ -5,6 +5,8 @@ from __future__ import annotations
 import os
 import tempfile
 
+import numpy as np
+
 
 def fmt(x) -> str:
     """Shortest round-trippable decimal for a float."""
@@ -13,11 +15,15 @@ def fmt(x) -> str:
 
 def csv_text(header, rows) -> str:
     """CSV text: the header names, then one line per row. Float cells go
-    through ``fmt``, every other cell through ``str``."""
+    through ``fmt``, every other cell through ``str``; the cells of an
+    ndarray are its ``tolist()`` Python scalars, whose ``repr`` is the
+    same text."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(c) if isinstance(c, float) else str(c)
-                              for c in row))
+    if isinstance(rows, np.ndarray):
+        lines += [",".join(map(repr, row)) for row in rows.tolist()]
+    else:
+        lines += [",".join(fmt(c) if isinstance(c, float) else str(c)
+                           for c in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -138,10 +138,13 @@ def solve_algebraic_gramian(sys: BilinearRoughSystem,
     0 = rhs + L(P) reads (I - L_A^{-1} Pi) P = L_A^{-1}(rhs). GMRES runs on
     this form from P = 0 (Damm, NLA 2008) and stops once its residual
     estimate falls to GMRES_TOL relative, which sits just above its
-    round-off floor, or after GMRES_MAX_ITER iterations. The solution is
-    accepted when its normwise backward error (LyapunovOperator.errors) is
-    at most BACKWARD_ERROR_BOUND; otherwise ConvergenceError carries that
-    backward error and the iteration count. The relative residual rides
+    round-off floor, once its Krylov space is full (n(n+1)/2 iterations,
+    the dimension of the symmetric matrices, or an exact breakdown), or
+    after GMRES_MAX_ITER iterations. The solution is accepted when its
+    normwise backward error (LyapunovOperator.errors) is at most
+    BACKWARD_ERROR_BOUND; otherwise ConvergenceError carries that
+    backward error and the iteration count, as it does when the Arnoldi
+    vectors leave float range. The relative residual rides
     along on the result as a diagnostic.
 
     Requires mean-square stability (is_mean_square_stable): StabilityError
@@ -182,20 +185,30 @@ def _gmres_gramian(op: LyapunovOperator, side: str,
     transpose = side == "obs"
     b = report.lyap.solve_neg(op.rhs, transpose)
     beta = np.linalg.norm(b)
-    # Arnoldi with modified Gram-Schmidt on full n x n Krylov matrices
+    # Arnoldi with modified Gram-Schmidt on full n x n Krylov matrices. They
+    # are symmetric, so the Krylov space is full after n(n+1)/2 steps or at
+    # an exact breakdown, and a further vector would be round-off
+    n = op.A.shape[0]
+    limit = min(GMRES_MAX_ITER, n * (n + 1) // 2)
     basis = [b / beta]
-    H = np.zeros((GMRES_MAX_ITER + 1, GMRES_MAX_ITER))
-    e1 = np.zeros(GMRES_MAX_ITER + 1)
+    H = np.zeros((limit + 1, limit))
+    e1 = np.zeros(limit + 1)
     e1[0] = beta
-    for j in range(GMRES_MAX_ITER):
+    for j in range(limit):
         w = basis[j] - report.lyap.solve_neg(op.noise(basis[j]), transpose)
         for i, v in enumerate(basis):
             H[i, j] = np.vdot(v, w)
             w -= H[i, j] * v
         H[j + 1, j] = np.linalg.norm(w)
+        if not np.all(np.isfinite(H[:j + 2, j])):
+            # lstsq would fail on it with a bare LinAlgError
+            raise ConvergenceError(
+                f"algebraic Gramian solve left float range at GMRES "
+                f"iteration {j + 1}", iterations=j + 1)
         y, *_ = np.linalg.lstsq(H[:j + 2, :j + 1], e1[:j + 2], rcond=None)
         estimate = np.linalg.norm(H[:j + 2, :j + 1] @ y - e1[:j + 2])
-        if estimate <= GMRES_TOL * beta or j + 1 == GMRES_MAX_ITER:
+        if estimate <= GMRES_TOL * beta or j + 1 == limit \
+                or H[j + 1, j] == 0.0:
             break
         basis.append(w / H[j + 1, j])
     iterations = j + 1
@@ -241,10 +254,20 @@ class MonteCarloSecondMoment:
     integral_se: np.ndarray
 
 
-_MC_CHUNK = 10_000
+# Bytes of one chunk's arrays (_euler_chunk lists them): the paths per chunk
+# are sized so that an Euler step's working set stays near a core's L2.
+_MC_CHUNK_BYTES = 2 ** 21
 # States per fold of the per-path integrals: the packed sums are read and
 # written once per _MC_FOLD Euler steps rather than once per step.
 _MC_FOLD = 8
+
+
+def _mc_chunk_paths(n: int, d: int) -> int:
+    """Paths per chunk: as many as fit _euler_chunk's arrays, (n(n+1)/2 +
+    (_MC_FOLD + d + 1) n + d) floats a path, in _MC_CHUNK_BYTES, and at
+    least one."""
+    floats = n * (n + 1) // 2 + (_MC_FOLD + d + 1) * n + d
+    return max(1, _MC_CHUNK_BYTES // (8 * floats))
 
 
 def _euler_chunk(A, N, x_init, T, steps, m, rng):
@@ -268,8 +291,10 @@ def _euler_chunk(A, N, x_init, T, steps, m, rng):
     einsum, and dt scales the path sums once at the end. Centring them in
     place about the chunk mean keeps the spread of nearly equal paths from
     cancelling. The chunk allocates (n(n+1)/2 + (_MC_FOLD + d + 1) n + d) m
-    floats: 13.4 MB at n = 10, d = 2 and m = 10,000, of which H is 6.4 MB
-    and the packed array 4.4 MB.
+    floats, which _mc_chunk_paths keeps within _MC_CHUNK_BYTES = 2 MiB: at
+    n = 10 and d = 2, m = 1,569 paths hold H in 1.0 MB, the packed array in
+    0.69 MB and the ring in 0.38 MB; m = 328 at n = 30 and d = 2, and
+    7,084 at n = 3 and d = 1.
     """
     n, d = A.shape[0], len(N)
     dt = T / steps
@@ -340,9 +365,13 @@ def monte_carlo_second_moment(
     variances add). The drift nonlinearity plays no role here: the
     second-moment identity being checked is the one for the linear part.
 
-    Paths are simulated in fixed chunks of 10 000 with one spawned child seed
-    per chunk and merged sequentially in chunk order, so the estimate is
-    bitwise deterministic for a fixed (seed, n_paths, dt). A chunk whose
+    Paths are simulated in chunks whose arrays fit _MC_CHUNK_BYTES = 2 MiB,
+    about one core's L2 cache, so an Euler step's working set stays there:
+    7,084 paths at n = 3 and d = 1, 1,569 at n = 10 and 328 at n = 30 with
+    d = 2. Each chunk draws from its own spawned child seed and chunks merge
+    sequentially in chunk order, so the estimate is bitwise deterministic
+    for a fixed (system, seed, n_paths, dt); the random stream follows the
+    chunking, so another budget would draw another sample. A chunk whose
     sums leave float range raises IntegrationOverflowError. Each chunk
     advances its paths by one BLAS product per Euler step on a ring that
     holds the state and its increment-scaled copies, with the paths on the
@@ -375,9 +404,10 @@ def monte_carlo_second_moment(
 
     integral = np.zeros((n, n))
     integral_var = np.zeros((n, n))
-    chunks = [_MC_CHUNK] * (n_paths // _MC_CHUNK)
-    if n_paths % _MC_CHUNK:
-        chunks.append(n_paths % _MC_CHUNK)
+    size = _mc_chunk_paths(n, len(op.N))
+    chunks = [size] * (n_paths // size)
+    if n_paths % size:
+        chunks.append(n_paths % size)
     batch_seeds = np.random.SeedSequence(seed).spawn(len(starts))
 
     for x_init, batch_seed in zip(starts, batch_seeds):

@@ -315,6 +315,18 @@ class TestGramian:
             assert summary["error_type"] == "ConvergenceError"
             assert "residual" not in summary
 
+    def test_near_boundary_system_exits_0(self, tmp_path):
+        # a stable system whose GMRES solve stalls above its tolerance until
+        # the Krylov space is full, at n(n+1)/2 = 21 iterations
+        mfile = tmp_path / "near.txt"
+        write_system_file(mild_stable_system(6, 2, 0, decay=0.003), mfile)
+        out = tmp_path / "run"
+        assert main(["gramian", "--model-file", str(mfile),
+                     "--out", str(out)]) == 0
+        summary = read_summary(out)
+        for side in ("reach", "obs"):
+            assert summary[side]["iterations"] <= 21
+
     def test_marginal_system_exits_2(self, tmp_path, monkeypatch):
         # a backward-error bound below the solver's round-off floor cannot
         # be met: the solve raises ConvergenceError

@@ -16,8 +16,8 @@ from roughmor import (DEFAULT_TOL_P, ArgumentError, BilinearRoughSystem,
                       integrate_gramian_ode, monte_carlo_second_moment,
                       solve_algebraic_gramian, solve_algebraic_gramian_dense,
                       truncate_psd_spectrum)
-from roughmor.gramians import BACKWARD_ERROR_BOUND, _MC_FOLD, \
-    _euler_chunk
+from roughmor.gramians import BACKWARD_ERROR_BOUND, _MC_CHUNK_BYTES, \
+    _MC_FOLD, _euler_chunk, _mc_chunk_paths
 from roughmor._fixtures import mild_stable_system, scalar_noise_system, \
     unstable_system
 
@@ -155,6 +155,20 @@ class TestAlgebraicGramian:
         with pytest.raises(StabilityError, match=r"spectral radius >= 1\.0"):
             solve_algebraic_gramian(sys_, "reach")
 
+    def test_stops_when_krylov_space_is_full(self):
+        # near the stability boundary the residual estimate stalls above
+        # GMRES_TOL; Arnoldi must stop once it spans all n(n+1)/2 symmetric
+        # directions or breaks down exactly, not divide by H[j+1, j] = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, seed, side in itertools.product((6, 8), range(5),
+                                                   ("reach", "obs")):
+                sys_ = mild_stable_system(n, 2, seed, decay=0.003)
+                res = solve_algebraic_gramian(sys_, side)
+                assert res.iterations <= n * (n + 1) // 2, (n, seed, side)
+                assert res.backward_error <= BACKWARD_ERROR_BOUND, (
+                    n, seed, side)
+
     def test_marginal_system_raises_convergence_error(self, monkeypatch):
         # two GMRES iterations span too little of a 5-state, 2-channel
         # operator to reach a backward error near machine epsilon
@@ -172,6 +186,15 @@ class TestAlgebraicGramian:
         sys_ = system_from(-np.eye(2), [0.1 * np.eye(2)], np.eye(1),
                            [[1.0, 0.0]], [1e150, 1.0])
         with pytest.raises(ConvergenceError, match="backward error nan"):
+            solve_algebraic_gramian(sys_, "reach")
+        # at x0 = (1e160, 1) the preconditioned right-hand side itself
+        # overflows: the Arnoldi column is not finite, which the least-
+        # squares solve would meet with a bare LinAlgError. Forming
+        # x0 x0^T overflows first, outside the solve, with its own warning
+        sys_ = system_from(-np.eye(2), [0.1 * np.eye(2)], np.eye(1),
+                           [[1.0, 0.0]], [1e160, 1.0])
+        with np.errstate(over="ignore"), \
+                pytest.raises(ConvergenceError, match="left float range"):
             solve_algebraic_gramian(sys_, "reach")
 
     def test_heat_300_accepted_by_backward_error(self):
@@ -310,8 +333,9 @@ class TestMonteCarlo:
 
     def test_deterministic_given_seed(self):
         sys_ = mild_stable_system(2, 1, seed=14)
-        # 10,007 paths: one full 10,000-path chunk plus a 7-path remainder
-        for n_paths, T in ((500, 0.5), (10_007, 0.05)):
+        # the second call runs one full chunk of the oracle's size plus a
+        # 7-path remainder, so two children merge
+        for n_paths, T in ((500, 0.5), (_mc_chunk_paths(2, 1) + 7, 0.05)):
             a, b = (monte_carlo_second_moment(sys_, "reach", T=T,
                                               n_paths=n_paths, dt=1e-2,
                                               seed=9)
@@ -398,21 +422,24 @@ class TestMonteCarlo:
                     name, d, steps, side)
 
     def test_chunk_bytes_within_budget(self):
-        # a chunk holds the packed per-path sums, the ring, the history of
-        # _MC_FOLD states and the increments; the folds take their scratch
-        # from the ring, so no (n, m) temporary is left to count
-        n, d, m = 10, 2, 10_000
-        sys_ = mild_stable_system(n, d, seed=0)
-        op = LyapunovOperator(sys_, "reach")
-        rng = np.random.default_rng(0)
-        tracemalloc.start()
-        try:
-            _euler_chunk(op.A, op.N, sys_.x0, 1.0, 2 * _MC_FOLD + 3, m, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        floats = m * (n * (n + 1) // 2 + (d + 1) * n + _MC_FOLD * n + d)
-        assert peak <= 1.05 * 8 * floats
+        # a chunk of the oracle's size holds the packed per-path sums, the
+        # ring, the history of _MC_FOLD states and the increments; the
+        # folds take their scratch from the ring, so no (n, m) temporary is
+        # left to count, and the peak stays within the byte budget up to
+        # the largest order the oracle accepts
+        d = 2
+        for n in (10, 30):
+            sys_ = mild_stable_system(n, d, seed=0)
+            op = LyapunovOperator(sys_, "reach")
+            rng = np.random.default_rng(0)
+            tracemalloc.start()
+            try:
+                _euler_chunk(op.A, op.N, sys_.x0, 1.0, 2 * _MC_FOLD + 3,
+                             _mc_chunk_paths(n, d), rng)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.05 * _MC_CHUNK_BYTES, n
 
     def test_one_product_per_euler_step(self, monkeypatch):
         # the drift and every noise term of a step are one BLAS product
@@ -432,19 +459,20 @@ class TestMonteCarlo:
     def test_standard_error_of_nearly_equal_paths(self):
         # noise 1e-7 leaves the per-path integrals equal to about 7 digits;
         # a one-pass (sum of squares - n mean^2) variance loses the spread
-        # to cancellation. The reference replays both chunks (10,000 paths
-        # and a 7-path remainder) from their seeds and takes the two-pass
-        # variance of directly computed per-path integrals
+        # to cancellation. The reference replays both chunks (one of the
+        # oracle's size and a 7-path remainder) from their seeds and takes
+        # the two-pass variance of directly computed per-path integrals
         eps = 1e-7
         sys_ = system_from(-np.eye(2), [eps * np.eye(2)], np.eye(1),
                            [[1.0, 0.0]], [1.0, 0.5])
-        n_paths, T, dt, seed = 10_007, 1.0, 1e-2, 21
+        size = _mc_chunk_paths(2, 1)
+        n_paths, T, dt, seed = size + 7, 1.0, 1e-2, 21
         mc = monte_carlo_second_moment(sys_, "reach", T=T, n_paths=n_paths,
                                        dt=dt, seed=seed)
         steps = round(T / dt)
         children = np.random.SeedSequence(seed).spawn(1)[0].spawn(2)
         per_path = []
-        for m, child in zip((10_000, 7), children):
+        for m, child in zip((size, 7), children):
             rng = np.random.default_rng(child)
             X = np.tile(sys_.x0, (m, 1))
             total = 0.5 * X[:, :, None] * X[:, None, :]
