@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import (ArgumentError, ConvergenceError,
-                     IntegrationOverflowError, StabilityError)
+                     IntegrationOverflowError, NumericalError, StabilityError)
 from ._util import atomic_write_text, csv_text
 from .system import (DENSE_MAX_ORDER, BilinearRoughSystem, LyapunovOperator,
                      StabilityReport, is_mean_square_stable)
@@ -231,9 +231,12 @@ def solve_algebraic_gramian_dense(
         sys: BilinearRoughSystem, side: str) -> GramianResult:
     """Cross-check route: solve M vec(P) = -vec(rhs) with the dense n^2 x n^2
     operator matrix (LyapunovOperator.matrix, so n <= DENSE_MAX_ORDER).
-    Independent of the GMRES solver."""
+    Independent of the GMRES solver. A solution outside float range raises
+    NumericalError."""
     op = LyapunovOperator(sys, side)
     vecP = np.linalg.solve(op.matrix(), -op.rhs.reshape(-1, order="F"))
+    if not np.all(np.isfinite(vecP)):
+        raise NumericalError("dense Gramian solve left float range")
     P = vecP.reshape(sys.n, sys.n, order="F")
     P = (P + P.T) / 2
     res, eta = op.errors(P)
@@ -257,6 +260,8 @@ class MonteCarloSecondMoment:
 # Bytes of one chunk's arrays (_euler_chunk lists them): the paths per chunk
 # are sized so that an Euler step's working set stays near a core's L2.
 _MC_CHUNK_BYTES = 2 ** 21
+# ufunc buffer size, in elements, inside a chunk
+_MC_UFUNC_BUFSIZE = 256
 # States per fold of the per-path integrals: the packed sums are read and
 # written once per _MC_FOLD Euler steps rather than once per step.
 _MC_FOLD = 8
@@ -286,19 +291,23 @@ def _euler_chunk(A, N, x_init, T, steps, m, rng):
     step, row i of the triangle summed over the held states, einsum
     "kp,kjp->jp" of H[:, i] and H[:, i:], is added into it, so that array is
     read and written once per _MC_FOLD steps. The einsum writes into the
-    ring, which holds nothing between steps. A block that holds the path's
-    first or last state gives it the trapezoid weight 1/2 through a weighted
-    einsum, and dt scales the path sums once at the end. Centring them in
-    place about the chunk mean keeps the spread of nearly equal paths from
-    cancelling. The chunk allocates (n(n+1)/2 + (_MC_FOLD + d + 1) n + d) m
-    floats, which _mc_chunk_paths keeps within _MC_CHUNK_BYTES = 2 MiB: at
-    n = 10 and d = 2, m = 1,569 paths hold H in 1.0 MB, the packed array in
-    0.69 MB and the ring in 0.38 MB; m = 328 at n = 30 and d = 2, and
-    7,084 at n = 3 and d = 1.
+    ring, which holds nothing between steps. Every state is folded with
+    weight 1; half of the first and the last state's outer products then
+    come back off the sums, which gives the trapezoid weights, and dt
+    scales the path sums once at the end. Centring them in place about the
+    chunk mean keeps the spread of nearly equal paths from cancelling. The
+    chunk allocates (n(n+1)/2 + (_MC_FOLD + d + 1) n + d) m floats, which
+    _mc_chunk_paths keeps within _MC_CHUNK_BYTES = 2 MiB: at n = 10 and
+    d = 2, m = 1,569 paths hold H in 1.0 MB, the packed array in 0.69 MB
+    and the ring in 0.38 MB; m = 328 at n = 30 and d = 2, and 7,084 at
+    n = 3 and d = 1. Beyond them it holds the (n, (d + 1) n) step matrix,
+    formed first, and ufunc buffers of _MC_UFUNC_BUFSIZE elements.
     """
     n, d = A.shape[0], len(N)
     dt = T / steps
     sq = math.sqrt(dt)
+    # formed before the chunk's arrays, so its temporaries add no peak
+    step_matrix = np.hstack([np.eye(n) + dt * A, *N])
     # row i of the upper triangle follows i rows of n, n - 1, ... entries
     start = [i * n - i * (i - 1) // 2 for i in range(n + 1)]
     Ipp = np.zeros((n * (n + 1) // 2, m))
@@ -308,43 +317,47 @@ def _euler_chunk(A, N, x_init, T, steps, m, rng):
     X = ring[:n]
     draws = np.empty((m, d))
 
-    def fold(last, count):
-        # H[:count] holds states last - count + 1 .. last; the path's first
-        # and last states take the trapezoid weight 1/2, through the
-        # weighted einsum, which is slower, so only their blocks use it
+    def fold(count):
+        # add row i of x x^T, summed over the states in H[:count], to the
+        # packed sums; the einsum writes into the ring, free between steps
         block = H[:count]
-        weight = np.ones(count)
-        if last + 1 == count:
-            weight[0] = 0.5
-        if last == steps:
-            weight[-1] = 0.5
-        uniform = weight.min() == 1.0
         for i, packed in rows:
-            pair, out = (block[:, i], block[:, i:]), ring[:n - i]
-            if uniform:
-                np.einsum("kp,kjp->jp", *pair, out=out)
-            else:
-                np.einsum("k,kp,kjp->jp", weight, *pair, out=out)
+            out = ring[:n - i]
+            np.einsum("kp,kjp->jp", block[:, i], block[:, i:], out=out)
             packed += out
 
-    step_matrix = np.hstack([np.eye(n) + dt * A, *N])
     H[0] = x_init[:, None]
-    for k in range(1, steps + 1):
-        # state k goes to slot k % _MC_FOLD; H[-1] holds state k - 1 when
-        # that slot is 0
-        slot = k % _MC_FOLD
-        if slot == 0:
-            fold(k - 1, _MC_FOLD)
-        X[:] = H[slot - 1]
-        rng.standard_normal(out=draws)
-        draws *= sq
-        for j in range(d):
-            np.multiply(X, draws[:, j], out=ring[(j + 1) * n:(j + 2) * n])
-        np.matmul(step_matrix, ring, out=H[slot])
-    fold(steps, steps % _MC_FOLD + 1)
-    path_sum = Ipp.sum(axis=1)
-    Ipp -= (path_sum / m)[:, None]
-    square_sum = np.square(Ipp, out=Ipp).sum(axis=1)
+    # a ufunc that broadcasts, as X times each path's increment does,
+    # allocates bufsize elements a call (64 KB at numpy's 8192) though it
+    # buffers nothing here; errstate scopes the smaller size to this chunk
+    with np.errstate():
+        np.setbufsize(_MC_UFUNC_BUFSIZE)
+        for k in range(1, steps + 1):
+            # state k goes to slot k % _MC_FOLD; H[-1] holds state k - 1
+            # when that slot is 0
+            slot = k % _MC_FOLD
+            if slot == 0:
+                fold(_MC_FOLD)
+            X[:] = H[slot - 1]
+            rng.standard_normal(out=draws)
+            draws *= sq
+            for j in range(d):
+                np.multiply(X, draws[:, j],
+                            out=ring[(j + 1) * n:(j + 2) * n])
+            np.matmul(step_matrix, ring, out=H[slot])
+        fold(steps % _MC_FOLD + 1)
+        # the trapezoid's half weights: half of the first and the last
+        # state's outer products come back off the folded sums
+        last = H[steps % _MC_FOLD]
+        for i, packed in rows:
+            out = ring[:n - i]
+            np.multiply(last[i], last[i:], out=out)
+            out += (x_init[i] * x_init[i:])[:, None]
+            out *= 0.5
+            packed -= out
+        path_sum = Ipp.sum(axis=1)
+        Ipp -= (path_sum / m)[:, None]
+        square_sum = np.square(Ipp, out=Ipp).sum(axis=1)
     upper = np.triu_indices(n)
     mean, spread = np.empty((n, n)), np.empty((n, n))
     for full, packed in ((mean, dt * path_sum / m),

@@ -18,9 +18,13 @@ sum_m |dW_m| ||Nt_m||) on ||S||, computed for all steps up front. With a
 drift nonlinearity f(x) = x g(x), a stage is (S - h I) Z = c at the one
 scalar shift h = a11 dt g(Z), and Newton solves for h. No iterated integrals
 of the driver enter: the scheme uses increments only. The integrator takes a
-BilinearRoughSystem; a reduced model enters as its ``system``. Each step
-makes one finiteness check, on the new state (Newton also checks each
-iterate): a non-finite value raises IntegrationOverflowError.
+BilinearRoughSystem; a reduced model enters as its ``system``. The stage
+matrices do not depend on the state, so they are formed for a chunk of steps
+at once, and a step does only the LU and the stage solves. The linear route
+tests the pivots and the new states' finiteness once per chunk and raises
+the error a step-by-step loop would have raised first; the Newton route
+tests both inside each step and also checks each iterate. A non-finite
+state raises IntegrationOverflowError.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ NEWTON_MAX = 50
 A11 = 0.5 + math.sqrt(3.0) / 6.0
 A21 = -math.sqrt(3.0) / 3.0
 B1 = B2 = 0.5
+
+# Bytes of one chunk's stage matrices, unfactored and in LAPACK band storage
+_CHUNK_BYTES = 2 ** 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,9 +90,19 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     round-off floor eps bound_k ||Z||, whichever is larger, bound_k being
     the step's bound on ||S||. Raises StepFailureError
     on a singular stage or Newton matrix, a vanishing Newton slope or a
-    non-convergent Newton iteration, naming step k. A step runs with
-    floating-point warnings off; its one finiteness check, on z_{k+1} (and
-    on each Newton iterate), raises IntegrationOverflowError at step k + 1.
+    non-convergent Newton iteration, naming step k. The steps run with
+    floating-point warnings off; a non-finite z_{k+1} (or Newton iterate)
+    raises IntegrationOverflowError at step k + 1.
+
+    The stage matrices of a chunk of steps come from one stacked product
+    of the per-step coefficients with the band rows of A and the Nt_m,
+    bitwise equal to a product per step; a chunk's arrays hold at most
+    _CHUNK_BYTES unless one step alone needs more. Without a nonlinearity,
+    the pivot test and the finiteness check run once per chunk, vectorized,
+    after its steps: the earliest step that fails either one raises, its
+    singular stage matrix before its overflow, as in a step-by-step loop.
+    With one, Newton needs a regular stage matrix before it starts, so both
+    checks run inside each step.
     """
     if path.d != model.d:
         raise ArgumentError(
@@ -110,19 +127,32 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     bands = -A11 * np.stack([_band_rows(X, kl, ku).ravel() for X in mats])
     coefs, bounds = _step_coefficients(model, path)
     pivots = np.empty(M)
-    S = np.empty((n, width))  # this step's I - a11 G
-    S_flat = S.reshape(-1)
-    # dgbtrf does not read the ku fill-in columns on entry: left unset
-    ab = np.empty((n, ku + width))
-    ab_newton = np.empty_like(ab)
+    # a chunk of steps' stage matrices I - a11 G in band rows, and their
+    # copies in LAPACK band storage that the LUs overwrite; dgbtrf does not
+    # read the ku fill-in columns on entry: left unset
+    chunk = max(1, min(M, _CHUNK_BYTES // (8 * n * (ku + 2 * width))))
+    S = np.empty((chunk, 1, n * width))
+    S_rows = S.reshape(chunk, n, width)
+    ab = np.empty((chunk, n, ku + width))
+    ab_newton = np.empty((n, ku + width))
+    c2 = np.empty(n)
 
     states = np.empty((M + 1, n))
     states[0] = model.x0
     max_newton = 0
 
-    def overflowed():
+    def overflowed(k):
         return IntegrationOverflowError(
             f"state overflowed at step {k + 1} of {M}", step=k + 1)
+
+    def singular_stage(k):
+        return StepFailureError(
+            f"singular stage matrix I - a G at step {k} (a = {A11:.6g}, "
+            f"smallest LU pivot {pivots[k]:.3e} against norm bound "
+            f"{bounds[k]:.3e}): G = A dt + sum_m dW_m Nt_m has an "
+            "eigenvalue at 1/a to working precision for this step's dt and "
+            "driver increments dW_m, and a finer grid need not help: the "
+            "dW_m shrink like dt^H, more slowly than dt", step=k)
 
     def stage(c):
         # one stage of step k: solve Z = c + a11 F(Z), F(Z) = G Z + dt f(Z),
@@ -131,7 +161,9 @@ def rough_rk_simulate(model: BilinearRoughSystem,
         nonlocal max_newton
         Z = dgbtrs(lu, ku, kl, c, piv, trans=1)[0]
         if nl is None:
-            return (Z - c) / A11
+            Z -= c
+            Z /= A11
+            return Z
 
         def singular():
             return StepFailureError(f"singular Newton Jacobian at step {k}",
@@ -142,7 +174,7 @@ def rough_rk_simulate(model: BilinearRoughSystem,
         for it in range(NEWTON_MAX + 1):
             phi = h - A11 * dt * float(nl.g(Z))
             if not (math.isfinite(phi) and np.isfinite(Z).all()):
-                raise overflowed()
+                raise overflowed(k)
             # nrm2 scales before squaring: no norm below 1.8e308 reads inf
             norm = dnrm2(Z)
             res = abs(phi) * norm
@@ -162,7 +194,7 @@ def rough_rk_simulate(model: BilinearRoughSystem,
             if abs(slope) <= eps * (1.0 + np.abs(v) @ np.abs(w)):
                 raise singular()
             h -= phi / slope
-            ab_newton[:, ku:] = S
+            ab_newton[:, ku:] = S_rows[k - k0]
             ab_newton[:, ku + kl] -= h
             lu_h, piv_h, _ = lu_factor(ab_newton.T, ku, kl, overwrite_ab=1)
             if np.abs(lu_h[kl + ku]).min() <= eps * n * (bounds[k] + abs(h)):
@@ -172,31 +204,41 @@ def rough_rk_simulate(model: BilinearRoughSystem,
             f"Newton did not converge at step {k} (residual {res:.3e} after "
             f"{NEWTON_MAX} iterations)", step=k, residual=res)
 
-    # an overflow reaches the step's one check, not a RuntimeWarning
+    # an overflow reaches a finiteness check, not a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(M):
-            # a11 = a22, so both stages share the matrix S and one LU
-            np.matmul(coefs[k], bands, out=S_flat)
-            S[:, kl] += 1.0
-            ab[:, ku:] = S
-            lu, piv, _ = lu_factor(ab.T, ku, kl, overwrite_ab=1)
-            pivots[k] = pivot = np.abs(lu[kl + ku]).min()
-            if pivot <= eps * n * bounds[k]:
-                raise StepFailureError(
-                    f"singular stage matrix I - a G at step {k} (a = "
-                    f"{A11:.6g}, smallest LU pivot {pivot:.3e} against norm "
-                    f"bound {bounds[k]:.3e}): G = A dt + sum_m dW_m Nt_m "
-                    "has an eigenvalue at 1/a to working precision for this "
-                    "step's dt and driver increments dW_m, and a finer grid "
-                    "need not help: the dW_m shrink like dt^H, more slowly "
-                    "than dt", step=k)
-            z = states[k]
-            F1 = stage(z)
-            F2 = stage(z + A21 * F1)
-            z_next = z + B1 * F1 + B2 * F2
-            if not np.isfinite(z_next).all():
-                raise overflowed()
-            states[k + 1] = z_next
+        for k0 in range(0, M, chunk):
+            k1 = min(k0 + chunk, M)
+            # a11 = a22, so both stages of a step share its S and one LU
+            np.matmul(coefs[k0:k1, None, :], bands, out=S[:k1 - k0])
+            S_rows[:k1 - k0, :, kl] += 1.0
+            ab[:k1 - k0, :, ku:] = S_rows[:k1 - k0]
+            for k in range(k0, k1):
+                lu, piv, _ = lu_factor(ab[k - k0].T, ku, kl, overwrite_ab=1)
+                if nl is not None:
+                    # Newton's stages need the tests before they start
+                    pivots[k] = np.abs(lu[kl + ku]).min()
+                    if pivots[k] <= eps * n * bounds[k]:
+                        raise singular_stage(k)
+                z = states[k]
+                F1 = stage(z)
+                np.multiply(F1, A21, out=c2)
+                c2 += z
+                F2 = stage(c2)
+                # z + B1 F1 + B2 F2, summed in that order
+                F1 *= B1
+                F1 += z
+                F2 *= B2
+                np.add(F1, F2, out=states[k + 1])
+                if nl is not None and not np.isfinite(states[k + 1]).all():
+                    raise overflowed(k)
+            # the linear route's tests, once a chunk: a step's pivot test
+            # comes before its states' finiteness, as in a step-by-step loop
+            pivots[k0:k1] = np.abs(ab[:k1 - k0, :, kl + ku]).min(axis=1)
+            singular = pivots[k0:k1] <= eps * n * bounds[k0:k1]
+            failed = singular | ~np.isfinite(states[k0 + 1:k1 + 1]).all(axis=1)
+            if failed.any():
+                j = int(np.argmax(failed))
+                raise (singular_stage if singular[j] else overflowed)(k0 + j)
 
     return SimulationResult(times=path.times, states=states,
                             outputs=states @ model.C.T,

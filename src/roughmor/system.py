@@ -170,14 +170,18 @@ class LyapunovOperator:
     """
 
     def __init__(self, sys: BilinearRoughSystem, side: str = "reach"):
-        if side == "reach":
-            self.A, self.N = sys.A, sys.N_tilde
-            self.rhs = np.outer(sys.x0, sys.x0)
-        elif side == "obs":
-            self.A, self.N = sys.A.T, tuple(Nm.T for Nm in sys.N_tilde)
-            self.rhs = sys.C.T @ sys.C
-        else:
-            raise ArgumentError(f"side must be 'reach' or 'obs', got {side!r}")
+        # an x0 or C past 1e154 overflows rhs: the solves and flows meet
+        # its inf at their own finiteness checks and raise, unwarned
+        with np.errstate(over="ignore"):
+            if side == "reach":
+                self.A, self.N = sys.A, sys.N_tilde
+                self.rhs = np.outer(sys.x0, sys.x0)
+            elif side == "obs":
+                self.A, self.N = sys.A.T, tuple(Nm.T for Nm in sys.N_tilde)
+                self.rhs = sys.C.T @ sys.C
+            else:
+                raise ArgumentError(
+                    f"side must be 'reach' or 'obs', got {side!r}")
         # errors' l, from the given N_i and K: the Nt_m would move its value
         norms = np.sqrt([np.linalg.norm(M, 1) * np.linalg.norm(M, np.inf)
                          for M in (sys.A, *sys.N)])

@@ -1,3 +1,4 @@
+import importlib.metadata
 import json
 import os
 import re
@@ -630,6 +631,18 @@ class TestEntryPoint:
         assert proc.returncode == 0, proc.stderr
         assert (out / "summary.json").exists()
         assert "simulated 32 steps" in proc.stdout
+
+    def test_console_script_entry_resolves(self):
+        # the [project.scripts] entry an install would turn into the
+        # roughmor command loads main, checked without installing
+        tomllib = pytest.importorskip("tomllib")
+        with open(README.parent / "pyproject.toml", "rb") as handle:
+            scripts = tomllib.load(handle)["project"]["scripts"]
+        assert scripts == {"roughmor": "roughmor.cli:main"}
+        entry = importlib.metadata.EntryPoint(
+            name="roughmor", value=scripts["roughmor"],
+            group="console_scripts")
+        assert entry.load() is main
 
     def test_console_script_if_installed(self, small_model_file, tmp_path):
         exe = shutil.which("roughmor")

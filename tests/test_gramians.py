@@ -12,7 +12,7 @@ from roughmor._lyap import SchurLyapunov
 from roughmor import (DEFAULT_TOL_P, ArgumentError, BilinearRoughSystem,
                       ConvergenceError, GramianResult, Heat1dConfig,
                       IntegrationOverflowError, LyapunovOperator,
-                      StabilityError, build_heat1d,
+                      NumericalError, StabilityError, build_heat1d,
                       integrate_gramian_ode, monte_carlo_second_moment,
                       solve_algebraic_gramian, solve_algebraic_gramian_dense,
                       truncate_psd_spectrum)
@@ -189,13 +189,36 @@ class TestAlgebraicGramian:
             solve_algebraic_gramian(sys_, "reach")
         # at x0 = (1e160, 1) the preconditioned right-hand side itself
         # overflows: the Arnoldi column is not finite, which the least-
-        # squares solve would meet with a bare LinAlgError. Forming
-        # x0 x0^T overflows first, outside the solve, with its own warning
+        # squares solve would meet with a bare LinAlgError
         sys_ = system_from(-np.eye(2), [0.1 * np.eye(2)], np.eye(1),
                            [[1.0, 0.0]], [1e160, 1.0])
-        with np.errstate(over="ignore"), \
-                pytest.raises(ConvergenceError, match="left float range"):
+        with pytest.raises(ConvergenceError, match="left float range"):
             solve_algebraic_gramian(sys_, "reach")
+
+    def test_overflowing_right_hand_side_raises_unwarned(self):
+        # x0 = (1e160, 1) overflows x0 x0^T, C = [[1e160, 0]] overflows
+        # C^T C: forming the right-hand side warns of nothing, and every
+        # route meets the inf at its own check and raises roughmor's error
+        reach = system_from(-np.eye(2), [0.1 * np.eye(2)], np.eye(1),
+                            [[1.0, 0.0]], [1e160, 1.0])
+        obs = system_from(-np.eye(2), [0.1 * np.eye(2)], np.eye(1),
+                          [[1e160, 0.0]], [1.0, 1.0])
+        routes = [
+            (solve_algebraic_gramian, ConvergenceError),
+            (solve_algebraic_gramian_dense, NumericalError),
+            (lambda s, side: integrate_gramian_ode(s, side, 1.0, 10),
+             IntegrationOverflowError),
+            (lambda s, side: monte_carlo_second_moment(s, side, 1.0, 10,
+                                                       0.1, 0),
+             IntegrationOverflowError)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sys_, side in ((reach, "reach"), (obs, "obs")):
+                assert not np.all(np.isfinite(
+                    LyapunovOperator(sys_, side).rhs))
+                for route, error in routes:
+                    with pytest.raises(error):
+                        route(sys_, side)
 
     def test_heat_300_accepted_by_backward_error(self):
         # the backward error stays near eps at n = 300 on both routes of the
@@ -426,9 +449,10 @@ class TestMonteCarlo:
         # ring, the history of _MC_FOLD states and the increments; the
         # folds take their scratch from the ring, so no (n, m) temporary is
         # left to count, and the peak stays within the byte budget up to
-        # the largest order the oracle accepts
-        d = 2
-        for n in (10, 30):
+        # the largest order the oracle accepts, for one to three channels.
+        # The chunk's smaller ufunc buffer size ends with the chunk
+        bufsize = np.getbufsize()
+        for d, n in itertools.product((1, 2, 3), (10, 30)):
             sys_ = mild_stable_system(n, d, seed=0)
             op = LyapunovOperator(sys_, "reach")
             rng = np.random.default_rng(0)
@@ -439,7 +463,8 @@ class TestMonteCarlo:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.05 * _MC_CHUNK_BYTES, n
+            assert peak <= 1.05 * _MC_CHUNK_BYTES, (n, d)
+            assert np.getbufsize() == bufsize
 
     def test_one_product_per_euler_step(self, monkeypatch):
         # the drift and every noise term of a step are one BLAS product

@@ -509,6 +509,165 @@ class TestStageMatrixBounds:
         assert np.abs(res.states - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def step_by_step_states(sys_, path):
+    # the linear route as one step at a time: the step's stage matrix from
+    # its own product of coefficients and band rows, its LU and pivot test,
+    # the two stages and the finiteness check, each before the next step.
+    # Returns the states and the smallest pivot ratio, or raises as the step
+    # that fails
+    solver = roughmor.solver
+    a11, n, M = solver.A11, sys_.n, path.M
+    eps = np.finfo(float).eps
+    mats = (sys_.A, *sys_.N_tilde)
+    kl, ku = np.max([scipy.linalg.bandwidth(X) for X in mats], axis=0)
+    width = kl + ku + 1
+    bands = -a11 * np.stack([solver._band_rows(X, kl, ku).ravel()
+                             for X in mats])
+    coefs, bounds = solver._step_coefficients(sys_, path)
+    S = np.empty((n, width))
+    ab = np.empty((n, ku + width))
+    pivots = np.empty(M)
+    states = np.empty((M + 1, n))
+    states[0] = sys_.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(M):
+            np.matmul(coefs[k], bands, out=S.reshape(-1))
+            S[:, kl] += 1.0
+            ab[:, ku:] = S
+            lu, piv, _ = solver.lu_factor(ab.T, ku, kl, overwrite_ab=1)
+            pivots[k] = np.abs(lu[kl + ku]).min()
+            if pivots[k] <= eps * n * bounds[k]:
+                raise StepFailureError("singular", step=k)
+
+            def stage(c):
+                Z = scipy.linalg.lapack.dgbtrs(lu, ku, kl, c, piv,
+                                               trans=1)[0]
+                return (Z - c) / a11
+            z = states[k]
+            F1 = stage(z)
+            F2 = stage(z + solver.A21 * F1)
+            z_next = z + solver.B1 * F1 + solver.B2 * F2
+            if not np.isfinite(z_next).all():
+                raise IntegrationOverflowError("overflow", step=k + 1)
+            states[k + 1] = z_next
+    return states, float((pivots / bounds).min())
+
+
+def lu_calls(monkeypatch):
+    # count the integrator's factorizations through its module-global name
+    calls = []
+    factor = roughmor.solver.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return factor(*args, **kwargs)
+    monkeypatch.setattr(roughmor.solver, "lu_factor", counted)
+    return calls
+
+
+class TestChunkedSteps:
+    # chunks of 8 steps for a diagonal system with n = 2: a step's arrays
+    # are its band rows and their LAPACK band storage, 8 (ku + 2 width) n
+    # = 32 bytes
+    CHUNK = 8
+
+    @pytest.mark.parametrize("budget", [None, 1, 7 * 8 * 30 * 7])
+    def test_heat_matches_step_by_step_loop_bitwise(self, monkeypatch,
+                                                    budget):
+        # heat n = 30 is tridiagonal, 8 (1 + 2 * 3) n bytes a step: the
+        # default budget holds all 100 steps in one chunk, the others hold
+        # 1 and 7, so 100 steps end in a partial chunk
+        if budget is not None:
+            monkeypatch.setattr(roughmor.solver, "_CHUNK_BYTES", budget)
+        sys_ = build_heat1d(Heat1dConfig(30))
+        path = sample_fbm_path(0.4, 2, 0.5, 100, seed=35)
+        ref, ref_ratio = step_by_step_states(sys_, path)
+        res = rough_rk_simulate(sys_, path)
+        assert np.array_equal(res.states, ref)
+        assert res.min_pivot_ratio == ref_ratio
+
+    @pytest.mark.parametrize("budget", [None, 1, 5 * 8 * 12 * 57])
+    def test_dense_matches_step_by_step_loop_bitwise(self, monkeypatch,
+                                                     budget):
+        # a dense n = 12 model with correlated noise, 8 (11 + 2 * 23) n
+        # bytes a step: chunks of all 101 steps, of 1 and of 5
+        if budget is not None:
+            monkeypatch.setattr(roughmor.solver, "_CHUNK_BYTES", budget)
+        base = mild_stable_system(12, 2, seed=31)
+        sys_ = BilinearRoughSystem(A=base.A, N=base.N, K=NON_DIAGONAL_K,
+                                   C=base.C, x0=base.x0)
+        path = sample_fbm_path(0.4, 2, 1.0, 101, seed=32)
+        ref, ref_ratio = step_by_step_states(sys_, path)
+        res = rough_rk_simulate(sys_, path)
+        assert np.array_equal(res.states, ref)
+        assert res.min_pivot_ratio == ref_ratio
+
+    @staticmethod
+    def two_channel_system(nl=None):
+        # G = dt A + dW_1 diag(1, 0) + dW_2 diag(0, 1) with A = 0: a step
+        # with dW_1 = 1 / a11 has a singular stage matrix, one with dW_2 =
+        # (1 - 1e-10) / a11 a regular one whose stage values overflow from
+        # x0[1] = 1e300
+        return BilinearRoughSystem(
+            A=np.zeros((2, 2)), N=(np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+            K=np.eye(2), C=np.eye(2)[:1], x0=np.array([1.0, 1e300]),
+            drift_nonlinearity=nl)
+
+    def fail(self, monkeypatch, singular=(), overflow=(), M=20):
+        # run both routes (g = 0 takes the Newton route along the same
+        # states) on a path whose listed steps are singular or overflow;
+        # return the error of each and the factorizations it made
+        monkeypatch.setattr(roughmor.solver, "_CHUNK_BYTES", 32 * self.CHUNK)
+        a11 = roughmor.solver.A11
+        dW = np.zeros((M, 2))
+        dW[list(singular), 0] = 1.0 / a11
+        dW[list(overflow), 1] = (1.0 - 1e-10) / a11
+        path = DriverPath(T=1.0, values=np.vstack([np.zeros(2),
+                                                   np.cumsum(dW, axis=0)]))
+        assert np.array_equal(np.diff(path.values, axis=0), dW)
+        zero = DriftNonlinearity(g=lambda x: 0.0, grad_g=np.zeros_like)
+        runs = []
+        for nl in (None, zero):
+            calls = lu_calls(monkeypatch)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises((StepFailureError,
+                                    IntegrationOverflowError)) as err:
+                    rough_rk_simulate(self.two_channel_system(nl), path)
+            runs.append((type(err.value), err.value.step, len(calls)))
+        with pytest.raises(runs[0][0]) as err:
+            step_by_step_states(self.two_channel_system(), path)
+        assert err.value.step == runs[0][1]
+        return runs
+
+    def test_singular_step_in_the_middle_of_a_chunk(self, monkeypatch):
+        # the linear route factors the whole first chunk, the Newton route
+        # stops at the step
+        (linear, newton) = self.fail(monkeypatch, singular=(3, 5))
+        assert linear == (StepFailureError, 3, self.CHUNK)
+        assert newton == (StepFailureError, 3, 4)
+
+    def test_singular_first_step_of_second_chunk(self, monkeypatch):
+        (linear, newton) = self.fail(monkeypatch, singular=(self.CHUNK,))
+        assert linear == (StepFailureError, self.CHUNK, 2 * self.CHUNK)
+        assert newton == (StepFailureError, self.CHUNK, self.CHUNK + 1)
+
+    def test_overflow_before_a_later_singular_step(self, monkeypatch):
+        # step 2's new state overflows, step 6 of the same chunk is singular
+        (linear, newton) = self.fail(monkeypatch, singular=(6,),
+                                     overflow=(2,))
+        assert linear == (IntegrationOverflowError, 3, self.CHUNK)
+        assert newton == (IntegrationOverflowError, 3, 3)
+
+    def test_singular_step_before_its_own_overflow(self, monkeypatch):
+        # a step that is singular and whose state also overflows reports
+        # the singular stage matrix, its first test
+        (linear, newton) = self.fail(monkeypatch, singular=(4,),
+                                     overflow=(4,))
+        assert linear == (StepFailureError, 4, self.CHUNK)
+        assert newton == (StepFailureError, 4, 5)
+
+
 class TestSelfConvergence:
     def test_scalar_bilinear_rate(self):
         # short version of the dyadic study: rate well above 0.3
