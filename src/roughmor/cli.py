@@ -351,8 +351,6 @@ def run_exact_reduction(cfg: RunConfig) -> int:
                  for prefix, G in (("p", meta.P), ("q", meta.Q))
                  for key in _GRAMIAN_KEYS},
         solver={
-            "max_newton_iterations_full": full.max_newton_iterations,
-            "max_newton_iterations_reduced": reduced.max_newton_iterations,
             "min_pivot_ratio_full": full.min_pivot_ratio,
             "min_pivot_ratio_reduced": reduced.min_pivot_ratio,
         },
@@ -468,9 +466,8 @@ def run_simulate(cfg: RunConfig) -> int:
     write_trajectory_csv(result, run.path("output_full.csv"))
     if cfg.states:
         write_states_csv(result, run.path("states_full.csv"))
-    run.finish(steps=path.M, solver={
-        "max_newton_iterations": result.max_newton_iterations,
-        "min_pivot_ratio": result.min_pivot_ratio})
+    run.finish(steps=path.M,
+               solver={"min_pivot_ratio": result.min_pivot_ratio})
     print(f"simulated {path.M} steps in {t1 - run.t0:.2f} s; "
           f"artifacts in {cfg.out}")
     return 0

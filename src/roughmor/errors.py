@@ -54,13 +54,12 @@ class IntegrationOverflowError(RoughmorError):
 
 
 class StepFailureError(RoughmorError):
-    """A time step could not be completed (singular stage matrix, Newton
-    divergence). Carries the failing step index."""
+    """A time step could not be completed (a singular stage matrix).
+    Carries the failing step index."""
 
-    def __init__(self, message, step=None, residual=None):
+    def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
-        self.residual = residual
 
 
 class NumericalError(RoughmorError):

@@ -118,9 +118,7 @@ def truncate_psd_spectrum(G, tol_rel: float) -> ProjectionBasis:
 def _reduced_nonlinearity(nl: DriftNonlinearity, V) -> DriftNonlinearity:
     # V^T (V x_r g(V x_r)) = x_r g(V x_r) by orthonormality, so the reduced
     # nonlinearity is g composed with the lift
-    return DriftNonlinearity(
-        g=lambda xr: nl.g(V @ xr),
-        grad_g=lambda xr: V.T @ nl.grad_g(V @ xr))
+    return DriftNonlinearity(g=lambda xr: nl.g(V @ xr))
 
 
 def _galerkin(sys: BilinearRoughSystem, V) -> BilinearRoughSystem:

@@ -6,25 +6,27 @@ scheme, driven by the time step dt and the driver increment dW of each step:
     Z_1 = z_k + a11 F(Z_1),   Z_2 = z_k + a21 F(Z_1) + a11 F(Z_2),
     z_{k+1} = z_k + (F(Z_1) + F(Z_2)) / 2,
 
-with F(Z) = G Z + dt f(Z) and G = A dt + sum_m dW_m Nt_m, the Nt_m being
-the system's noise matrices with K^{1/2} folded in. Both stages have the
-diagonal entry a11, so one band LU factorization of S = I - a11 G per step
-serves both; its bandwidth is the widest among A and the Nt_m, so a step of
-a tridiagonal model costs O(n). A stage solves S Z = c and reads its
+with F(Z) = G Z and G = A dt + sum_m dW_m Nt_m, the Nt_m being the system's
+noise matrices with K^{1/2} folded in. Both stages have the diagonal entry
+a11, so one band LU factorization of S = I - a11 G per step serves both;
+its bandwidth is the widest among A and the Nt_m, so a step of a
+tridiagonal model costs O(n). A stage solves S Z = c and reads its
 derivative off its value, F = (Z - c) / a11 (Hairer & Wanner, Solving ODEs
-II, IV.8), so the linear route does no mat-vec with the stiff G. The LU's
-pivot test compares the smallest pivot with the bound 1 + a11 (dt ||A|| +
-sum_m |dW_m| ||Nt_m||) on ||S||, computed for all steps up front. With a
-drift nonlinearity f(x) = x g(x), a stage is (S - h I) Z = c at the one
-scalar shift h = a11 dt g(Z), and Newton solves for h. No iterated integrals
-of the driver enter: the scheme uses increments only. The integrator takes a
-BilinearRoughSystem; a reduced model enters as its ``system``. The stage
-matrices do not depend on the state, so they are formed for a chunk of steps
-at once, and a step does only the LU and the stage solves. The linear route
-tests the pivots and the new states' finiteness once per chunk and raises
-the error a step-by-step loop would have raised first; the Newton route
-tests both inside each step and also checks each iterate. A non-finite
-state raises IntegrationOverflowError.
+II, IV.8), so a step does no mat-vec with the stiff G. The LU's pivot test
+compares the smallest pivot with the bound 1 + a11 (dt ||A|| + sum_m |dW_m|
+||Nt_m||) on ||S||, computed for all steps up front. No iterated integrals
+of the driver enter: the scheme uses increments only. The integrator takes
+a BilinearRoughSystem; a reduced model enters as its ``system``. The stage
+matrices do not depend on the state, so they are formed for a chunk of
+steps at once, and a step does only the LU and the stage solves. The pivots
+and the new states' finiteness are tested once per chunk, which raises the
+error a step-by-step loop would have raised first; a non-finite state
+raises IntegrationOverflowError.
+
+A drift nonlinearity f(x) = x g(x), g <= 0 scalar, only rescales the
+state: x = exp(psi) u, with u the linear solution and psi' = g(exp(psi) u),
+psi(0) = 0. So the steps above integrate u unchanged, and the same tableau
+integrates psi at u's stage values, a scalar bracketed root per stage.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import bandwidth
-from scipy.linalg.blas import dnrm2
 # dgbtrf is bound as lu_factor: the one factorization of each step, under
 # the name the benchmark's tracer hooks
 from scipy.linalg.lapack import dgbtrf as lu_factor, dgbtrs
@@ -45,9 +46,6 @@ from ._util import atomic_write_text, csv_text
 from .drivers import DriverPath
 from .gramians import integrate_gramian_ode
 from .system import BilinearRoughSystem
-
-NEWTON_TOL = 1e-12
-NEWTON_MAX = 50
 
 # Crouzeix's tableau: a11 = a22, a12 = 0, and equal weights b1 = b2
 A11 = 0.5 + math.sqrt(3.0) / 6.0
@@ -69,7 +67,6 @@ class SimulationResult:
     times: np.ndarray
     states: np.ndarray
     outputs: np.ndarray
-    max_newton_iterations: int
     min_pivot_ratio: float
 
 
@@ -81,28 +78,22 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     stage matrix S = I - a11 G is kept and factored in band storage, with
     the lower and upper bandwidth of G read once from A and the Nt_m: a step
     of the tridiagonal heat model costs O(n), a dense model is the full
-    band. A stage's derivative is read off its value, so the linear route
-    does no mat-vec, and the pivot test uses a norm bound on S computed for
-    every step before the loop. With f(x) = x g(x), Newton runs on the
-    stage's scalar shift h alone, from the band solution at h = 0; each
-    later iterate factors S - h I in band storage. It stops once the stage
-    residual |phi| ||Z|| is at most NEWTON_TOL max(1, ||Z||) or the stage's
-    round-off floor eps bound_k ||Z||, whichever is larger, bound_k being
-    the step's bound on ||S||. Raises StepFailureError
-    on a singular stage or Newton matrix, a vanishing Newton slope or a
-    non-convergent Newton iteration, naming step k. The steps run with
-    floating-point warnings off; a non-finite z_{k+1} (or Newton iterate)
-    raises IntegrationOverflowError at step k + 1.
+    band. A stage's derivative is read off its value, so the step does no
+    mat-vec, and the pivot test uses a norm bound on S computed for every
+    step before the loop. Raises StepFailureError on a singular stage
+    matrix, naming step k. The steps run with floating-point warnings off;
+    a non-finite z_{k+1} raises IntegrationOverflowError at step k + 1.
 
     The stage matrices of a chunk of steps come from one stacked product
     of the per-step coefficients with the band rows of A and the Nt_m,
     bitwise equal to a product per step; a chunk's arrays hold at most
-    _CHUNK_BYTES unless one step alone needs more. Without a nonlinearity,
-    the pivot test and the finiteness check run once per chunk, vectorized,
-    after its steps: the earliest step that fails either one raises, its
-    singular stage matrix before its overflow, as in a step-by-step loop.
-    With one, Newton needs a regular stage matrix before it starts, so both
-    checks run inside each step.
+    _CHUNK_BYTES unless one step alone needs more. The pivot test and the
+    finiteness check run once per chunk, vectorized, after its steps: the
+    earliest step that fails either one raises, its singular stage matrix
+    before its overflow, as in a step-by-step loop.
+
+    With f(x) = x g(x), the steps integrate the linear part u and keep its
+    stage values, and x_k = exp(psi_k) u_k with psi from _log_factor.
     """
     if path.d != model.d:
         raise ArgumentError(
@@ -134,12 +125,12 @@ def rough_rk_simulate(model: BilinearRoughSystem,
     S = np.empty((chunk, 1, n * width))
     S_rows = S.reshape(chunk, n, width)
     ab = np.empty((chunk, n, ku + width))
-    ab_newton = np.empty((n, ku + width))
     c2 = np.empty(n)
+    # the linear stage values of every step, for the scalar factor
+    stage_values = None if nl is None else np.empty((M, 2, n))
 
     states = np.empty((M + 1, n))
     states[0] = model.x0
-    max_newton = 0
 
     def overflowed(k):
         return IntegrationOverflowError(
@@ -154,55 +145,15 @@ def rough_rk_simulate(model: BilinearRoughSystem,
             "driver increments dW_m, and a finer grid need not help: the "
             "dW_m shrink like dt^H, more slowly than dt", step=k)
 
-    def stage(c):
-        # one stage of step k: solve Z = c + a11 F(Z), F(Z) = G Z + dt f(Z),
-        # from the step's band LU, by Newton when f != 0, and return F(Z)
-        # read off the stage value as (Z - c) / a11
-        nonlocal max_newton
+    def stage(c, i):
+        # stage i of step k: solve Z = c + a11 G Z from the step's band LU
+        # and return G Z read off the stage value as (Z - c) / a11
         Z = dgbtrs(lu, ku, kl, c, piv, trans=1)[0]
-        if nl is None:
-            Z -= c
-            Z /= A11
-            return Z
-
-        def singular():
-            return StepFailureError(f"singular Newton Jacobian at step {k}",
-                                    step=k, residual=res)
-        # Z(h) = (S - h I)^{-1} c solves the stage at a root of phi(h) =
-        # h - a11 dt g(Z(h)): (S - a11 dt g(Z) I) Z - c = phi Z
-        h, lu_h, piv_h = 0.0, lu, piv
-        for it in range(NEWTON_MAX + 1):
-            phi = h - A11 * dt * float(nl.g(Z))
-            if not (math.isfinite(phi) and np.isfinite(Z).all()):
-                raise overflowed(k)
-            # nrm2 scales before squaring: no norm below 1.8e308 reads inf
-            norm = dnrm2(Z)
-            res = abs(phi) * norm
-            # eps ||S|| ||Z|| is the residual's round-off floor; ||S|| <=
-            # bounds[k]
-            if res <= max(NEWTON_TOL * max(1.0, norm),
-                          eps * bounds[k] * norm):
-                max_newton = max(max_newton, it)
-                # F(Z) itself: Z - c - a11 F(Z) is the residual phi Z, not 0
-                return (Z - c - phi * Z) / A11
-            if it == NEWTON_MAX:
-                break
-            # phi'(h) = 1 - a11 dt grad_g(Z)^T (S - h I)^{-1} Z
-            v = nl.grad_g(Z)
-            w = A11 * dt * dgbtrs(lu_h, ku, kl, Z, piv_h, trans=1)[0]
-            slope = 1.0 - v @ w
-            if abs(slope) <= eps * (1.0 + np.abs(v) @ np.abs(w)):
-                raise singular()
-            h -= phi / slope
-            ab_newton[:, ku:] = S_rows[k - k0]
-            ab_newton[:, ku + kl] -= h
-            lu_h, piv_h, _ = lu_factor(ab_newton.T, ku, kl, overwrite_ab=1)
-            if np.abs(lu_h[kl + ku]).min() <= eps * n * (bounds[k] + abs(h)):
-                raise singular()
-            Z = dgbtrs(lu_h, ku, kl, c, piv_h, trans=1)[0]
-        raise StepFailureError(
-            f"Newton did not converge at step {k} (residual {res:.3e} after "
-            f"{NEWTON_MAX} iterations)", step=k, residual=res)
+        if stage_values is not None:
+            stage_values[k, i] = Z
+        Z -= c
+        Z /= A11
+        return Z
 
     # an overflow reaches a finiteness check, not a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,36 +165,88 @@ def rough_rk_simulate(model: BilinearRoughSystem,
             ab[:k1 - k0, :, ku:] = S_rows[:k1 - k0]
             for k in range(k0, k1):
                 lu, piv, _ = lu_factor(ab[k - k0].T, ku, kl, overwrite_ab=1)
-                if nl is not None:
-                    # Newton's stages need the tests before they start
-                    pivots[k] = np.abs(lu[kl + ku]).min()
-                    if pivots[k] <= eps * n * bounds[k]:
-                        raise singular_stage(k)
                 z = states[k]
-                F1 = stage(z)
+                F1 = stage(z, 0)
                 np.multiply(F1, A21, out=c2)
                 c2 += z
-                F2 = stage(c2)
+                F2 = stage(c2, 1)
                 # z + B1 F1 + B2 F2, summed in that order
                 F1 *= B1
                 F1 += z
                 F2 *= B2
                 np.add(F1, F2, out=states[k + 1])
-                if nl is not None and not np.isfinite(states[k + 1]).all():
-                    raise overflowed(k)
-            # the linear route's tests, once a chunk: a step's pivot test
-            # comes before its states' finiteness, as in a step-by-step loop
+            # a step's pivot test comes before its states' finiteness, as
+            # in a step-by-step loop
             pivots[k0:k1] = np.abs(ab[:k1 - k0, :, kl + ku]).min(axis=1)
             singular = pivots[k0:k1] <= eps * n * bounds[k0:k1]
             failed = singular | ~np.isfinite(states[k0 + 1:k1 + 1]).all(axis=1)
             if failed.any():
                 j = int(np.argmax(failed))
                 raise (singular_stage if singular[j] else overflowed)(k0 + j)
+        if nl is not None:
+            states *= np.exp(_log_factor(nl.g, stage_values, dt))[:, None]
 
     return SimulationResult(times=path.times, states=states,
                             outputs=states @ model.C.T,
-                            max_newton_iterations=max_newton,
                             min_pivot_ratio=float((pivots / bounds).min()))
+
+
+def _log_factor(g, stage_values, dt):
+    """psi_k = log phi_k, from the linear stage values U_1, U_2 of each step.
+
+    Crouzeix's tableau on psi' = g(exp(psi) u) at u's stages, so that (u,
+    psi) is one Crouzeix run: Psi_i = b_i + a11 dt g_i with g_i = g(exp(Psi_i)
+    U_i), b_1 = psi_k, b_2 = psi_k + a21 dt g_1, and psi_{k+1} = psi_k + dt
+    (b1 g_1 + b2 g_2). As g <= 0, psi never increases: ||x_k|| <= ||u_k||.
+    """
+    psi = np.zeros(len(stage_values) + 1)
+    for k, (U1, U2) in enumerate(stage_values):
+        g1 = _stage_g(g, U1, psi[k], A11 * dt, k + 1)
+        g2 = _stage_g(g, U2, psi[k] + A21 * dt * g1, A11 * dt, k + 1)
+        psi[k + 1] = psi[k] + dt * (B1 * g1 + B2 * g2)
+    return psi
+
+
+def _stage_g(g, U, b, h, step):
+    """g(exp(p) U) at the root p <= b of F(p) = p - b - h g(exp(p) U).
+
+    F(b) >= 0. F(lo) <= 0 at lo = b + h g(exp(b) U) if g does not fall as
+    the state shrinks; else the gap b - lo doubles until it is, as it is
+    once exp(lo) U underflows. A gap below b's last place leaves the root
+    at b. Illinois false position (Dowell & Jarratt, BIT 11, 1971) narrows
+    [lo, b] to a few ulps of max(1, |lo|). A non-finite g raises
+    IntegrationOverflowError, a positive one ArgumentError, naming the step.
+    """
+    def F(p):
+        gp = float(g(math.exp(p) * U))
+        f = p - b - h * gp
+        if not math.isfinite(f):
+            raise IntegrationOverflowError(
+                f"drift nonlinearity g = {gp:.3e} at step {step}", step=step)
+        return f, gp
+
+    f_b, gp = F(b)
+    if f_b < 0.0:
+        raise ArgumentError(
+            f"drift nonlinearity violates g <= 0 at step {step}: g = {gp:.3e}")
+    lo, f_lo, gap = b, f_b, h * gp
+    while f_lo > 0.0 and b + gap < b:
+        lo = b + gap
+        f_lo, gp = F(lo)
+        gap *= 2.0
+    x, fx, kept = [lo, b], [f_lo, f_b], None  # F(x[0]) <= 0 <= F(x[1])
+    while fx[0] < 0.0 and x[1] - x[0] > 4.0 * math.ulp(max(1.0, abs(x[0]))):
+        p = x[1] - fx[1] * (x[1] - x[0]) / (fx[1] - fx[0])
+        f, gp = F(p)
+        if f == 0.0:
+            break
+        i = int(f > 0.0)
+        x[i], fx[i] = p, f
+        if kept == 1 - i:
+            # Illinois: an end kept twice in a row has its F halved
+            fx[kept] /= 2.0
+        kept = 1 - i
+    return gp
 
 
 def _step_coefficients(model, path):

@@ -43,14 +43,12 @@ STABILITY_MAX_ITER = 500
 
 @dataclass(frozen=True)
 class DriftNonlinearity:
-    """Scalar drift nonlinearity f(x) = x * g(x) with its gradient.
+    """Scalar drift nonlinearity f(x) = x * g(x).
 
-    ``g`` maps an n-vector to a scalar with g(x) <= 0 for all x; ``grad_g``
-    returns the n-vector gradient (required, no finite-difference fallback).
+    ``g`` maps an n-vector to a scalar with g(x) <= 0 for all x.
     """
 
     g: Callable[[np.ndarray], float]
-    grad_g: Callable[[np.ndarray], np.ndarray]
 
 
 def _as_matrix(a, name):
@@ -117,7 +115,7 @@ class BilinearRoughSystem:
             g = self.drift_nonlinearity.g
             for point, label in ((x0, "x0"), (np.zeros(n), "0")):
                 val = float(g(point))
-                if val > 0.0:
+                if not val <= 0.0:
                     raise ArgumentError(
                         f"drift nonlinearity violates g <= 0 at {label}: "
                         f"g = {val:.3e}")

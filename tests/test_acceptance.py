@@ -36,8 +36,7 @@ def heat_Q(heat100):
 
 
 def cubic_drift_system():
-    nl = DriftNonlinearity(g=lambda x: -float(x @ x),
-                           grad_g=lambda x: -2.0 * x)
+    nl = DriftNonlinearity(g=lambda x: -float(x @ x))
     return BilinearRoughSystem(A=-np.eye(3), N=(0.2 * np.eye(3),),
                                K=np.eye(1), C=np.eye(3)[:1],
                                x0=np.array([1.0, 0.5, -0.5]),

@@ -2,7 +2,10 @@
 name is exported, and the demos load and run against it."""
 
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -27,6 +30,21 @@ def test_every_public_name_is_exported():
                 and not isinstance(value, types.ModuleType)
                 and name not in roughmor.__all__]
     assert unlisted == []
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize adds about a quarter second to a fresh import, which
+    # every CLI run pays: the package's root solves are written by hand
+    src = os.path.dirname(os.path.dirname(roughmor.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, roughmor, roughmor.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith("
+         "'scipy.optimize')))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_demos_found():

@@ -463,7 +463,7 @@ class TestMonteCarlo:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.05 * _MC_CHUNK_BYTES, (n, d)
+            assert peak <= 1.04 * _MC_CHUNK_BYTES, (n, d)
             assert np.getbufsize() == bufsize
 
     def test_one_product_per_euler_step(self, monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -427,9 +428,10 @@ class TestSystemValidation:
                                    atol=1e-12 * np.abs(pairs).max())
 
     def test_positive_drift_sign_rejected(self):
-        nl = DriftNonlinearity(g=lambda x: 1.0,
-                               grad_g=lambda x: np.zeros_like(x))
-        with pytest.raises(ArgumentError):
-            BilinearRoughSystem(A=-np.eye(2), N=(np.zeros((2, 2)),),
-                                K=np.eye(1), C=np.eye(2)[:1],
-                                x0=np.ones(2), drift_nonlinearity=nl)
+        # g > 0, or a nan that no comparison with 0 catches, at x0 or 0
+        for value in (1.0, math.nan):
+            nl = DriftNonlinearity(g=lambda x, v=value: v)
+            with pytest.raises(ArgumentError, match="violates g <= 0"):
+                BilinearRoughSystem(A=-np.eye(2), N=(np.zeros((2, 2)),),
+                                    K=np.eye(1), C=np.eye(2)[:1],
+                                    x0=np.ones(2), drift_nonlinearity=nl)
